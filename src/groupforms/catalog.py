@@ -312,15 +312,20 @@ def build_named(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
 
 def _split_args(body: str, expected: int) -> list[str]:
+    """Split on top-level commas; a comma inside ``name:a,b`` stays in its argument."""
     parts: list[str] = []
     depth = 0
     current = ""
-    for ch in body:
+    for i, ch in enumerate(body):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
+        if (
+            ch == ","
+            and depth == 0
+            and not (_NAME_RE.match(current.strip()) and body[i + 1 :].lstrip()[:1].isdigit())
+        ):
             parts.append(current)
             current = ""
         else:

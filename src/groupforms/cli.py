@@ -136,9 +136,9 @@ def _batch_worker(task: tuple) -> dict:
     path, formation_name, check, budgets = task
     try:
         group = _groupfile.parse_group_file(path, max_order=budgets["max_order"])
+        report = _run_checks(group, formation_name, _expand_checks(check), budgets)
     except (GroupError, OSError) as exc:
         return {"file": Path(path).name, "error": str(exc)}
-    report = _run_checks(group, formation_name, _expand_checks(check), budgets)
     return {
         "file": Path(path).name,
         "order": group.order,

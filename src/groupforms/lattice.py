@@ -1,9 +1,10 @@
 """Subgroup enumeration: full lattices, normal subgroups, intervals.
 
-Two tiers, per the order-864 workload: complete lattices are only built for
-groups (or subgroups) whose order is within the lattice budget; everything a
-chain predicate needs above a fixed subgroup H goes through minimal-overgroup
-and interval enumeration, which stays feasible well past the budget.
+Full lattices (maximality edges and conjugacy classes) are built only for
+groups whose order is within the lattice budget. Chain predicates never need
+one: everything above a fixed subgroup H, including the maximal subgroups of
+K that contain H, comes from minimal-overgroup and interval enumeration,
+which stays feasible well past the budget.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .permgroup import (
     SubgroupRef,
     _as_subgroup,
     is_prime,
-    prime_factorization,
 )
 
 DEFAULT_LATTICE_BUDGET = 400
@@ -92,10 +92,6 @@ class SubgroupLattice:
             got = {ref.members: i for i, ref in enumerate(self.nodes)}
             cache[self.top] = got
         return got
-
-    def maximal_in(self, members: frozenset[int]) -> list[SubgroupRef]:
-        j = self.node_index(members)
-        return [self.nodes[i] for i, jj in self.edges if jj == j]
 
 
 def all_subgroups(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
@@ -296,41 +292,23 @@ def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
     return result
 
 
-def maximal_pairs_above(G: GroupLike, H: SubgroupRef) -> list[tuple[SubgroupRef, SubgroupRef]]:
-    """All (K, L) with H <= K maximal in L <= G, in canonical order."""
-    sub = _as_subgroup(G)
-    out = []
-    for K in interval(sub, H):
-        for L in minimal_overgroups(sub, K, within=sub.members):
-            out.append((K, L))
-    return out
-
-
 def maximal_subgroups(
     G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET
 ) -> list[SubgroupRef]:
-    """Subgroups maximal in the (sub)group (full-lattice tier)."""
+    """Subgroups maximal in the (sub)group, read off its full lattice."""
     sub = _as_subgroup(G)
     lat = all_subgroups(sub, lattice_budget)
     top_idx = lat.node_index(sub.members)
     return [lat.nodes[i] for i, j in lat.edges if j == top_idx]
 
 
-def maximal_subgroups_containing(
-    K: SubgroupRef,
-    J: SubgroupRef,
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
-) -> list[SubgroupRef]:
-    """Maximal subgroups M of K with J <= M.
+def maximal_subgroups_containing(K: SubgroupRef, J: SubgroupRef) -> list[SubgroupRef]:
+    """Maximal subgroups M of K with J <= M, in canonical order.
 
-    Uses K's full lattice when affordable; otherwise enumerates the interval
-    [J, K], whose maximal elements below K are exactly the wanted subgroups.
+    These are the maximal elements below K of the interval [J, K].
     """
-    parent = K.parent
     if not J.members <= K.members:
         return []
-    if K.order <= lattice_budget:
-        return [M for M in maximal_subgroups(K, lattice_budget) if J.members <= M.members]
     nodes = interval(K, J)
     out = []
     for M in nodes:
@@ -340,7 +318,7 @@ def maximal_subgroups_containing(
             M.members < other.members and other.members < K.members for other in nodes
         ):
             out.append(M)
-    return sorted(out, key=lambda r: r.sort_key)
+    return out
 
 
 def frattini(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupRef:

@@ -98,11 +98,6 @@ class VerdictReport:
                 counts[s] = counts.get(s, 0) + n
         return counts
 
-    @property
-    def ok(self) -> bool:
-        counts = self.summary()
-        return counts[FAIL] == 0 and counts[ERROR] == 0
-
     def to_dict(self) -> dict:
         out = {
             "schema_version": SCHEMA_VERSION,

@@ -100,8 +100,11 @@ def primary_subgroup_class_reps(G: GroupLike) -> list[SubgroupRef]:
 
 
 def subgroup_class_reps(G: GroupLike) -> list[SubgroupRef]:
-    lat = _lattice.all_subgroups(G)
-    return _lattice.conjugacy_class_reps(lat)
+    """One subgroup per conjugacy class, the canonically least, in canonical order."""
+    sub = _as_subgroup(G)
+    parent = sub.parent
+    reps = _lattice.orbit_reps_under(parent, _lattice.subgroup_sets(sub), sub.members)
+    return [SubgroupRef(parent, s) for s in reps]
 
 
 def carter_subgroups(G: GroupLike) -> list[SubgroupRef]:
@@ -542,11 +545,7 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
             continue
         hom = quotient(sub, N)
         for H in fsn_reps:
-            image = hom.image.subgroup(
-                hom.map_members(parent.closure(set(H.members) | set(N.members))),
-                _trusted=True,
-            )
-            if not is_f_subnormal(hom.image, image, F):
+            if not is_f_subnormal(hom.image, hom.map_subgroup(H), F):
                 violations.append(
                     _violation("1.3", label, {"N": N.order, "H": H.order})
                 )
@@ -557,7 +556,7 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
             if not is_f_subnormal(sub, L, F):
                 violations.append(_violation("1.4", label, {"L": L.order}))
         # (5) intersections into arbitrary subgroups
-        all_sets = [r.members for r in _lattice.all_subgroups(sub).nodes]
+        all_sets = _lattice.subgroup_sets(sub)
         for H in fsn_reps:
             norm_h = normalizer(sub, H).members
             for K_set in _lattice.orbit_reps_under(parent, all_sets, norm_h):
@@ -634,11 +633,7 @@ def check_lemma3(G: GroupLike) -> list[dict]:
             if N.order == sub.order:
                 continue
             hom = quotient(sub, N)
-            image = hom.image.subgroup(
-                hom.map_members(parent.closure(set(A.members) | set(N.members))),
-                _trusted=True,
-            )
-            if not is_abnormal(hom.image, image):
+            if not is_abnormal(hom.image, hom.map_subgroup(A)):
                 violations.append(_violation("3.3", label, {"A": A.order, "N": N.order}))
     return violations
 

@@ -59,23 +59,13 @@ def _edge_in_formation(F: Formation, lower: SubgroupRef, upper: SubgroupRef) -> 
     return quotient_in(F, upper, c)
 
 
-def is_f_subnormal(
-    G: GroupLike,
-    H: SubgroupRef,
-    F: Formation,
-    lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET,
-) -> bool:
-    found, _ = _f_subnormal_search(G, H, F, want_witness=False, lattice_budget=lattice_budget)
+def is_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
+    found, _ = _f_subnormal_search(G, H, F, want_witness=False)
     return found
 
 
-def f_subnormal_witness(
-    G: GroupLike,
-    H: SubgroupRef,
-    F: Formation,
-    lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET,
-) -> Optional[ChainWitness]:
-    found, chain = _f_subnormal_search(G, H, F, want_witness=True, lattice_budget=lattice_budget)
+def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[ChainWitness]:
+    found, chain = _f_subnormal_search(G, H, F, want_witness=True)
     if not found:
         return None
     steps = []
@@ -94,7 +84,7 @@ def f_subnormal_witness(
     return ChainWitness(subgroups=tuple(chain), steps=tuple(steps))
 
 
-def _f_subnormal_search(G, H, F, want_witness, lattice_budget):
+def _f_subnormal_search(G, H, F, want_witness):
     amb = _as_subgroup(G)
     _check_contained(amb, H)
     parent = amb.parent
@@ -103,8 +93,10 @@ def _f_subnormal_search(G, H, F, want_witness, lattice_budget):
     def search(K: SubgroupRef) -> Optional[list[SubgroupRef]]:
         key = (K.members, H.members, F.name)
         cached = cache.get(key)
-        if cached is not None and not want_witness:
-            return [] if cached is True else None
+        if cached is False:
+            return None
+        if cached is True and not want_witness:
+            return []
         if K.members == H.members:
             cache[key] = True
             return [K]
@@ -114,7 +106,7 @@ def _f_subnormal_search(G, H, F, want_witness, lattice_budget):
             cache[key] = False
             return None
         J = SubgroupRef(parent, join)
-        for M in _lattice.maximal_subgroups_containing(K, J, lattice_budget):
+        for M in _lattice.maximal_subgroups_containing(K, J):
             if not _edge_in_formation(F, M, K):
                 continue
             tail = search(M)
@@ -185,12 +177,7 @@ def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     return result
 
 
-def is_absolutely_f_subnormal(
-    G: GroupLike,
-    H: SubgroupRef,
-    F: Formation,
-    lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET,
-) -> bool:
+def is_absolutely_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     """Every subgroup containing H is F-subnormal in the ambient group."""
     amb = _as_subgroup(G)
     _check_contained(amb, H)
@@ -202,7 +189,7 @@ def is_absolutely_f_subnormal(
         return got
     result = True
     for L in _lattice.interval(amb, H):
-        if not is_f_subnormal(amb, L, F, lattice_budget=lattice_budget):
+        if not is_f_subnormal(amb, L, F):
             result = False
             break
     cache[key] = result

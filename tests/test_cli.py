@@ -88,6 +88,19 @@ def test_batch_error_isolation(tmp_path, capsys):
     assert payload["runs"][0]["report"]["summary"]["pass"] == 1
 
 
+def test_batch_check_error_isolation(tmp_path, capsys):
+    d = tmp_path / "wrong-order"
+    d.mkdir()
+    groupfile.write_group_file(catalog.build_named("S3"), d / "s3.pgrp")
+    code = main(["batch", "--dir", str(d), "--check", "example864", "--formation", "NA"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    payload = json.loads(captured.out)
+    assert [e["file"] for e in payload["errors"]] == ["s3.pgrp"]
+    assert payload["runs"] == []
+    assert "Traceback" not in captured.err
+
+
 def test_batch_parallel_byte_identical(tmp_path, capsys):
     d = tmp_path / "par"
     d.mkdir()

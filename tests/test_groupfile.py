@@ -19,6 +19,12 @@ from groupforms.groupfile import (
 )
 
 
+def test_build_named_keeps_name_arguments_whole():
+    g = catalog.build_named("direct(S4,elem_abelian:2,2)")
+    assert g.order == 96
+    assert catalog.build_named("direct(elem_abelian:2, 2,C3)").order == 12
+
+
 def test_parse_simple():
     text = "pgrp v1\ndegree 3\n(1 2 3)\n(1 2)\n"
     g = parse_group_text(text)

@@ -110,3 +110,20 @@ def test_supersolubility_criterion():
     assert not lat.is_supersoluble(catalog.symmetric(4))
     assert not lat.is_supersoluble(catalog.alternating(4))
     assert lat.is_supersoluble(catalog.cyclic(12))
+
+
+def test_maximal_subgroups_containing_matches_full_lattice(catalog120):
+    # oracle: filter K's maximal subgroups, read off K's full lattice
+    from groupforms.structure import subgroup_class_reps
+
+    pairs = 0
+    for g in catalog120:
+        if g.order > 60:
+            continue
+        for K in [g.as_subgroup()] + subgroup_class_reps(g):
+            oracle = lat.maximal_subgroups(K)
+            for J in subgroup_class_reps(K):
+                want = [M for M in oracle if J.members <= M.members]
+                assert lat.maximal_subgroups_containing(K, J) == want
+                pairs += 1
+    assert pairs > 5000

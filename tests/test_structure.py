@@ -138,3 +138,11 @@ def test_theorem1_on_example864(g864):
     # consistent with the formation not being superradical (empirical status)
     assert v.statements["S3"] is False
     assert "s2_skipped" in v.details
+
+
+def test_subgroup_class_reps_match_full_lattice(catalog120):
+    from groupforms import lattice as lat
+
+    for g in catalog120:
+        if g.order <= 60:
+            assert structure.subgroup_class_reps(g) == lat.conjugacy_class_reps(lat.all_subgroups(g))

@@ -68,6 +68,19 @@ def test_witness_chain_structure():
     assert f_subnormal_witness(s3, c2, NILPOTENT) is None
 
 
+def test_witness_uses_cached_failure(monkeypatch):
+    # <C3, S4^N> = A4 is proper, so deciding C3 needs a search below S4
+    s4 = catalog.symmetric(4)
+    c3 = _sub_of_order(s4, 3)
+    assert not is_f_subnormal(s4, c3, NILPOTENT)
+
+    def no_search(*args):
+        raise AssertionError("a cached failure must not be searched again")
+
+    monkeypatch.setattr(lat, "maximal_subgroups_containing", no_search)
+    assert f_subnormal_witness(s4, c3, NILPOTENT) is None
+
+
 def test_classical_subnormality_helper():
     s4 = catalog.symmetric(4)
     # the Klein four-group is subnormal in S4; a C4 is not
