@@ -13,15 +13,12 @@ from .permgroup import (
     GroupError,
     GroupHom,
     SubgroupRef,
-    as_group,
-    centralizer,
     core,
     derived_series,
     derived_subgroup,
     direct_product,
     fitting,
     generate,
-    hall_subgroup_soluble,
     is_abelian,
     is_elementary_abelian,
     is_nilpotent,
@@ -68,9 +65,7 @@ from .subnormal import (
     is_absolutely_f_subnormal,
     is_f_abnormal,
     is_f_subnormal,
-    is_f_subnormal_via_residual,
     is_self_normalizing,
-    is_subnormal,
 )
 from .structure import (
     TheoremVerdict,
@@ -97,6 +92,5 @@ from .groupfile import (
     parse_group_text,
     write_group_file,
 )
+from .reports import TOOL_VERSION as __version__
 from .reports import VerdictReport
-
-__version__ = "0.1.0"

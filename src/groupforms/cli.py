@@ -22,7 +22,7 @@ from . import groupfile as _groupfile
 from . import lattice as _lattice
 from . import reports as _reports
 from . import structure as _structure
-from .formations import formation_by_name
+from .formations import BUILT_IN, formation_by_name
 from .permgroup import FiniteGroup, GroupBudgetError, GroupError
 
 EXIT_OK = 0
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--formation", default="N", choices=["A", "N", "U", "NA", "Sol"])
+        p.add_argument("--formation", default="N", choices=list(BUILT_IN))
         p.add_argument("--report", help="also write the JSON report to this path")
         p.add_argument("--budget-max-order", type=int, default=2000)
         p.add_argument("--budget-lattice", type=int, default=400)

@@ -22,6 +22,7 @@ from .permgroup import (
     is_abelian,
     is_nilpotent,
     is_soluble,
+    memo,
     quotient,
 )
 
@@ -44,13 +45,10 @@ class Formation:
 
     def contains(self, G: GroupLike) -> bool:
         sub = _as_subgroup(G)
-        cache = sub.parent._op_cache.setdefault("formation_member", {})
-        key = (sub.members, self.name)
-        got = cache.get(key)
-        if got is None:
-            got = bool(self.membership(sub))
-            cache[key] = got
-        return got
+        return memo(sub.parent, "formation_member", (sub.members, self.name), self._decide, sub)
+
+    def _decide(self, sub: SubgroupRef) -> bool:
+        return bool(self.membership(sub))
 
     def __repr__(self) -> str:
         return f"<Formation {self.name}>"
@@ -146,15 +144,11 @@ def formation_by_name(name: str) -> Formation:
 
 def quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
     """Whether K/N lies in F, with the verdict cached per (K, N, F)."""
-    parent = K.parent
-    cache = parent._op_cache.setdefault("quotient_in", {})
-    key = (K.members, N.members, F.name)
-    got = cache.get(key)
-    if got is None:
-        hom = quotient(K, N)
-        got = F.contains(hom.image)
-        cache[key] = got
-    return got
+    return memo(K.parent, "quotient_in", (K.members, N.members, F.name), _quotient_in, F, K, N)
+
+
+def _quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
+    return F.contains(quotient(K, N).image)
 
 
 def residual(F: Formation, G: GroupLike) -> SubgroupRef:
@@ -167,12 +161,10 @@ def residual(F: Formation, G: GroupLike) -> SubgroupRef:
     formation-closed.
     """
     sub = _as_subgroup(G)
-    parent = sub.parent
-    cache = parent._op_cache.setdefault("residual", {})
-    key = (sub.members, F.name)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    return memo(sub.parent, "residual", (sub.members, F.name), _residual, F, sub)
+
+
+def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
     normals = _lattice.normal_subgroups(sub)
     passes: list[SubgroupRef] = []
     for N in normals:  # ascending (order, members)
@@ -188,14 +180,13 @@ def residual(F: Formation, G: GroupLike) -> SubgroupRef:
     members = sub.members
     for P in passes:
         members = members & P.members
-    R = SubgroupRef(parent, members)
+    R = SubgroupRef(sub.parent, members)
     if not quotient_in(F, sub, R):
         raise FormationVerificationError(
             f"{F.name} is not intersection-stable on this group: "
             "the intersection of qualifying kernels does not qualify"
         )
     # ascending scan + skip rule already guarantee nothing smaller qualifies
-    cache[key] = R
     return R
 
 

@@ -24,12 +24,13 @@ from .permgroup import (
     FiniteGroup,
     GroupError,
     SubgroupRef,
+    memo,
     perm_from_cycle_text,
     perm_to_cycle_text,
 )
 
 FORMAT_HEADER = "pgrp v1"
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2  # 2: checksum hashes every point injectively
 
 
 class GroupFileError(GroupError):
@@ -125,9 +126,17 @@ def group_checksum(G: FiniteGroup) -> str:
     h = hashlib.sha256()
     h.update(f"degree={G.degree};order={G.order};".encode())
     for p in G.elements:
-        h.update(bytes(x % 256 for x in p))
+        h.update(",".join(map(str, p)).encode())
         h.update(b"|")
     return h.hexdigest()
+
+
+def _checked_indices(values, bound: int, what: str) -> list[int]:
+    """``values`` as a list of ints in ``range(bound)``, else a cache mismatch."""
+    out = list(values)
+    if not all(type(v) is int and 0 <= v < bound for v in out):
+        raise CacheMismatchError(f"cache {what} out of range")
+    return out
 
 
 def cache_save(lat: _lattice.SubgroupLattice, path: Union[str, Path]) -> None:
@@ -155,14 +164,22 @@ def cache_load(path: Union[str, Path], G: FiniteGroup) -> _lattice.SubgroupLatti
         )
     if payload.get("group_checksum") != group_checksum(G):
         raise CacheMismatchError("cache checksum does not match this group")
-    nodes = tuple(SubgroupRef(G, frozenset(m)) for m in payload["nodes"])
+    try:
+        members = [_checked_indices(m, G.order, "node member") for m in payload["nodes"]]
+        n = len(members)
+        edges = [tuple(_checked_indices(e, n, "edge index")) for e in payload["edges"]]
+        classes = [tuple(_checked_indices(c, n, "class index")) for c in payload["conjugacy_classes"]]
+        top = frozenset(_checked_indices(payload["top"], G.order, "top member"))
+    except (KeyError, TypeError) as exc:
+        raise CacheMismatchError(f"malformed cache payload: {exc!r}") from None
+    if any(len(e) != 2 for e in edges):
+        raise CacheMismatchError("cache edge is not a pair")
     lat = _lattice.SubgroupLattice(
         parent=G,
-        top=frozenset(payload["top"]),
-        nodes=nodes,
-        edges=tuple((int(a), int(b)) for a, b in payload["edges"]),
-        conjugacy_classes=tuple(tuple(c) for c in payload["conjugacy_classes"]),
+        top=top,
+        nodes=tuple(SubgroupRef(G, frozenset(m)) for m in members),
+        edges=tuple(edges),
+        conjugacy_classes=tuple(classes),
     )
-    cache = G._op_cache.setdefault("lattice", {})
-    cache.setdefault(lat.top, lat)
+    memo(G, "lattice", lat.top, lambda: lat)
     return lat

@@ -20,6 +20,7 @@ from .permgroup import (
     SubgroupRef,
     _as_subgroup,
     is_prime,
+    memo,
 )
 
 DEFAULT_LATTICE_BUDGET = 400
@@ -42,10 +43,11 @@ def subgroup_sets(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) ->
         raise LatticeBudgetError(
             f"subgroup enumeration for order {sub.order} exceeds lattice budget {lattice_budget}"
         )
-    cache = parent._op_cache.setdefault("sub_sets", {})
-    got = cache.get(sub.members)
-    if got is not None:
-        return got
+    return memo(parent, "sub_sets", sub.members, _subgroup_sets, sub)
+
+
+def _subgroup_sets(sub: SubgroupRef) -> list[frozenset[int]]:
+    parent = sub.parent
     trivial = frozenset((parent.identity,))
     cyclics: dict[frozenset[int], int] = {}
     for x in sub.sorted_members:
@@ -67,9 +69,7 @@ def subgroup_sets(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) ->
             if join not in found:
                 found.add(join)
                 work.append(join)
-    result = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    cache[sub.members] = result
-    return result
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 @dataclass(frozen=True)
@@ -86,21 +86,20 @@ class SubgroupLattice:
         return self._by_members()[members]
 
     def _by_members(self) -> dict[frozenset[int], int]:
-        cache = self.parent._op_cache.setdefault("lattice_index", {})
-        got = cache.get(self.top)
-        if got is None:
-            got = {ref.members: i for i, ref in enumerate(self.nodes)}
-            cache[self.top] = got
-        return got
+        return memo(self.parent, "lattice_index", self.top, _index_of_nodes, self.nodes)
+
+
+def _index_of_nodes(nodes: tuple[SubgroupRef, ...]) -> dict[frozenset[int], int]:
+    return {ref.members: i for i, ref in enumerate(nodes)}
 
 
 def all_subgroups(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
     sub = _as_subgroup(G)
+    return memo(sub.parent, "lattice", sub.members, _all_subgroups, sub, lattice_budget)
+
+
+def _all_subgroups(sub: SubgroupRef, lattice_budget: int) -> SubgroupLattice:
     parent = sub.parent
-    cache = parent._op_cache.setdefault("lattice", {})
-    got = cache.get(sub.members)
-    if got is not None:
-        return got
     sets = subgroup_sets(sub, lattice_budget)
     nodes = tuple(SubgroupRef(parent, s) for s in sets)
     by_members = {ref.members: i for i, ref in enumerate(nodes)}
@@ -109,15 +108,13 @@ def all_subgroups(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) ->
         for over in minimal_overgroups(sub, ref, within=sub.members):
             edges.append((i, by_members[over.members]))
     classes = _conjugacy_classes_of_sets(parent, [ref.members for ref in nodes], sub.members)
-    lat = SubgroupLattice(
+    return SubgroupLattice(
         parent=parent,
         top=sub.members,
         nodes=nodes,
         edges=tuple(sorted(edges)),
         conjugacy_classes=classes,
     )
-    cache[sub.members] = lat
-    return lat
 
 
 def _conjugacy_classes_of_sets(
@@ -184,11 +181,11 @@ def orbit_reps_under(
 def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
     """All normal subgroups, via closure of conjugacy-class unions."""
     sub = _as_subgroup(G)
+    return memo(sub.parent, "normals", sub.members, _normal_subgroups, sub)
+
+
+def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
     parent = sub.parent
-    cache = parent._op_cache.setdefault("normals", {})
-    got = cache.get(sub.members)
-    if got is not None:
-        return got
     if sub.is_whole():
         classes = parent.conjugacy_classes()
     else:
@@ -223,9 +220,7 @@ def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
             if bigger not in found:
                 found.add(bigger)
                 work.append(bigger)
-    result = [SubgroupRef(parent, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
-    cache[sub.members] = result
-    return result
+    return [SubgroupRef(parent, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
 
 
 def minimal_overgroups(
@@ -240,11 +235,12 @@ def minimal_overgroups(
     top = within if within is not None else sub.members
     if not H.members <= top:
         raise GroupError("H must be contained in the search space")
-    cache = parent._op_cache.setdefault("min_over", {})
-    key = (H.members, top)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    return memo(parent, "min_over", (H.members, top), _minimal_overgroups, parent, H, top)
+
+
+def _minimal_overgroups(
+    parent: FiniteGroup, H: SubgroupRef, top: frozenset[int]
+) -> list[SubgroupRef]:
     h_gens = list(parent.greedy_generators(H.members))
     candidates: dict[frozenset[int], None] = {}
     covered: set[int] = set(H.members)
@@ -263,9 +259,7 @@ def minimal_overgroups(
     for s in cand_list:
         if not any(other < s for other in cand_list if len(other) < len(s)):
             mins.append(s)
-    result = [SubgroupRef(parent, s) for s in mins]
-    cache[key] = result
-    return result
+    return [SubgroupRef(parent, s) for s in mins]
 
 
 def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
@@ -274,11 +268,11 @@ def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
     parent = sub.parent
     if not H.members <= sub.members:
         raise GroupError("interval requires H <= G")
-    cache = parent._op_cache.setdefault("interval", {})
-    key = (H.members, sub.members)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    return memo(parent, "interval", (H.members, sub.members), _interval, sub, H)
+
+
+def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
+    parent = sub.parent
     found = {H.members}
     work = [H.members]
     while work:
@@ -287,9 +281,7 @@ def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
             if over.members not in found:
                 found.add(over.members)
                 work.append(over.members)
-    result = [SubgroupRef(parent, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
-    cache[key] = result
-    return result
+    return [SubgroupRef(parent, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
 
 
 def maximal_subgroups(

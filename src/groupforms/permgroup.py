@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 DEFAULT_MAX_ORDER = 2000
@@ -187,13 +187,6 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-def pi_part(n: int, pi: Iterable[int]) -> int:
-    out = 1
-    for p in pi:
-        out *= p_part(n, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -204,7 +197,8 @@ class FiniteGroup:
     Immutable after construction. ``elements`` is lexicographically sorted on
     image tuples, which makes every set-valued result downstream
     deterministic. ``_op_cache`` holds idempotent lazy results (lattices,
-    residuals, normalizers, ...); concurrent duplicate computation is
+    residuals, normalizers, ...), one dict per namespace; every read and
+    write goes through ``memo``. Concurrent duplicate computation is
     harmless by design.
     """
 
@@ -306,11 +300,7 @@ class FiniteGroup:
         return self._orders
 
     def whole(self) -> frozenset[int]:
-        cached = self._op_cache.get("whole")
-        if cached is None:
-            cached = frozenset(range(self.order))
-            self._op_cache["whole"] = cached
-        return cached
+        return memo(self, "whole", None, frozenset, range(self.order))
 
     def closure(self, seeds: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by the seed elements, as an index set."""
@@ -333,22 +323,7 @@ class FiniteGroup:
 
     def greedy_generators(self, members: frozenset[int]) -> tuple[int, ...]:
         """A small deterministic generating set for a subgroup index set."""
-        cache = self._op_cache.setdefault("gens", {})
-        got = cache.get(members)
-        if got is not None:
-            return got
-        gens: list[int] = []
-        current: frozenset[int] = frozenset((self._identity,))
-        if len(members) > 1:
-            for x in sorted(members):
-                if x not in current:
-                    gens.append(x)
-                    current = self.closure(gens)
-                    if len(current) == len(members):
-                        break
-        result = tuple(gens)
-        cache[members] = result
-        return result
+        return memo(self, "gens", members, _greedy_generators, self, members)
 
     def conjugate_set(self, members: Iterable[int], g: int) -> frozenset[int]:
         t = self._table
@@ -357,30 +332,7 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Element conjugacy classes, each sorted, ordered by minimum element."""
-        cached = self._op_cache.get("conj_classes")
-        if cached is not None:
-            return cached
-        gens = self.generators if self.generators else ()
-        seen = [False] * self.order
-        classes = []
-        for i in range(self.order):
-            if seen[i]:
-                continue
-            orbit = {i}
-            work = [i]
-            seen[i] = True
-            while work:
-                x = work.pop()
-                for g in gens:
-                    y = self.conj(x, g)
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        work.append(y)
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: c[0])
-        self._op_cache["conj_classes"] = classes
-        return classes
+        return memo(self, "conj_classes", None, _conjugacy_classes, self)
 
     def subgroup(self, members: Iterable[int], _trusted: bool = False) -> "SubgroupRef":
         ms = frozenset(members)
@@ -392,11 +344,7 @@ class FiniteGroup:
         return SubgroupRef(self, ms)
 
     def as_subgroup(self) -> "SubgroupRef":
-        cached = self._op_cache.get("self_sub")
-        if cached is None:
-            cached = SubgroupRef(self, self.whole())
-            self._op_cache["self_sub"] = cached
-        return cached
+        return memo(self, "self_sub", None, _self_subgroup, self)
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -460,6 +408,77 @@ class FiniteGroup:
         ]
         degree = len(sorted_perms[0])
         return cls(degree, sorted_perms, generator_perms, name=name, _table=new_table)
+
+
+_MISSING = object()
+
+
+def memo(group: FiniteGroup, namespace: str, key, compute: Callable, *args):
+    """The value cached under ``group._op_cache[namespace][key]``.
+
+    On a miss, ``compute(*args)`` is stored first and then returned; a
+    compute that raises stores nothing. A miss means an absent key, so
+    ``False`` and ``None`` results are cached too. ``key=None`` caches one
+    value per group directly under ``_op_cache[namespace]``: every quotient
+    image caches ``whole`` and ``self_sub``, and a one-entry dict for each
+    would add about 4 MB at the peak of the lemma suite over groups <= 60.
+    """
+    ops = group._op_cache
+    if key is None:
+        got = ops.get(namespace, _MISSING)
+        if got is _MISSING:
+            got = ops[namespace] = compute(*args)
+        return got
+    cache = ops.get(namespace)
+    if cache is None:
+        cache = ops[namespace] = {}
+    else:
+        got = cache.get(key, _MISSING)
+        if got is not _MISSING:
+            return got
+    value = compute(*args)
+    cache[key] = value
+    return value
+
+
+def _greedy_generators(G: FiniteGroup, members: frozenset[int]) -> tuple[int, ...]:
+    gens: list[int] = []
+    current: frozenset[int] = frozenset((G.identity,))
+    if len(members) > 1:
+        for x in sorted(members):
+            if x not in current:
+                gens.append(x)
+                current = G.closure(gens)
+                if len(current) == len(members):
+                    break
+    return tuple(gens)
+
+
+def _self_subgroup(G: FiniteGroup) -> "SubgroupRef":
+    return SubgroupRef(G, G.whole())
+
+
+def _conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
+    gens = G.generators
+    seen = [False] * G.order
+    classes = []
+    for i in range(G.order):
+        if seen[i]:
+            continue
+        orbit = {i}
+        work = [i]
+        seen[i] = True
+        while work:
+            x = work.pop()
+            for g in gens:
+                y = G.conj(x, g)
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.add(y)
+                    work.append(y)
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: c[0])
+    return classes
 
 
 class SubgroupRef:
@@ -583,11 +602,11 @@ def normalizer(G: GroupLike, H: SubgroupRef) -> SubgroupRef:
     parent = amb.parent
     if not H.members <= amb.members:
         raise GroupError("H is not a subgroup of the ambient group")
-    cache = parent._op_cache.setdefault("normalizer", {})
-    key = (amb.members, H.members)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    return memo(parent, "normalizer", (amb.members, H.members), _normalizer, amb, H)
+
+
+def _normalizer(amb: SubgroupRef, H: SubgroupRef) -> SubgroupRef:
+    parent = amb.parent
     gens = H.generators
     mem = H.members
     t = parent._table
@@ -603,17 +622,6 @@ def normalizer(G: GroupLike, H: SubgroupRef) -> SubgroupRef:
                 break
         if ok:
             out.add(g)
-    result = SubgroupRef(parent, frozenset(out))
-    cache[key] = result
-    return result
-
-
-def centralizer(G: GroupLike, H: SubgroupRef) -> SubgroupRef:
-    amb = _as_subgroup(G)
-    parent = amb.parent
-    gens = H.generators
-    t = parent._table
-    out = {g for g in amb.members if all(t[g][h] == t[h][g] for h in gens)}
     return SubgroupRef(parent, frozenset(out))
 
 
@@ -623,11 +631,11 @@ def core(B: GroupLike, A: SubgroupRef) -> SubgroupRef:
     parent = amb.parent
     if not A.members <= amb.members:
         raise GroupError("core requires A <= B")
-    cache = parent._op_cache.setdefault("core", {})
-    key = (amb.members, A.members)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    return memo(parent, "core", (amb.members, A.members), _core, amb, A)
+
+
+def _core(amb: SubgroupRef, A: SubgroupRef) -> SubgroupRef:
+    parent = amb.parent
     gens = parent.greedy_generators(amb.members)
     current = A.members
     changed = True
@@ -639,9 +647,7 @@ def core(B: GroupLike, A: SubgroupRef) -> SubgroupRef:
                 current = current & conj
                 changed = True
     # the fixpoint is closed and B-invariant, hence exactly the core
-    result = SubgroupRef(parent, current)
-    cache[key] = result
-    return result
+    return SubgroupRef(parent, current)
 
 
 def normal_closure(G: GroupLike, seed: Iterable[int]) -> SubgroupRef:
@@ -678,13 +684,7 @@ def commutator_subgroup(G: GroupLike, A: SubgroupRef, B: SubgroupRef) -> Subgrou
 
 def derived_subgroup(G: GroupLike) -> SubgroupRef:
     sub = _as_subgroup(G)
-    parent = sub.parent
-    cache = parent._op_cache.setdefault("derived", {})
-    got = cache.get(sub.members)
-    if got is None:
-        got = commutator_subgroup(sub, sub, sub)
-        cache[sub.members] = got
-    return got
+    return memo(sub.parent, "derived", sub.members, commutator_subgroup, sub, sub, sub)
 
 
 def derived_series(G: GroupLike) -> list[SubgroupRef]:
@@ -765,16 +765,6 @@ def is_elementary_abelian(G: GroupLike) -> bool:
     return is_abelian(sub)
 
 
-def exponent_of(G: GroupLike) -> int:
-    sub = _as_subgroup(G)
-    orders = sub.parent.element_orders()
-    out = 1
-    for x in sub.members:
-        o = orders[x]
-        out = out * o // math.gcd(out, o)
-    return out
-
-
 def sylow_subgroup(G: GroupLike, p: int) -> SubgroupRef:
     """A Sylow p-subgroup, grown deterministically through normalizers."""
     sub = _as_subgroup(G)
@@ -782,12 +772,12 @@ def sylow_subgroup(G: GroupLike, p: int) -> SubgroupRef:
     n = sub.order
     if n % p != 0:
         raise GroupError(f"{p} does not divide the group order {n}")
-    cache = parent._op_cache.setdefault("sylow", {})
-    key = (sub.members, p)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    target = p_part(n, p)
+    return memo(parent, "sylow", (sub.members, p), _sylow_subgroup, sub, p)
+
+
+def _sylow_subgroup(sub: SubgroupRef, p: int) -> SubgroupRef:
+    parent = sub.parent
+    target = p_part(sub.order, p)
     orders = parent.element_orders()
     seed = min(x for x in sub.members if orders[x] % p == 0 and p_part(orders[x], p) == orders[x] and x != parent.identity)
     current = parent.closure([seed])
@@ -802,9 +792,7 @@ def sylow_subgroup(G: GroupLike, p: int) -> SubgroupRef:
         if grow is None:
             raise GroupError("Sylow growth stalled (inconsistent group data)")
         current = parent.closure(list(parent.greedy_generators(current)) + [grow])
-    result = SubgroupRef(parent, current)
-    cache[key] = result
-    return result
+    return SubgroupRef(parent, current)
 
 
 def p_core(G: GroupLike, p: int) -> SubgroupRef:
@@ -818,154 +806,17 @@ def p_core(G: GroupLike, p: int) -> SubgroupRef:
 def fitting(G: GroupLike) -> SubgroupRef:
     """Fitting subgroup: the product of the p-cores, verified nilpotent."""
     sub = _as_subgroup(G)
+    return memo(sub.parent, "fitting", sub.members, _fitting, sub)
+
+
+def _fitting(sub: SubgroupRef) -> SubgroupRef:
     parent = sub.parent
-    cached = parent._op_cache.setdefault("fitting", {})
-    got = cached.get(sub.members)
-    if got is not None:
-        return got
     seeds: set[int] = {parent.identity}
     for p in sorted(prime_divisors(sub)):
         seeds |= p_core(sub, p).members
     result = SubgroupRef(parent, parent.closure(seeds))
     if not is_nilpotent(result):
         raise GroupError("Fitting computation produced a non-nilpotent subgroup")
-    cached[sub.members] = result
-    return result
-
-
-def minimal_normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
-    from . import lattice  # local import: normal enumeration lives with the lattice code
-
-    normals = lattice.normal_subgroups(G)
-    nontrivial = [N for N in normals if N.order > 1]
-    out = []
-    for N in nontrivial:
-        if not any(M.order < N.order and M.members < N.members for M in nontrivial):
-            out.append(N)
-    return out
-
-
-def hall_subgroup_soluble(G: GroupLike, pi: Iterable[int]) -> SubgroupRef:
-    """A Hall pi-subgroup of a soluble group, via chief-series descent.
-
-    The complement step uses transversal averaging over an abelian normal
-    Sylow subgroup (Schur-Zassenhaus in its constructive form).
-    """
-    sub = _as_subgroup(G)
-    parent = sub.parent
-    pi = sorted(set(pi))
-    divisors = prime_divisors(sub)
-    for p in pi:
-        if p not in divisors:
-            raise GroupError(f"{p} is not a prime divisor of the group order")
-    if not is_soluble(sub):
-        raise GroupError("Hall subgroups are only computed for soluble groups")
-    members = _hall_members(sub, tuple(pi))
-    return SubgroupRef(parent, members)
-
-
-def _hall_members(sub: SubgroupRef, pi: tuple[int, ...]) -> frozenset[int]:
-    parent = sub.parent
-    target = pi_part(sub.order, pi)
-    if target == sub.order:
-        return sub.members
-    if target == 1:
-        return frozenset((parent.identity,))
-    # work in a standalone realization when sub is proper, to reuse quotients
-    if sub.is_whole():
-        amb_group = sub.parent
-        lift = None
-    else:
-        amb_group, lift = _subgroup_realization(sub)
-    mins = minimal_normal_subgroups(amb_group)
-    N = min(mins, key=lambda s: s.sort_key)
-    p = next(iter(prime_divisors(N)))
-    hom = quotient(amb_group, N)
-    upstairs = _hall_members(hom.image.as_subgroup(), pi)
-    K = hom.preimage_members(upstairs)
-    if p in pi:
-        result = K
-    else:
-        result = _complement_members(amb_group, K, N.members)
-    if lift is not None:
-        result = frozenset(lift[x] for x in result)
-    return result
-
-
-def _subgroup_as_group(sub: SubgroupRef) -> FiniteGroup:
-    return _subgroup_realization(sub)[0]
-
-
-def _subgroup_realization(sub: SubgroupRef) -> tuple[FiniteGroup, dict[int, int]]:
-    """Realize a subgroup as its own FiniteGroup; returns (group, lift map)."""
-    parent = sub.parent
-    cache = parent._op_cache.setdefault("as_group", {})
-    got = cache.get(sub.members)
-    if got is not None:
-        return got
-    perms = [parent.elements[i] for i in sub.sorted_members]
-    gens = sub.generator_perms()
-    grp = FiniteGroup(parent.degree, sorted(perms), gens, name=None)
-    lift = {grp._index[p]: parent._index[p] for p in perms}
-    cache[sub.members] = (grp, lift)
-    return grp, lift
-
-
-def as_group(sub: SubgroupRef) -> FiniteGroup:
-    """Public wrapper: a subgroup as a standalone FiniteGroup."""
-    return _subgroup_as_group(sub)
-
-
-def _complement_members(
-    G: FiniteGroup, K_members: frozenset[int], N_members: frozenset[int]
-) -> frozenset[int]:
-    """Complement of an abelian normal Sylow subgroup N in K (|K/N| coprime |N|)."""
-    t = G._table
-    inv = G._inv
-    m = len(K_members) // len(N_members)
-    # transversal with canonical (minimal) coset representatives
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in sorted(K_members):
-        if x in coset_of:
-            continue
-        r = len(reps)
-        reps.append(x)
-        for nn in N_members:
-            coset_of[t[nn][x]] = r
-    assert len(reps) == m
-    exp = exponent_of(SubgroupRef(G, N_members))
-    m_inv = pow(m, -1, exp)
-
-    def power(x: int, k: int) -> int:
-        out = G.identity
-        base = x
-        while k:
-            if k & 1:
-                out = t[out][base]
-            base = t[base][base]
-            k >>= 1
-        return out
-
-    cocycle: dict[tuple[int, int], int] = {}
-
-    def c(i: int, j: int) -> int:
-        got = cocycle.get((i, j))
-        if got is None:
-            prod = t[reps[i]][reps[j]]
-            got = t[prod][inv[reps[coset_of[prod]]]]
-            cocycle[(i, j)] = got
-        return got
-
-    complement = set()
-    for i in range(m):
-        sigma = G.identity
-        for j in range(m):
-            sigma = t[sigma][c(i, j)]
-        complement.add(t[power(sigma, (exp - m_inv) % exp)][reps[i]])
-    result = frozenset(complement)
-    if len(result) != m or G.closure(result) != result:
-        raise GroupError("complement construction failed (group not as expected)")
     return result
 
 
@@ -975,15 +826,15 @@ def quotient(G: GroupLike, N: SubgroupRef) -> GroupHom:
     parent = sub.parent
     if not N.members <= sub.members:
         raise GroupError("kernel is not contained in the group")
+    return memo(parent, "quotient", (sub.members, N.members), _quotient, sub, N)
+
+
+def _quotient(sub: SubgroupRef, N: SubgroupRef) -> GroupHom:
+    parent = sub.parent
     gens = parent.greedy_generators(sub.members)
     for g in gens:
         if parent.conjugate_set(N.members, g) != N.members:
             raise GroupError("quotient kernel is not normal")
-    cache = parent._op_cache.setdefault("quotient", {})
-    key = (sub.members, N.members)
-    got = cache.get(key)
-    if got is not None:
-        return got
     t = parent._table
     coset_of: dict[int, int] = {}
     reps: list[int] = []
@@ -1000,14 +851,7 @@ def quotient(G: GroupLike, N: SubgroupRef) -> GroupHom:
     gen_perms = [perms[coset_of[g]] for g in gens] or [identity_perm(q)]
     image = FiniteGroup.from_table(perms, qtable, gen_perms, name=None)
     emap = {x: image._index[perms[r]] for x, r in coset_of.items()}
-    hom = GroupHom(
-        source=sub,
-        kernel=N,
-        image=image,
-        element_map=emap,
-    )
-    cache[key] = hom
-    return hom
+    return GroupHom(source=sub, kernel=N, image=image, element_map=emap)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import lattice as _lattice
 from . import reports
+from .catalog import cyclic
 from .formations import Formation, residual
 from .permgroup import (
     FiniteGroup,
@@ -43,19 +44,8 @@ from .subnormal import (
     is_self_normalizing,
 )
 
-_cyclic_cache: dict[int, FiniteGroup] = {}
-
-
-def _cyclic_group(n: int) -> FiniteGroup:
-    got = _cyclic_cache.get(n)
-    if got is None:
-        got = FiniteGroup.from_generators([tuple(range(1, n)) + (0,)], n, name=f"C{n}")
-        _cyclic_cache[n] = got
-    return got
-
-
 def _contains_all_prime_orders(F: Formation, G: GroupLike) -> bool:
-    return all(F.contains(_cyclic_group(p)) for p in sorted(prime_divisors(G)))
+    return all(F.contains(cyclic(p)) for p in sorted(prime_divisors(G)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,22 @@
-"""The five subgroup predicates: F-subnormal (two routes), F-abnormal,
-absolutely F-subnormal, abnormal, self-normalizing.
+"""The subgroup predicates: F-subnormal, F-abnormal, absolutely
+F-subnormal, abnormal, self-normalizing.
 
 A subgroup H is F-subnormal in G when some chain of maximal-subgroup steps
 H = H_0 < H_1 < ... < H_n = G has every step quotient H_i / core(H_{i-1})
-inside F. The production route walks this chain graph top-down: any
-qualifying step below K must contain <H, K^F> (for a formation the step
-condition is equivalent to containing K's F-residual), which keeps the
-search inside F-quotient-sized intervals even at order 864. The
-``via_residual`` route is an independent bottom-up breadth-first search
-using the residual-containment form of the step condition; the two must
-agree everywhere.
+inside F. The search walks this chain graph top-down: any qualifying step
+below K must contain <H, K^F> (for a formation the step condition is
+equivalent to containing K's F-residual), which keeps the search inside
+F-quotient-sized intervals even at order 864. It memoises one boolean
+verdict per (K, H, F); ``f_subnormal_witness`` reads the depth-first chain
+back off those verdicts. The independent routes it is checked against (a
+bottom-up breadth-first search with the residual-containment step form, and
+classical subnormality) are test oracles in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import lattice as _lattice
 from .formations import Formation, quotient_in, residual
@@ -25,6 +26,7 @@ from .permgroup import (
     SubgroupRef,
     _as_subgroup,
     core,
+    memo,
     normalizer,
 )
 
@@ -60,14 +62,25 @@ def _edge_in_formation(F: Formation, lower: SubgroupRef, upper: SubgroupRef) -> 
 
 
 def is_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
-    found, _ = _f_subnormal_search(G, H, F, want_witness=False)
-    return found
+    amb = _as_subgroup(G)
+    _check_contained(amb, H)
+    return _fsn(amb, H, F)
 
 
 def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[ChainWitness]:
-    found, chain = _f_subnormal_search(G, H, F, want_witness=True)
-    if not found:
+    """The chain the top-down search finds, or None when H is not F-subnormal.
+
+    Walking down from the ambient group, each step takes the first qualifying
+    maximal subgroup whose cached verdict is True: the depth-first choice.
+    """
+    if not is_f_subnormal(G, H, F):
         return None
+    K = _as_subgroup(G)
+    chain = [K]
+    while K.members != H.members:
+        K = next(M for M in _qualifying_steps(K, H, F) if _fsn(M, H, F))
+        chain.append(K)
+    chain.reverse()
     steps = []
     for lower, upper in zip(chain, chain[1:]):
         c = core(upper, lower)
@@ -84,73 +97,29 @@ def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[
     return ChainWitness(subgroups=tuple(chain), steps=tuple(steps))
 
 
-def _f_subnormal_search(G, H, F, want_witness):
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
-    parent = amb.parent
-    cache = parent._op_cache.setdefault("fsn", {})
-
-    def search(K: SubgroupRef) -> Optional[list[SubgroupRef]]:
-        key = (K.members, H.members, F.name)
-        cached = cache.get(key)
-        if cached is False:
-            return None
-        if cached is True and not want_witness:
-            return []
-        if K.members == H.members:
-            cache[key] = True
-            return [K]
-        res = residual(F, K)
-        join = parent.closure(set(res.members) | set(H.members))
-        if join == K.members:
-            cache[key] = False
-            return None
-        J = SubgroupRef(parent, join)
-        for M in _lattice.maximal_subgroups_containing(K, J):
-            if not _edge_in_formation(F, M, K):
-                continue
-            tail = search(M)
-            if tail is not None:
-                cache[key] = True
-                return tail + [K]
-        cache[key] = False
-        return None
-
-    chain = search(amb)
-    return (chain is not None), (chain or [])
+def _fsn(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
+    """Whether H is F-subnormal in K (H <= K), cached per (K, H, F)."""
+    return memo(K.parent, "fsn", (K.members, H.members, F.name), _fsn_search, K, H, F)
 
 
-def is_f_subnormal_via_residual(
-    G: GroupLike,
-    H: SubgroupRef,
-    F: Formation,
-) -> bool:
-    """Cross-check route: bottom-up BFS with the residual-containment step form.
-
-    Edges are minimal-overgroup steps (K, L) with residual(F, L) <= K;
-    H is F-subnormal iff the ambient group is reachable from H.
-    """
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
-    parent = amb.parent
-    if H.members == amb.members:
+def _fsn_search(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
+    if K.members == H.members:
         return True
-    seen = {H.members}
-    frontier = [H]
-    while frontier:
-        nxt = []
-        for K in frontier:
-            for L in _lattice.minimal_overgroups(amb, K, within=amb.members):
-                if L.members in seen:
-                    continue
-                if not residual(F, L).members <= K.members:
-                    continue
-                if L.members == amb.members:
-                    return True
-                seen.add(L.members)
-                nxt.append(L)
-        frontier = nxt
-    return False
+    return any(_fsn(M, H, F) for M in _qualifying_steps(K, H, F))
+
+
+def _qualifying_steps(K: SubgroupRef, H: SubgroupRef, F: Formation) -> Iterator[SubgroupRef]:
+    """Maximal M < K with H <= M and K/core_K(M) in F, lazily in canonical order.
+
+    Each such M contains <H, K^F>; when that join is K itself there is none.
+    """
+    parent = K.parent
+    join = parent.closure(residual(F, K).members | H.members)
+    if join == K.members:
+        return
+    for M in _lattice.maximal_subgroups_containing(K, SubgroupRef(parent, join)):
+        if _edge_in_formation(F, M, K):
+            yield M
 
 
 def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
@@ -159,89 +128,57 @@ def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     _check_contained(amb, H)
     if H.members == amb.members:
         return True  # vacuous quantification
-    parent = amb.parent
-    cache = parent._op_cache.setdefault("fabn", {})
-    key = (amb.members, H.members, F.name)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    result = True
-    for K in _lattice.interval(amb, H):
-        for L in _lattice.minimal_overgroups(amb, K, within=amb.members):
-            if _edge_in_formation(F, K, L):
-                result = False
-                break
-        if not result:
-            break
-    cache[key] = result
-    return result
+    return memo(amb.parent, "fabn", (amb.members, H.members, F.name), _f_abnormal, amb, H, F)
+
+
+def _f_abnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
+    return not any(
+        _edge_in_formation(F, K, L)
+        for K in _lattice.interval(amb, H)
+        for L in _lattice.minimal_overgroups(amb, K, within=amb.members)
+    )
 
 
 def is_absolutely_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     """Every subgroup containing H is F-subnormal in the ambient group."""
     amb = _as_subgroup(G)
     _check_contained(amb, H)
-    parent = amb.parent
-    cache = parent._op_cache.setdefault("abs_fsn", {})
-    key = (amb.members, H.members, F.name)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    result = True
-    for L in _lattice.interval(amb, H):
-        if not is_f_subnormal(amb, L, F):
-            result = False
-            break
-    cache[key] = result
-    return result
+    return memo(
+        amb.parent, "abs_fsn", (amb.members, H.members, F.name), _absolutely_f_subnormal, amb, H, F
+    )
+
+
+def _absolutely_f_subnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
+    return all(is_f_subnormal(amb, L, F) for L in _lattice.interval(amb, H))
 
 
 def is_abnormal(G: GroupLike, H: SubgroupRef) -> bool:
     """x in <H, H^x> for every x; checked once per H-H double coset."""
     amb = _as_subgroup(G)
     _check_contained(amb, H)
+    return memo(amb.parent, "abnormal", (amb.members, H.members), _abnormal, amb, H)
+
+
+def _abnormal(amb: SubgroupRef, H: SubgroupRef) -> bool:
     parent = amb.parent
-    cache = parent._op_cache.setdefault("abnormal", {})
-    key = (amb.members, H.members)
-    got = cache.get(key)
-    if got is not None:
-        return got
     t = parent._table
     h_gens = list(parent.greedy_generators(H.members))
     h_sorted = H.sorted_members
     covered = set(H.members)
-    result = True
     for x in sorted(amb.members):
         if x in covered:
             continue
         join = parent.closure(h_gens + [parent.conj(g, x) for g in h_gens])
         if x not in join:
-            result = False
-            break
+            return False
         for h in h_sorted:
             hx = t[h][x]
             for k in h_sorted:
                 covered.add(t[hx][k])
-    cache[key] = result
-    return result
+    return True
 
 
 def is_self_normalizing(G: GroupLike, H: SubgroupRef) -> bool:
     amb = _as_subgroup(G)
     _check_contained(amb, H)
     return normalizer(amb, H).members == H.members
-
-
-def is_subnormal(G: GroupLike, H: SubgroupRef) -> bool:
-    """Classical subnormality (oracle helper): normal-closure descent reaches H."""
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
-    parent = amb.parent
-    from .permgroup import normal_closure
-
-    current = amb
-    while True:
-        nxt = normal_closure(current, H.members)
-        if nxt.members == current.members:
-            return current.members == H.members
-        current = nxt

@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 from groupforms import lattice as lat
-from groupforms.formations import Formation, quotient_in
-from groupforms.permgroup import FiniteGroup, SubgroupRef, core
+from groupforms.formations import Formation, quotient_in, residual
+from groupforms.permgroup import (
+    FiniteGroup,
+    GroupLike,
+    SubgroupRef,
+    _as_subgroup,
+    core,
+    normal_closure,
+)
+from groupforms.subnormal import _check_contained
 
 
 def oracle_f_subnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:
@@ -25,6 +33,53 @@ def oracle_f_subnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:
         return False
 
     return ascend(H)
+
+
+def is_f_subnormal_via_residual(
+    G: GroupLike,
+    H: SubgroupRef,
+    F: Formation,
+) -> bool:
+    """Cross-check route: bottom-up BFS with the residual-containment step form.
+
+    Edges are minimal-overgroup steps (K, L) with residual(F, L) <= K;
+    H is F-subnormal iff the ambient group is reachable from H.
+    """
+    amb = _as_subgroup(G)
+    _check_contained(amb, H)
+    parent = amb.parent
+    if H.members == amb.members:
+        return True
+    seen = {H.members}
+    frontier = [H]
+    while frontier:
+        nxt = []
+        for K in frontier:
+            for L in lat.minimal_overgroups(amb, K, within=amb.members):
+                if L.members in seen:
+                    continue
+                if not residual(F, L).members <= K.members:
+                    continue
+                if L.members == amb.members:
+                    return True
+                seen.add(L.members)
+                nxt.append(L)
+        frontier = nxt
+    return False
+
+
+def is_subnormal(G: GroupLike, H: SubgroupRef) -> bool:
+    """Classical subnormality (oracle helper): normal-closure descent reaches H."""
+    amb = _as_subgroup(G)
+    _check_contained(amb, H)
+    parent = amb.parent
+
+    current = amb
+    while True:
+        nxt = normal_closure(current, H.members)
+        if nxt.members == current.members:
+            return current.members == H.members
+        current = nxt
 
 
 def oracle_f_abnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:

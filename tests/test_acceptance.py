@@ -16,7 +16,7 @@ import time
 import pytest
 
 from conftest import record_criterion
-from helpers import subgroup_refs
+from helpers import is_f_subnormal_via_residual, subgroup_refs
 
 from groupforms import catalog, structure
 from groupforms import lattice as lat
@@ -34,7 +34,7 @@ from groupforms.permgroup import (
     is_soluble,
     lower_central_series,
 )
-from groupforms.subnormal import is_f_subnormal, is_f_subnormal_via_residual
+from groupforms.subnormal import is_f_subnormal
 
 FOUR_FORMATIONS = (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED)
 

@@ -129,3 +129,46 @@ def test_cache_version_gate(tmp_path):
 
 def test_checksum_is_representation_sensitive():
     assert group_checksum(catalog.symmetric(3)) != group_checksum(catalog.cyclic(6))
+
+
+def test_cache_checksum_tells_high_degree_groups_apart(tmp_path):
+    # every point of V4 and C4 below is 0 mod 256: hashing points mod 256
+    # gave both the same checksum, and C4 got V4's 5-node lattice
+    from groupforms.permgroup import generate, perm_from_cycle_text
+
+    def group(*cycles):
+        return generate([perm_from_cycle_text(c, 1024) for c in cycles], 1024)
+
+    v4 = group("(1 257)", "(513 769)")
+    c4 = group("(1 257 513 769)")
+    assert group_checksum(v4) != group_checksum(c4)
+    path = tmp_path / "v4.lattice.json"
+    cache_save(lat.all_subgroups(v4), path)
+    with pytest.raises(CacheMismatchError):
+        cache_load(path, c4)
+    assert len(lat.all_subgroups(c4).nodes) == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nodes", [[0], [0, 6]]),
+        ("edges", [[0, 2]]),
+        ("edges", [[-1, 0]]),
+        ("conjugacy_classes", [[0], [1, 2]]),
+    ],
+)
+def test_cache_rejects_out_of_range_payload(tmp_path, field, value):
+    import json
+
+    g = catalog.symmetric(3)
+    path = tmp_path / "s3.lattice.json"
+    cache_save(lat.all_subgroups(g), path)
+    payload = json.loads(path.read_text())
+    payload["nodes"] = payload["nodes"][:2]
+    payload["edges"] = [[0, 1]]
+    payload["conjugacy_classes"] = [[0], [1]]
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheMismatchError):
+        cache_load(path, catalog.symmetric(3))

@@ -20,7 +20,6 @@ from groupforms.permgroup import (
     direct_product,
     fitting,
     generate,
-    hall_subgroup_soluble,
     identity_perm,
     invert,
     inversion_action,
@@ -29,6 +28,7 @@ from groupforms.permgroup import (
     is_nilpotent,
     is_soluble,
     lower_central_series,
+    memo,
     normalizer,
     perm_from_cycle_text,
     perm_to_cycle_text,
@@ -253,7 +253,7 @@ def test_quotient_kernel_maps_to_identity():
     assert hom.image.order * v4.order == g.order
 
 
-# -- sylow / hall -------------------------------------------------------------
+# -- sylow ------------------------------------------------------------------
 
 def test_sylow_of_p_group_is_whole():
     q8 = catalog.dicyclic(2)
@@ -265,21 +265,56 @@ def test_sylow_nondivisor_errors():
         sylow_subgroup(s3(), 5)
 
 
-def test_hall_a4():
-    g = a4()
-    assert hall_subgroup_soluble(g, [3]).order == 3
-    assert hall_subgroup_soluble(g, [2]).order == 4
-
-
-def test_hall_bigger_soluble():
-    d60 = catalog.dihedral(30)  # order 60, soluble
-    h = hall_subgroup_soluble(d60, [3, 5])
-    assert h.order == 15
-
-
-def test_hall_insoluble_errors():
+def test_sylow_nondivisor_errors_after_caching():
+    g = s3()
+    assert sylow_subgroup(g, 2).order == 2
     with pytest.raises(GroupError):
-        hall_subgroup_soluble(catalog.alternating(5), [2])
+        sylow_subgroup(g, 5)
+
+
+# -- memo ---------------------------------------------------------------------
+
+def test_memo_computes_false_and_none_once():
+    g = s3()
+    calls = []
+
+    def compute(value):
+        calls.append(value)
+        return value
+
+    for _ in range(3):
+        assert memo(g, "test-falsy", "f", compute, False) is False
+        assert memo(g, "test-falsy", "n", compute, None) is None
+        assert memo(g, "test-keyless", None, compute, None) is None
+    assert calls == [False, None, None]
+    assert g._op_cache["test-falsy"] == {"f": False, "n": None}
+
+
+def test_memo_raising_compute_leaves_no_entry():
+    g = s3()
+
+    def boom():
+        raise GroupError("no value")
+
+    with pytest.raises(GroupError):
+        memo(g, "test-raise", "k", boom)
+    assert "k" not in g._op_cache.get("test-raise", {})
+    assert memo(g, "test-raise", "k", lambda: 7) == 7
+    with pytest.raises(GroupError):
+        memo(g, "test-raise-keyless", None, boom)
+    assert "test-raise-keyless" not in g._op_cache
+
+
+def test_quotient_non_normal_raises_after_other_quotients_cached():
+    g = s4()
+    v4 = core(g, sylow_subgroup(g, 2))
+    assert quotient(g, v4).image.order == 6
+    assert quotient(g, g.as_subgroup()).image.order == 1
+    c2 = subgroup_generated(g, [idx(g, "(1 2)")])
+    for _ in range(2):
+        with pytest.raises(GroupError):
+            quotient(g, c2)
+    assert (g.whole(), c2.members) not in g._op_cache["quotient"]
 
 
 # -- fitting / frattini -------------------------------------------------------

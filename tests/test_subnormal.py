@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from helpers import oracle_f_abnormal, oracle_f_subnormal, subgroup_refs
+from helpers import (
+    is_f_subnormal_via_residual,
+    is_subnormal,
+    oracle_f_abnormal,
+    oracle_f_subnormal,
+    subgroup_refs,
+)
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -14,9 +20,7 @@ from groupforms.subnormal import (
     is_absolutely_f_subnormal,
     is_f_abnormal,
     is_f_subnormal,
-    is_f_subnormal_via_residual,
     is_self_normalizing,
-    is_subnormal,
 )
 
 
@@ -156,3 +160,30 @@ def test_sylow_normalizers_abnormal(small_groups):
         for p in prime_divisors(g):
             n = normalizer(g, sylow_subgroup(g, p))
             assert is_abnormal(g, n), (g.name, p)
+
+
+def test_witness_chains_match_verdicts(catalog120):
+    from groupforms.permgroup import core, quotient
+    from groupforms.structure import subgroup_class_reps
+
+    for g in catalog120:
+        if g.order > 32:
+            continue
+        for F in (ABELIAN, NILPOTENT, NILPOTENT_DERIVED):
+            for H in subgroup_class_reps(g):
+                w = f_subnormal_witness(g, H, F)
+                assert (w is None) == (not is_f_subnormal(g, H, F)), (g.name, F.name, H.order)
+                if w is None:
+                    continue
+                chain = w.subgroups
+                assert chain[0].members == H.members and chain[-1].members == g.whole()
+                assert len(w.steps) == len(chain) - 1
+                for step, lower, upper in zip(w.steps, chain, chain[1:]):
+                    assert (step.lower, step.upper) == (lower, upper)
+                    assert upper.members in {
+                        L.members for L in lat.minimal_overgroups(g, lower)
+                    }, "each step is maximal"
+                    image = quotient(upper, core(upper, lower)).image
+                    assert F.membership(image.as_subgroup()), "each step quotient is in F"
+                    assert step.quotient_in_formation
+                    assert step.quotient_order == image.order
