@@ -68,9 +68,11 @@ def _run_checks(
         budget.check()
         try:
             if check == "theorem1":
-                report.checks.append(_structure.check_theorem1(group, F).to_check_result())
+                verdict = _structure.check_theorem1(group, F, lattice_budget=budgets["lattice"])
+                report.checks.append(verdict.to_check_result())
             elif check == "theorem2":
-                report.checks.append(_structure.check_theorem2(group, F).to_check_result())
+                verdict = _structure.check_theorem2(group, F, lattice_budget=budgets["lattice"])
+                report.checks.append(verdict.to_check_result())
             elif check == "corollary1":
                 report.checks.append(_structure.check_corollary1(group, F).to_check_result())
             elif check == "corollary2":

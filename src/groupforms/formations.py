@@ -1,8 +1,11 @@
 """Formations as membership predicates with declared closure flags.
 
-Saturation and superradicality are trusted metadata, never computed; the
-residual operation verifies its own postcondition and loudly rejects
-predicates that fail to behave like formations.
+Saturation and superradicality are trusted metadata, never computed. A
+formation may carry a closed-form residual (a term of a standard series);
+the others fall back to a scan of the normal subgroups. On both paths the
+residual operation checks that the quotient lies in the formation and raises
+``FormationVerificationError`` when it does not. Minimality of a closed form
+is not checked here; the tests compare every closed form with the scan.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from .permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    derived_series,
     derived_subgroup,
     is_abelian,
     is_nilpotent,
     is_soluble,
+    lower_central_series,
     memo,
     quotient,
 )
@@ -33,7 +38,11 @@ class FormationVerificationError(GroupError):
 
 @dataclass(frozen=True)
 class Formation:
-    """A named isomorphism-invariant group class with declared closure flags."""
+    """A named isomorphism-invariant group class with declared closure flags.
+
+    ``closed_residual``, when given, maps a subgroup K to K^F directly; without
+    it the residual is found by scanning K's normal subgroups.
+    """
 
     name: str
     description: str
@@ -42,6 +51,7 @@ class Formation:
     saturated: bool = False
     superradical: bool = False
     contains_nilpotents: bool = False
+    closed_residual: Optional[Callable[[SubgroupRef], SubgroupRef]] = None
 
     def contains(self, G: GroupLike) -> bool:
         sub = _as_subgroup(G)
@@ -78,6 +88,19 @@ def _member_soluble(sub: SubgroupRef) -> bool:
     return is_soluble(sub)
 
 
+def _last_lower_central(sub: SubgroupRef) -> SubgroupRef:
+    return lower_central_series(sub)[-1]
+
+
+def _last_derived(sub: SubgroupRef) -> SubgroupRef:
+    return derived_series(sub)[-1]
+
+
+def _nilpotent_residual_of_derived(sub: SubgroupRef) -> SubgroupRef:
+    # NA = N o A (Gaschuetz product), so G^NA = (G^A)^N = (G')^N
+    return lower_central_series(derived_subgroup(sub))[-1]
+
+
 ABELIAN = Formation(
     name="A",
     description="abelian groups",
@@ -86,6 +109,7 @@ ABELIAN = Formation(
     saturated=False,  # Q8/Phi(Q8) is abelian, Q8 is not
     superradical=False,
     contains_nilpotents=False,
+    closed_residual=derived_subgroup,
 )
 
 NILPOTENT = Formation(
@@ -96,6 +120,7 @@ NILPOTENT = Formation(
     saturated=True,
     superradical=True,
     contains_nilpotents=True,
+    closed_residual=_last_lower_central,
 )
 
 SUPERSOLUBLE = Formation(
@@ -116,6 +141,7 @@ NILPOTENT_DERIVED = Formation(
     saturated=True,
     superradical=False,
     contains_nilpotents=True,
+    closed_residual=_nilpotent_residual_of_derived,
 )
 
 SOLUBLE = Formation(
@@ -126,6 +152,7 @@ SOLUBLE = Formation(
     saturated=True,
     superradical=False,
     contains_nilpotents=True,
+    closed_residual=_last_derived,
 )
 
 BUILT_IN: dict[str, Formation] = {
@@ -154,17 +181,31 @@ def _quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
 def residual(F: Formation, G: GroupLike) -> SubgroupRef:
     """Smallest normal subgroup with quotient in F, postcondition verified.
 
-    Scans normal subgroups in ascending order; anything above a known member
-    of the family is a member by quotient closure (trusted formation
-    metadata), so only the genuinely new candidates build quotients. A final
-    honest check of G/R guards against predicates that are not actually
-    formation-closed.
+    See ``_residual`` for the two routes; the result is cached per (G, F).
     """
     sub = _as_subgroup(G)
     return memo(sub.parent, "residual", (sub.members, F.name), _residual, F, sub)
 
 
 def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
+    """F's closed form when it has one, else the normal-subgroup scan.
+
+    The scan walks normal subgroups in ascending order; anything above a known
+    member of the family is a member by quotient closure (trusted formation
+    metadata), so only the genuinely new candidates build quotients, and the
+    ascending order guarantees nothing smaller qualifies. On both routes a
+    final check that G/R lies in F rejects predicates that are not
+    formation-closed and closed forms that return too small a subgroup. A
+    closed form that returns too large a subgroup passes this check; only the
+    tests that compare it with the scan catch it.
+    """
+    if F.closed_residual is not None:
+        R = F.closed_residual(sub)
+        if not quotient_in(F, sub, R):
+            raise FormationVerificationError(
+                f"{F.name}: the closed-form residual does not have its quotient in the class"
+            )
+        return R
     normals = _lattice.normal_subgroups(sub)
     passes: list[SubgroupRef] = []
     for N in normals:  # ascending (order, members)
@@ -186,7 +227,6 @@ def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
             f"{F.name} is not intersection-stable on this group: "
             "the intersection of qualifying kernels does not qualify"
         )
-    # ascending scan + skip rule already guarantee nothing smaller qualifies
     return R
 
 

@@ -38,12 +38,15 @@ def subgroup_sets(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) ->
     everything.
     """
     sub = _as_subgroup(G)
-    parent = sub.parent
+    _check_lattice_budget(sub, lattice_budget)
+    return memo(sub.parent, "sub_sets", sub.members, _subgroup_sets, sub)
+
+
+def _check_lattice_budget(sub: SubgroupRef, lattice_budget: int) -> None:
     if sub.order > lattice_budget:
         raise LatticeBudgetError(
             f"subgroup enumeration for order {sub.order} exceeds lattice budget {lattice_budget}"
         )
-    return memo(parent, "sub_sets", sub.members, _subgroup_sets, sub)
 
 
 def _subgroup_sets(sub: SubgroupRef) -> list[frozenset[int]]:
@@ -95,6 +98,7 @@ def _index_of_nodes(nodes: tuple[SubgroupRef, ...]) -> dict[frozenset[int], int]
 
 def all_subgroups(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
     sub = _as_subgroup(G)
+    _check_lattice_budget(sub, lattice_budget)  # a cached lattice binds too
     return memo(sub.parent, "lattice", sub.members, _all_subgroups, sub, lattice_budget)
 
 

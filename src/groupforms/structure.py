@@ -89,11 +89,14 @@ def primary_subgroup_class_reps(G: GroupLike) -> list[SubgroupRef]:
     return [SubgroupRef(parent, s) for s in reps]
 
 
-def subgroup_class_reps(G: GroupLike) -> list[SubgroupRef]:
+def subgroup_class_reps(
+    G: GroupLike, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
+) -> list[SubgroupRef]:
     """One subgroup per conjugacy class, the canonically least, in canonical order."""
     sub = _as_subgroup(G)
     parent = sub.parent
-    reps = _lattice.orbit_reps_under(parent, _lattice.subgroup_sets(sub), sub.members)
+    sets = _lattice.subgroup_sets(sub, lattice_budget)
+    reps = _lattice.orbit_reps_under(parent, sets, sub.members)
     return [SubgroupRef(parent, s) for s in reps]
 
 
@@ -276,7 +279,7 @@ def check_theorem1(
 
     if sub.order <= lattice_budget:
         s2 = True
-        for H in subgroup_class_reps(sub):
+        for H in subgroup_class_reps(sub, lattice_budget):
             if is_abnormal(sub, H):
                 continue
             if not (is_f_subnormal(sub, H, F) and F.contains(H)):
@@ -357,7 +360,7 @@ def check_theorem2(
     right = not is_nilpotent(sub)
     reason = None if right else "nilpotent"
     if right:
-        for H in subgroup_class_reps(sub):
+        for H in subgroup_class_reps(sub, lattice_budget):
             if H.order < sub.order and not is_primary_order(H.order):
                 right = False
                 reason = "non-primary proper subgroup"

@@ -11,6 +11,7 @@ from groupforms.permgroup import (
     _as_subgroup,
     core,
     normal_closure,
+    quotient,
 )
 from groupforms.subnormal import _check_contained
 
@@ -90,6 +91,20 @@ def oracle_f_abnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:
             if quotient_in(F, L, core(L, K)):
                 return False
     return True
+
+
+def residual_by_scan(F: Formation, G: GroupLike) -> SubgroupRef:
+    """Generic residual oracle, uncached: the intersection of every normal
+    subgroup N whose quotient satisfies F's raw membership predicate.
+
+    Reads no closed form and no ``residual``/``quotient_in`` cache entry.
+    """
+    sub = _as_subgroup(G)
+    members = sub.members
+    for N in lat.normal_subgroups(sub):
+        if F.membership(quotient(sub, N).image.as_subgroup()):
+            members = members & N.members
+    return SubgroupRef(sub.parent, members)
 
 
 def subgroup_refs(G: FiniteGroup) -> list[SubgroupRef]:

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from conftest import record_criterion
-from helpers import is_f_subnormal_via_residual, subgroup_refs
+from helpers import is_f_subnormal_via_residual, residual_by_scan, subgroup_refs
 
 from groupforms import catalog, structure
 from groupforms import lattice as lat
@@ -24,6 +24,7 @@ from groupforms.formations import (
     ABELIAN,
     NILPOTENT,
     NILPOTENT_DERIVED,
+    SOLUBLE,
     SUPERSOLUBLE,
     residual,
 )
@@ -181,6 +182,10 @@ def test_criterion_5_oracle_equivalences(catalog120):
             residual_bad.append((g.name, "A"))
         if residual(NILPOTENT, g).members != lower_central_series(g)[-1].members:
             residual_bad.append((g.name, "N"))
+        # production (closed form for all but U) against the generic scan
+        for F in FOUR_FORMATIONS + (SOLUBLE,):
+            if residual(F, g).members != residual_by_scan(F, g).members:
+                residual_bad.append((g.name, F.name, "scan"))
     mismatches = []
     pairs = 0
     for g in catalog120:
@@ -194,7 +199,7 @@ def test_criterion_5_oracle_equivalences(catalog120):
     elapsed = time.monotonic() - start
     ok = not residual_bad and not mismatches
     record_criterion(
-        "5  oracles: residuals vs series; dual subnormality routes <= 48",
+        "5  oracles: residuals vs series and scan; dual subnormality routes <= 48",
         ok,
         f"{pairs} pairs, {elapsed:.0f}s",
     )

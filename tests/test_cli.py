@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from groupforms import catalog, groupfile
+from groupforms import catalog, groupfile, reports
 from groupforms.cli import EXIT_ERROR, EXIT_HYPOTHESIS, EXIT_OK, EXIT_VIOLATION, main
 
 
@@ -51,6 +51,28 @@ def test_analyze_deterministic(capsys):
     code2, out2 = run_cli(capsys, "analyze", "--group", "S4", "--formation", "N", "--check", "all")
     assert (code1, out1) == (code2, out2)
     assert code1 == EXIT_OK
+
+
+def test_analyze_honours_lattice_budget(capsys):
+    code, out = run_cli(
+        capsys, "analyze", "--group", "S4", "--check", "theorem1", "--budget-lattice", "5"
+    )
+    assert code == EXIT_OK
+    details = json.loads(out)["checks"][0]["details"]
+    assert "s2_skipped" in details
+    assert "S2" not in details["statements"]
+
+
+@pytest.mark.parametrize("check,statement", [("theorem1", "S2"), ("theorem2", "right")])
+def test_analyze_lattice_budget_above_default(capsys, check, statement):
+    # order 402 lies between the default budget (400) and the one passed here
+    code, out = run_cli(
+        capsys, "analyze", "--group", "direct(S3,C67)", "--check", check, "--budget-lattice", "500"
+    )
+    assert code == EXIT_OK
+    result = json.loads(out)["checks"][0]
+    assert result["status"] == reports.PASS
+    assert statement in result["details"]["statements"]
 
 
 def test_batch_directory(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from helpers import residual_by_scan, subgroup_refs
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -21,6 +22,7 @@ from groupforms.formations import (
 )
 from groupforms.permgroup import (
     GroupError,
+    SubgroupRef,
     derived_subgroup,
     lower_central_series,
     quotient,
@@ -94,6 +96,42 @@ def test_residual_postcondition_verified():
     v4 = catalog.elem_abelian(2, 2)
     with pytest.raises(FormationVerificationError):
         residual(cyclic_class, v4)
+
+
+def test_closed_form_residuals_match_scan(catalog120):
+    # every subgroup of every catalog group <= 48: the closed form (A, N, NA,
+    # Sol) names the same subgroup as the generic normal-subgroup scan
+    closed = (ABELIAN, NILPOTENT, NILPOTENT_DERIVED, SOLUBLE)
+    assert all(F.closed_residual is not None for F in closed)
+    pairs = 0
+    bad = []
+    for g in catalog120:
+        if g.order > 48:
+            continue
+        for H in subgroup_refs(g):
+            for F in closed:
+                pairs += 1
+                if residual(F, H).members != residual_by_scan(F, H).members:
+                    bad.append((g.name, H.order, F.name))
+    assert not bad, bad
+    assert pairs == 11_536
+
+
+def test_residual_postcondition_verified_on_closed_form():
+    # a closed form that disagrees with the membership predicate is refused:
+    # S3 modulo the trivial group is not abelian
+    def trivial(sub):
+        return SubgroupRef(sub.parent, frozenset((sub.parent.identity,)))
+
+    wrong = Formation(
+        name="A-wrong-closed-form",
+        description="abelian groups, claimed residual always trivial",
+        membership=ABELIAN.membership,
+        closed_residual=trivial,
+    )
+    assert residual(wrong, catalog.cyclic(6)).order == 1
+    with pytest.raises(FormationVerificationError):
+        residual(wrong, catalog.symmetric(3))
 
 
 def test_quotient_monotonicity_small(catalog120):

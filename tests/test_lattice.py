@@ -21,6 +21,15 @@ def test_lattice_budget():
         lat.subgroup_sets(catalog.symmetric(3), lattice_budget=4)
 
 
+def test_lattice_budget_binds_on_cached_lattice():
+    s4 = catalog.symmetric(4)
+    assert len(lat.all_subgroups(s4).nodes) == 30
+    with pytest.raises(LatticeBudgetError):
+        lat.all_subgroups(s4, lattice_budget=5)
+    with pytest.raises(LatticeBudgetError):
+        lat.maximal_subgroups(s4, lattice_budget=5)
+
+
 def test_normal_subgroups():
     c12 = catalog.cyclic(12)
     assert len(lat.normal_subgroups(c12)) == len(lat.subgroup_sets(c12))
