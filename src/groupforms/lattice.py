@@ -1,10 +1,12 @@
 """Subgroup enumeration: full lattices, normal subgroups, intervals.
 
-Full lattices (maximality edges and conjugacy classes) are built only for
-groups whose order is within the lattice budget. Chain predicates never need
-one: everything above a fixed subgroup H, including the maximal subgroups of
-K that contain H, comes from minimal-overgroup and interval enumeration,
-which stays feasible well past the budget.
+All subgroups of a group come from cyclic extension when it is soluble and
+from join closure otherwise. Full lattices (maximality edges and conjugacy
+classes) are built only for groups whose order is within the lattice budget.
+Chain predicates never need one: everything above a fixed subgroup H,
+including the maximal subgroups of K that contain H, comes from
+minimal-overgroup and interval enumeration, which stays feasible well past
+the budget.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .permgroup import (
     SubgroupRef,
     _as_subgroup,
     is_prime,
+    is_prime_power,
+    is_soluble,
     memo,
 )
 
@@ -33,9 +37,10 @@ class LatticeBudgetError(GroupBudgetError):
 def subgroup_sets(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> list[frozenset[int]]:
     """All subgroups of the (sub)group as member sets, canonically sorted.
 
-    Join closure of the cyclic subgroups: every subgroup is the join of its
-    cyclic subgroups, so iterating one-cyclic joins from the bottom reaches
-    everything.
+    Two routes, chosen by ``is_soluble``; both return the same list. A
+    soluble group is enumerated by cyclic extension (``_cyclic_extension``),
+    an insoluble one by join closure of its cyclic subgroups
+    (``_join_closure``).
     """
     sub = _as_subgroup(G)
     _check_lattice_budget(sub, lattice_budget)
@@ -50,6 +55,65 @@ def _check_lattice_budget(sub: SubgroupRef, lattice_budget: int) -> None:
 
 
 def _subgroup_sets(sub: SubgroupRef) -> list[frozenset[int]]:
+    if is_soluble(sub):
+        return _cyclic_extension(sub)
+    return _join_closure(sub)
+
+
+def _cyclic_extension(sub: SubgroupRef) -> list[frozenset[int]]:
+    """Neubueser's cyclic extension; complete for soluble groups only.
+
+    Every non-trivial subgroup S of a soluble group has a normal subgroup U
+    of prime index p, so S = U u Ux u ... u Ux^(p-1) for any x in S outside
+    U, and x normalizes U. Walking up from the trivial subgroup in ascending
+    order, each U is extended by every x in N(U) whose coset xU has prime
+    order. The p-part of x lies in the same coset, so only elements of
+    prime-power order are tried. The elements of each extension are marked
+    covered for that U: any other x in it gives the same extension.
+    Generators are kept in a local dict rather than the ``gens`` and
+    ``normalizer`` memos, which would keep one entry per subgroup.
+    """
+    parent = sub.parent
+    t = parent._table
+    inv = parent._inv
+    orders = parent.element_orders()
+    candidates = [x for x in sub.sorted_members if is_prime_power(orders[x])]
+    trivial = frozenset((parent.identity,))
+    gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+    by_order: dict[int, list[frozenset[int]]] = {1: [trivial]}
+    for order in range(1, sub.order + 1):
+        for U in by_order.get(order, ()):
+            u_gens = gens[U]
+            covered = set(U)
+            for x in candidates:
+                if x in covered:
+                    continue
+                row = t[inv[x]]
+                if not all(t[row[h]][x] in U for h in u_gens):
+                    continue  # x does not normalize U
+                k, y = 1, x
+                while y not in U:
+                    y = t[y][x]
+                    k += 1
+                if not is_prime(k):
+                    continue
+                S = set(U)
+                power = x
+                for _ in range(k - 1):
+                    S.update(t[u][power] for u in U)
+                    power = t[power][x]
+                S = frozenset(S)
+                covered |= S
+                if S not in gens:
+                    gens[S] = u_gens + (x,)
+                    by_order.setdefault(len(S), []).append(S)
+    return sorted(gens, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def _join_closure(sub: SubgroupRef) -> list[frozenset[int]]:
+    """Join closure of the cyclic subgroups: every subgroup is the join of
+    its cyclic subgroups, so iterating one-cyclic joins from the bottom
+    reaches everything, perfect subgroups included."""
     parent = sub.parent
     trivial = frozenset((parent.identity,))
     cyclics: dict[frozenset[int], int] = {}

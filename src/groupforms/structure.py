@@ -8,6 +8,7 @@ declared flags and label the verdict empirical when a flag is missing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -45,7 +46,13 @@ from .subnormal import (
 )
 
 def _contains_all_prime_orders(F: Formation, G: GroupLike) -> bool:
-    return all(F.contains(cyclic(p)) for p in sorted(prime_divisors(G)))
+    return all(_contains_cyclic(F, p) for p in sorted(prime_divisors(G)))
+
+
+@functools.lru_cache(maxsize=None)
+def _contains_cyclic(F: Formation, p: int) -> bool:
+    # each C_p built is a fresh group with a cold memo; build it once per (F, p)
+    return F.contains(cyclic(p))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,18 @@ def test_analyze_lattice_budget_above_default(capsys, check, statement):
     assert statement in result["details"]["statements"]
 
 
+def test_analyze_example864_with_lattice_budget_1000(capsys):
+    # order 864 is past the default budget; its subgroups come from cyclic extension
+    code, out = run_cli(
+        capsys, "analyze", "--group", "example864", "--formation", "NA",
+        "--check", "theorem1", "--budget-lattice", "1000",
+    )
+    assert code == EXIT_VIOLATION
+    details = json.loads(out)["checks"][0]["details"]
+    assert details["statements"] == {"S1": True, "S2": False, "S3": False}
+    assert details["hypothesis"] == "empirical only: formation not flagged superradical"
+
+
 def test_batch_directory(tmp_path, capsys):
     d = tmp_path / "groups"
     d.mkdir()

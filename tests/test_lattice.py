@@ -6,14 +6,70 @@ import pytest
 
 from groupforms import catalog
 from groupforms import lattice as lat
-from groupforms.permgroup import SubgroupRef, subgroup_generated
+from groupforms.permgroup import (
+    SubgroupRef,
+    _as_subgroup,
+    direct_product,
+    quotient,
+    subgroup_generated,
+)
 from groupforms.lattice import LatticeBudgetError
+
+
+def _from_bottom(X):
+    """Oracle: the interval [1, X], built from minimal overgroups only, an
+    algorithm independent of both routes of ``subgroup_sets``, in the same
+    canonical order."""
+    X = _as_subgroup(X)
+    trivial = SubgroupRef(X.parent, frozenset((X.parent.identity,)))
+    return [r.members for r in lat.interval(X, trivial)]
 
 
 def test_all_subgroups_counts():
     assert len(lat.subgroup_sets(catalog.cyclic(7))) == 2
     assert len(lat.subgroup_sets(catalog.symmetric(3))) == 6
     assert len(lat.subgroup_sets(catalog.alternating(4))) == 10
+
+
+def test_insoluble_groups_keep_perfect_subgroups():
+    # cyclic extension alone misses A5 itself (perfect) and, in S5, everything above it
+    assert len(lat.subgroup_sets(catalog.alternating(5))) == 59
+    assert len(lat.subgroup_sets(catalog.symmetric(5))) == 156
+
+
+def test_subgroup_sets_match_interval_oracle(catalog120):
+    for g in catalog120:
+        assert lat.subgroup_sets(g) == _from_bottom(g), g.name
+
+
+def test_subgroup_sets_of_subgroups_and_quotients_match_oracle(catalog120):
+    # subgroup_sets also runs on proper subgroups and on quotient images,
+    # where normalizers are taken in the subgroup, not the parent
+    from groupforms.structure import subgroup_class_reps
+
+    checked = 0
+    for g in catalog120:
+        if g.order > 48:
+            continue
+        ambients = subgroup_class_reps(g) + [quotient(g, N).image for N in lat.normal_subgroups(g)]
+        for X in ambients:
+            assert lat.subgroup_sets(X) == _from_bottom(X), g.name
+            checked += 1
+    assert checked > 3000
+
+
+def test_subgroup_sets_of_s4_x_d6_match_oracle():
+    g = direct_product(catalog.symmetric(4), catalog.dihedral(6))
+    sets = lat.subgroup_sets(g)
+    assert len(sets) == 1594
+    assert sets == _from_bottom(g)
+
+
+def test_join_closure_matches_cyclic_extension(catalog120):
+    # the insoluble route, run on soluble groups, against the soluble route
+    for g in catalog120:
+        if g.order <= 48:
+            assert lat._join_closure(g.as_subgroup()) == lat._cyclic_extension(g.as_subgroup()), g.name
 
 
 def test_lattice_budget():

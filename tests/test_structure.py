@@ -146,3 +146,17 @@ def test_subgroup_class_reps_match_full_lattice(catalog120):
     for g in catalog120:
         if g.order <= 60:
             assert structure.subgroup_class_reps(g) == lat.conjugacy_class_reps(lat.all_subgroups(g))
+
+
+def test_prime_order_membership_builds_each_cyclic_group_once(monkeypatch):
+    from groupforms.formations import ABELIAN
+
+    s4 = catalog.symmetric(4)
+    assert structure._contains_all_prime_orders(ABELIAN, s4)
+
+    def rebuild(p):
+        raise AssertionError(f"C{p} built again")
+
+    monkeypatch.setattr(structure, "cyclic", rebuild)
+    assert structure._contains_all_prime_orders(ABELIAN, s4)
+    assert structure.check_lemma2(s4, ABELIAN) == []
