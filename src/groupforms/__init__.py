@@ -39,7 +39,6 @@ from .lattice import (
     all_subgroups,
     frattini,
     interval,
-    is_supersoluble,
     maximal_subgroups,
     minimal_overgroups,
     normal_subgroups,

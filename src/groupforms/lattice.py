@@ -234,15 +234,34 @@ def subgroup_orbit(parent: FiniteGroup, members: frozenset[int], under: frozense
 def orbit_reps_under(
     parent: FiniteGroup, sets: Iterable[frozenset[int]], under: frozenset[int]
 ) -> list[frozenset[int]]:
-    """Orbit representatives (canonically least) of subgroup sets under conjugation."""
+    """Orbit representatives (canonically least) of subgroup sets under conjugation.
+
+    Each generator of ``under`` becomes one conjugation map over the parent's
+    elements, built once per call. Each orbit is followed in full, so sets
+    that are not closed under conjugation still lose every conjugate.
+    """
+    t = parent._table
+    inv = parent._inv
+    maps = [
+        [t[t[inv[g]][x]][g] for x in range(parent.order)]
+        for g in parent.greedy_generators(under)
+    ]
     remaining = set(sets)
     reps = []
     for s in sorted(remaining, key=lambda s: (len(s), tuple(sorted(s)))):
         if s not in remaining:
             continue
         reps.append(s)
-        for img in subgroup_orbit(parent, s, under):
-            remaining.discard(img)
+        orbit = {s}
+        work = [s]
+        while work:
+            cur = work.pop()
+            for m in maps:
+                img = frozenset(map(m.__getitem__, cur))
+                if img not in orbit:
+                    orbit.add(img)
+                    work.append(img)
+        remaining -= orbit
     return reps
 
 
@@ -391,13 +410,3 @@ def frattini(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> Subg
     for M in maximal_subgroups(sub, lattice_budget):
         mem = mem & M.members
     return SubgroupRef(parent, mem)
-
-
-def is_supersoluble(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> bool:
-    """Every maximal subgroup of prime index (Huppert's criterion)."""
-    sub = _as_subgroup(G)
-    if sub.order == 1:
-        return True
-    return all(
-        is_prime(sub.order // M.order) for M in maximal_subgroups(sub, lattice_budget)
-    )

@@ -8,9 +8,10 @@ below K must contain <H, K^F> (for a formation the step condition is
 equivalent to containing K's F-residual), which keeps the search inside
 F-quotient-sized intervals even at order 864. It memoises one boolean
 verdict per (K, H, F); ``f_subnormal_witness`` reads the depth-first chain
-back off those verdicts. The independent routes it is checked against (a
-bottom-up breadth-first search with the residual-containment step form, and
-classical subnormality) are test oracles in ``tests/helpers.py``.
+back off those verdicts. The independent routes it is checked against
+(bottom-up breadth-first searches with the residual-containment step form and
+with membership of the built step quotient, and classical subnormality) are
+test oracles in ``tests/helpers.py``.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from groupforms.permgroup import (
     SubgroupRef,
     _as_subgroup,
     core,
+    is_prime,
     normal_closure,
     quotient,
 )
@@ -69,6 +70,39 @@ def is_f_subnormal_via_residual(
     return False
 
 
+def is_f_subnormal_via_quotients(
+    G: GroupLike,
+    H: SubgroupRef,
+    F: Formation,
+) -> bool:
+    """Cross-check route: bottom-up BFS with the raw quotient-membership step form.
+
+    Edges are minimal-overgroup steps (K, L) whose quotient image
+    L / core_L(K) satisfies F's membership predicate; no residual and no
+    ``quotient_in`` verdict is read.
+    """
+    amb = _as_subgroup(G)
+    _check_contained(amb, H)
+    if H.members == amb.members:
+        return True
+    seen = {H.members}
+    frontier = [H]
+    while frontier:
+        nxt = []
+        for K in frontier:
+            for L in lat.minimal_overgroups(amb, K, within=amb.members):
+                if L.members in seen:
+                    continue
+                if not F.membership(quotient(L, core(L, K)).image.as_subgroup()):
+                    continue
+                if L.members == amb.members:
+                    return True
+                seen.add(L.members)
+                nxt.append(L)
+        frontier = nxt
+    return False
+
+
 def is_subnormal(G: GroupLike, H: SubgroupRef) -> bool:
     """Classical subnormality (oracle helper): normal-closure descent reaches H."""
     amb = _as_subgroup(G)
@@ -109,3 +143,28 @@ def residual_by_scan(F: Formation, G: GroupLike) -> SubgroupRef:
 
 def subgroup_refs(G: FiniteGroup) -> list[SubgroupRef]:
     return [SubgroupRef(G, s) for s in lat.subgroup_sets(G)]
+
+
+def is_supersoluble(G: GroupLike) -> bool:
+    """Huppert's criterion (Math. Z. 60 (1954)): every maximal subgroup has
+    prime index. Read off the full lattice, independent of the chief walk."""
+    sub = _as_subgroup(G)
+    if sub.order == 1:
+        return True
+    return all(is_prime(sub.order // M.order) for M in lat.maximal_subgroups(sub))
+
+
+def orbit_reps_by_subgroup_orbit(
+    parent: FiniteGroup, sets, under: frozenset[int]
+) -> list[frozenset[int]]:
+    """Orbit representatives oracle: one ``subgroup_orbit`` (conjugation by
+    ``conjugate_set``) per representative, the canonically least remaining set."""
+    remaining = set(sets)
+    reps = []
+    for s in sorted(remaining, key=lambda s: (len(s), tuple(sorted(s)))):
+        if s not in remaining:
+            continue
+        reps.append(s)
+        for img in lat.subgroup_orbit(parent, s, under):
+            remaining.discard(img)
+    return reps

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -159,3 +160,30 @@ def test_lattice_cache_flow(tmp_path, capsys):
 def test_lattice_budget_exceeded(capsys):
     code = main(["lattice", "--group", "example864", "--budget-lattice", "400"])
     assert code == EXIT_ERROR
+
+
+def test_analyze_example864_supersoluble_theorem1_gives_a_verdict(capsys):
+    # U membership walks a chief series of normal subgroups, so U needs no
+    # full lattice; it used to stop with "exceeds lattice budget 400"
+    code, out = run_cli(
+        capsys, "analyze", "--group", "example864", "--formation", "U", "--check", "theorem1",
+    )
+    assert code != EXIT_ERROR
+    result = json.loads(out)["checks"][0]
+    assert result["status"] in (reports.PASS, reports.FAIL)
+
+
+# sha256 of the batch report below, recorded when U membership still read
+# maximal subgroups off full lattices (tool_version masked)
+LEMMAS_U_BATCH_SHA256 = "760cac1ff44f4cb098e952ae63438cde042aabad66e7339b65bac28516e2dab6"
+
+
+def test_batch_lemmas_supersoluble_report_unchanged(tmp_path, capsys):
+    d = tmp_path / "lemmas-u"
+    d.mkdir()
+    for name in ("S3", "A4", "D4", "S4", "sl23", "D6"):
+        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "lemmas", "--formation", "U")
+    assert code == EXIT_OK
+    masked = out.replace(f'"tool_version": "{reports.TOOL_VERSION}"', '"tool_version": ""')
+    assert hashlib.sha256(masked.encode()).hexdigest() == LEMMAS_U_BATCH_SHA256

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from helpers import residual_by_scan, subgroup_refs
+from helpers import is_supersoluble, residual_by_scan, subgroup_refs
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -154,6 +154,98 @@ def test_quotient_monotonicity_small(catalog120):
                 assert pushed.members == residual(F, hom.image).members
 
 
+ALL_BUILT_IN = (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE)
+
+
+def test_quotient_in_matches_membership_of_quotient_image(catalog120):
+    # containment (A, N, NA, Sol) and the chief walk (U) decide K/N without a
+    # quotient group; the membership predicate on the built image must agree,
+    # for every subgroup K and every normal N of K, catalog groups <= 32
+    pairs = 0
+    bad = []
+    for g in catalog120:
+        if g.order > 32:
+            continue
+        for K in subgroup_refs(g):
+            for N in lat.normal_subgroups(K):
+                image = quotient(K, N).image.as_subgroup()
+                for F in ALL_BUILT_IN:
+                    pairs += 1
+                    if quotient_in(F, K, N) != F.membership(image):
+                        bad.append((g.name, K.order, N.order, F.name))
+    assert not bad, bad
+    assert pairs == 58_220
+
+
+def test_chief_walk_matches_huppert_criterion(catalog120):
+    # U membership walks a chief series; the oracle reads the maximal
+    # subgroups off the full lattice. Every subgroup of the catalog groups
+    # <= 60, and every quotient image of them, both from the chief walk on
+    # the image and from the walk on g started at N.
+    checked = 0
+    bad = []
+    for g in catalog120:
+        if g.order > 60:
+            continue
+        for H in subgroup_refs(g):
+            checked += 1
+            if SUPERSOLUBLE.membership(H) != is_supersoluble(H):
+                bad.append((g.name, H.order))
+        for N in lat.normal_subgroups(g):
+            image = quotient(g, N).image
+            want = is_supersoluble(image)
+            checked += 1
+            if SUPERSOLUBLE.membership(image.as_subgroup()) != want:
+                bad.append((g.name, "image", N.order))
+            if quotient_in(SUPERSOLUBLE, g.as_subgroup(), N) != want:
+                bad.append((g.name, "walk from N", N.order))
+    assert not bad, bad
+    assert checked == 5_871
+
+
+def _trivial_residual(sub):
+    return SubgroupRef(sub.parent, frozenset((sub.parent.identity,)))
+
+
+@pytest.mark.parametrize(
+    "F,outside",
+    [
+        (ABELIAN, "S3"),
+        (NILPOTENT, "S3"),
+        (SUPERSOLUBLE, "A4"),
+        (NILPOTENT_DERIVED, "S4"),
+        (SOLUBLE, "A5"),
+    ],
+)
+def test_closed_form_postcondition_is_raw(F, outside):
+    # quotient_in decides by containment in the closed form, so it would
+    # accept any claimed residual; the postcondition builds G/R and must refuse
+    wrong = Formation(
+        name=f"{F.name}-trivial-closed-form",
+        description="built-in membership, claimed residual always trivial",
+        membership=F.membership,
+        closed_residual=_trivial_residual,
+    )
+    G = catalog.build_named(outside)
+    assert not F.contains(G)
+    with pytest.raises(FormationVerificationError):
+        residual(wrong, G)
+
+
+def test_scan_postcondition_is_raw():
+    # a quotient_membership that accepts every quotient makes the scan pick the
+    # trivial subgroup; the postcondition applies U's membership to G/1 = S4
+    wrong = Formation(
+        name="U-accept-all-quotients",
+        description="supersoluble membership, every quotient claimed supersoluble",
+        membership=SUPERSOLUBLE.membership,
+        quotient_membership=lambda K, N: True,
+    )
+    assert residual(SUPERSOLUBLE, catalog.symmetric(4)).order == 4
+    with pytest.raises(FormationVerificationError):
+        residual(wrong, catalog.symmetric(4))
+
+
 def test_verify_formation_closure_clean(small_groups):
     for F in (ABELIAN, NILPOTENT):
         report = verify_formation_closure(F, small_groups)
@@ -169,6 +261,21 @@ def test_verify_formation_closure_flags_broken_predicate(small_groups):
     )
     report = verify_formation_closure(broken, small_groups)
     assert report.summary()["fail"] > 0
+
+
+def test_verify_formation_closure_flags_bogus_closed_form(small_groups):
+    # "order <= 4" is not intersection-stable (two subgroups of order 2 in
+    # C2^3 meet trivially), but containment in the derived subgroup would
+    # accept every meet; the guard reads membership on the quotient images
+    bogus = Formation(
+        name="Order4-derived",
+        description="order at most 4, claimed residual the derived subgroup",
+        membership=lambda sub: sub.order <= 4,
+        closed_residual=derived_subgroup,
+    )
+    report = verify_formation_closure(bogus, small_groups)
+    failed = {c.check for c in report.checks if c.status == "fail"}
+    assert "residual-well-defined" in failed
 
 
 def test_nilpotent_derived_flag_choices():

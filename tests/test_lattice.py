@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from helpers import is_supersoluble, orbit_reps_by_subgroup_orbit
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -171,10 +172,10 @@ def test_conjugate_nodes_have_equal_order(small_groups):
 
 
 def test_supersolubility_criterion():
-    assert lat.is_supersoluble(catalog.symmetric(3))
-    assert not lat.is_supersoluble(catalog.symmetric(4))
-    assert not lat.is_supersoluble(catalog.alternating(4))
-    assert lat.is_supersoluble(catalog.cyclic(12))
+    assert is_supersoluble(catalog.symmetric(3))
+    assert not is_supersoluble(catalog.symmetric(4))
+    assert not is_supersoluble(catalog.alternating(4))
+    assert is_supersoluble(catalog.cyclic(12))
 
 
 def test_maximal_subgroups_containing_matches_full_lattice(catalog120):
@@ -192,3 +193,34 @@ def test_maximal_subgroups_containing_matches_full_lattice(catalog120):
                 assert lat.maximal_subgroups_containing(K, J) == want
                 pairs += 1
     assert pairs > 5000
+
+
+def test_orbit_reps_match_subgroup_orbit_oracle(catalog120):
+    # element-map conjugation gives the same reps as one subgroup_orbit per
+    # rep: whole-group class reps, the Sylow-based primary reps (input sets
+    # not closed under conjugation) and lemma 1.5's N(H)-orbit reps
+    from groupforms import structure
+    from groupforms.permgroup import normalizer, prime_divisors, sylow_subgroup
+
+    calls = 0
+    for g in catalog120:
+        if g.order > 48:
+            continue
+        whole = g.whole()
+        sets = lat.subgroup_sets(g)
+        reps = [H.members for H in structure.subgroup_class_reps(g)]
+        assert reps == orbit_reps_by_subgroup_orbit(g, sets, whole)
+        primary = []
+        for p in sorted(prime_divisors(g)):
+            primary.extend(s for s in lat.subgroup_sets(sylow_subgroup(g, p)) if len(s) > 1)
+        got = [P.members for P in structure.primary_subgroup_class_reps(g)]
+        assert got == lat.orbit_reps_under(g, primary, whole)
+        assert got == orbit_reps_by_subgroup_orbit(g, primary, whole)
+        calls += 2
+        for H in reps:
+            norm_h = normalizer(g, SubgroupRef(g, H)).members
+            assert lat.orbit_reps_under(g, sets, norm_h) == orbit_reps_by_subgroup_orbit(
+                g, sets, norm_h
+            )
+            calls += 1
+    assert calls == 2_343
