@@ -4,14 +4,16 @@ Saturation and superradicality are trusted metadata, never computed. A
 formation may carry a closed-form residual (a term of a standard series);
 the others fall back to a scan of the normal subgroups. On both paths the
 residual operation checks that the quotient lies in the formation and raises
-``FormationVerificationError`` when it does not. Minimality of a closed form
-is not checked here; the tests compare every closed form with the scan.
+``FormationVerificationError`` when it does not. The residual operation
+does not check that a closed form is minimal; the tests compare every closed
+form with the scan, and ``verify_formation_closure`` reports a closed form
+that is too large.
 
-Whether K/N lies in F is decided on K's own normal subgroups, without
-building the quotient group: by residual containment, K^F <= N, when F has
-a closed form, and for U by walking a chief series of K up from N. Only the
-residual postcondition, the closure guard and formations given by a bare
-membership predicate build quotient images.
+When F has a closed form, whether K/N lies in F is decided by residual
+containment, K^F <= N, without building the quotient group. The other
+formations (U, and any built from a bare predicate) apply the membership
+predicate to the quotient image. U membership walks a chief series of the
+group's normal subgroups, so it builds no subgroup lattice.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ class Formation:
     """A named isomorphism-invariant group class with declared closure flags.
 
     ``closed_residual``, when given, maps a subgroup K to K^F directly; without
-    it the residual is found by scanning K's normal subgroups.
-    ``quotient_membership``, when given, decides K/N in F from K and N alone
-    (N normal in K) and must agree with ``membership`` on the quotient.
+    it the residual is found by scanning K's normal subgroups. A closed form
+    also decides ``quotient_in`` (K/N in F iff K^F <= N), so one that returns
+    too large a subgroup changes F-subnormality verdicts;
+    ``verify_formation_closure`` reports such a closed form.
     """
 
     name: str
@@ -61,7 +64,6 @@ class Formation:
     superradical: bool = False
     contains_nilpotents: bool = False
     closed_residual: Optional[Callable[[SubgroupRef], SubgroupRef]] = None
-    quotient_membership: Optional[Callable[[SubgroupRef, SubgroupRef], bool]] = None
 
     def contains(self, G: GroupLike) -> bool:
         sub = _as_subgroup(G)
@@ -87,20 +89,16 @@ def _member_nilpotent(sub: SubgroupRef) -> bool:
 
 
 def _member_supersoluble(sub: SubgroupRef) -> bool:
-    return _chief_factors_prime(sub, SubgroupRef(sub.parent, frozenset((sub.parent.identity,))))
-
-
-def _chief_factors_prime(K: SubgroupRef, N: SubgroupRef) -> bool:
-    """Whether K/N is supersoluble: every chief factor of K above N has prime order.
+    """Every chief factor has prime order.
 
     U is the saturated formation whose chief factors are cyclic (Doerk-Hawkes,
-    ch. IV), and by Jordan-Hoelder any chief series will do. The normal
-    subgroups of K/N are those of K containing N. ``normal_subgroups`` is
-    ascending by order, so the first one strictly above the current term is
-    minimal over it, and a single pass walks one chief series from N to K.
+    ch. IV), and by Jordan-Hoelder any chief series will do.
+    ``normal_subgroups`` is ascending by order, so the first one strictly
+    above the current term is minimal over it, and a single pass walks one
+    chief series from 1 to the group.
     """
-    current = N.members
-    for M in _lattice.normal_subgroups(K):
+    current = frozenset((sub.parent.identity,))
+    for M in _lattice.normal_subgroups(sub):
         if current < M.members:
             if not is_prime(len(M.members) // len(current)):
                 return False
@@ -159,7 +157,6 @@ SUPERSOLUBLE = Formation(
     saturated=True,
     superradical=False,
     contains_nilpotents=True,
-    quotient_membership=_chief_factors_prime,
 )
 
 NILPOTENT_DERIVED = Formation(
@@ -204,17 +201,14 @@ def quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
 
 
 def _quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
-    """K/N in F without a quotient group where F allows it.
+    """K/N in F by residual containment when F has a closed form.
 
-    A closed form gives K/N in F iff K^F <= N (the residual is the least
-    normal subgroup with quotient in F); ``quotient_membership`` (the chief
-    walk for U) reads K's normal subgroups; only a bare membership predicate
-    builds the quotient image.
+    K/N lies in F iff K^F <= N (the residual is the least normal subgroup
+    with quotient in F), so no quotient group is built. Without a closed form
+    F's membership predicate is applied to the quotient image.
     """
     if F.closed_residual is not None:
         return residual(F, K).members <= N.members
-    if F.quotient_membership is not None:
-        return F.quotient_membership(K, N)
     return _image_in(F, K, N)
 
 
@@ -241,8 +235,8 @@ def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
     ascending order guarantees nothing smaller qualifies. On both routes a
     final check that G/R lies in F rejects predicates that are not
     formation-closed and closed forms that return too small a subgroup. A
-    closed form that returns too large a subgroup passes this check; only the
-    tests that compare it with the scan catch it.
+    closed form that returns too large a subgroup passes this check; the tests
+    that compare it with the scan and ``verify_formation_closure`` catch it.
 
     The final check builds the quotient image G/R and applies F's membership
     predicate to it, once per (G, F): ``quotient_in`` decides by residual
@@ -285,10 +279,12 @@ def verify_formation_closure(
     """Empirical guard for the declared closure flags over a catalog.
 
     Checks quotient closure, residual well-definedness (intersection
-    stability), and subgroup closure where flagged. Violations land in the
-    report rather than raising. Quotients are tested by F's membership
-    predicate on the quotient image: the closed-form and chief-walk routes
-    of ``quotient_in`` assume the very closure properties checked here.
+    stability), that ``quotient_in`` agrees with membership of the quotient
+    image, and subgroup closure where flagged. Violations land in the report
+    rather than raising. The closure checks test F's membership predicate on
+    the quotient image: residual containment, the closed-form route of
+    ``quotient_in``, assumes the very closure properties checked here. The
+    route check catches a closed form that is not the least residual.
     """
     report = reports.VerdictReport(kind="formation-closure", formation=F.name)
     for G in catalog:
@@ -307,6 +303,22 @@ def verify_formation_closure(
             else:
                 report.add("quotient-closure", reports.PASS, {"group": gname})
         qualifying = [N for N in normals if _image_in(F, G.as_subgroup(), N)]
+        in_image = {N.members for N in qualifying}
+        try:
+            wrong = [
+                N
+                for N in normals
+                if quotient_in(F, G.as_subgroup(), N) != (N.members in in_image)
+            ]
+        except FormationVerificationError as exc:
+            report.add("quotient-route", reports.FAIL, {"group": gname, "error": str(exc)})
+        else:
+            report.add(
+                "quotient-route",
+                reports.PASS if not wrong else reports.FAIL,
+                {"group": gname},
+                [reports.subgroup_witness(N) for N in wrong],
+            )
         stable = True
         witnesses = []
         for i, N in enumerate(qualifying):

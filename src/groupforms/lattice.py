@@ -216,21 +216,6 @@ def conjugacy_class_reps(lat: SubgroupLattice) -> list[SubgroupRef]:
     return [lat.nodes[cls[0]] for cls in lat.conjugacy_classes]
 
 
-def subgroup_orbit(parent: FiniteGroup, members: frozenset[int], under: frozenset[int]) -> list[frozenset[int]]:
-    """Orbit of a subgroup under conjugation by a subgroup's elements."""
-    gens = parent.greedy_generators(under)
-    orbit = {members}
-    work = [members]
-    while work:
-        cur = work.pop()
-        for g in gens:
-            img = parent.conjugate_set(cur, g)
-            if img not in orbit:
-                orbit.add(img)
-                work.append(img)
-    return sorted(orbit, key=lambda s: tuple(sorted(s)))
-
-
 def orbit_reps_under(
     parent: FiniteGroup, sets: Iterable[frozenset[int]], under: frozenset[int]
 ) -> list[frozenset[int]]:

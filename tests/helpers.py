@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from groupforms import lattice as lat
-from groupforms.formations import Formation, quotient_in, residual
+from groupforms.formations import SUPERSOLUBLE, Formation, quotient_in, residual
 from groupforms.permgroup import (
     FiniteGroup,
     GroupLike,
@@ -70,6 +70,12 @@ def is_f_subnormal_via_residual(
     return False
 
 
+def raw_membership(F: Formation):
+    """F's membership predicate for the oracles, with Huppert's criterion
+    standing in for U so that no oracle shares production's chief walk."""
+    return is_supersoluble if F is SUPERSOLUBLE else F.membership
+
+
 def is_f_subnormal_via_quotients(
     G: GroupLike,
     H: SubgroupRef,
@@ -78,9 +84,10 @@ def is_f_subnormal_via_quotients(
     """Cross-check route: bottom-up BFS with the raw quotient-membership step form.
 
     Edges are minimal-overgroup steps (K, L) whose quotient image
-    L / core_L(K) satisfies F's membership predicate; no residual and no
+    L / core_L(K) satisfies ``raw_membership(F)``; no residual and no
     ``quotient_in`` verdict is read.
     """
+    member = raw_membership(F)
     amb = _as_subgroup(G)
     _check_contained(amb, H)
     if H.members == amb.members:
@@ -93,7 +100,7 @@ def is_f_subnormal_via_quotients(
             for L in lat.minimal_overgroups(amb, K, within=amb.members):
                 if L.members in seen:
                     continue
-                if not F.membership(quotient(L, core(L, K)).image.as_subgroup()):
+                if not member(quotient(L, core(L, K)).image.as_subgroup()):
                     continue
                 if L.members == amb.members:
                     return True
@@ -129,14 +136,15 @@ def oracle_f_abnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:
 
 def residual_by_scan(F: Formation, G: GroupLike) -> SubgroupRef:
     """Generic residual oracle, uncached: the intersection of every normal
-    subgroup N whose quotient satisfies F's raw membership predicate.
+    subgroup N whose quotient satisfies ``raw_membership(F)``.
 
     Reads no closed form and no ``residual``/``quotient_in`` cache entry.
     """
+    member = raw_membership(F)
     sub = _as_subgroup(G)
     members = sub.members
     for N in lat.normal_subgroups(sub):
-        if F.membership(quotient(sub, N).image.as_subgroup()):
+        if member(quotient(sub, N).image.as_subgroup()):
             members = members & N.members
     return SubgroupRef(sub.parent, members)
 
@@ -154,6 +162,24 @@ def is_supersoluble(G: GroupLike) -> bool:
     return all(is_prime(sub.order // M.order) for M in lat.maximal_subgroups(sub))
 
 
+def subgroup_orbit(
+    parent: FiniteGroup, members: frozenset[int], under: frozenset[int]
+) -> list[frozenset[int]]:
+    """Orbit of a subgroup under conjugation by a subgroup's elements, one
+    ``conjugate_set`` per generator and orbit member."""
+    gens = parent.greedy_generators(under)
+    orbit = {members}
+    work = [members]
+    while work:
+        cur = work.pop()
+        for g in gens:
+            img = parent.conjugate_set(cur, g)
+            if img not in orbit:
+                orbit.add(img)
+                work.append(img)
+    return sorted(orbit, key=lambda s: tuple(sorted(s)))
+
+
 def orbit_reps_by_subgroup_orbit(
     parent: FiniteGroup, sets, under: frozenset[int]
 ) -> list[frozenset[int]]:
@@ -165,6 +191,6 @@ def orbit_reps_by_subgroup_orbit(
         if s not in remaining:
             continue
         reps.append(s)
-        for img in lat.subgroup_orbit(parent, s, under):
+        for img in subgroup_orbit(parent, s, under):
             remaining.discard(img)
     return reps

@@ -20,6 +20,7 @@ from helpers import (
     is_f_subnormal_via_quotients,
     is_f_subnormal_via_residual,
     residual_by_scan,
+    subgroup_orbit,
     subgroup_refs,
 )
 
@@ -225,7 +226,7 @@ def test_criterion_6_structural_oracles(catalog120):
         if not carters:
             carter_bad.append((g.name, "no Carter subgroup"))
             continue
-        orbit = set(lat.subgroup_orbit(g, carters[0].members, g.whole()))
+        orbit = set(subgroup_orbit(g, carters[0].members, g.whole()))
         if {c.members for c in carters} != orbit:
             carter_bad.append((g.name, "multiple conjugacy classes"))
     schmidt_bad = []

@@ -158,9 +158,9 @@ ALL_BUILT_IN = (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE)
 
 
 def test_quotient_in_matches_membership_of_quotient_image(catalog120):
-    # containment (A, N, NA, Sol) and the chief walk (U) decide K/N without a
-    # quotient group; the membership predicate on the built image must agree,
-    # for every subgroup K and every normal N of K, catalog groups <= 32
+    # containment decides K/N without a quotient group for A, N, NA and Sol;
+    # the membership predicate on the built image must agree, for every
+    # subgroup K and every normal N of K, catalog groups <= 32 (U included)
     pairs = 0
     bad = []
     for g in catalog120:
@@ -180,8 +180,8 @@ def test_quotient_in_matches_membership_of_quotient_image(catalog120):
 def test_chief_walk_matches_huppert_criterion(catalog120):
     # U membership walks a chief series; the oracle reads the maximal
     # subgroups off the full lattice. Every subgroup of the catalog groups
-    # <= 60, and every quotient image of them, both from the chief walk on
-    # the image and from the walk on g started at N.
+    # <= 60, and every quotient image of them, both by membership of the
+    # image and through quotient_in.
     checked = 0
     bad = []
     for g in catalog120:
@@ -198,7 +198,7 @@ def test_chief_walk_matches_huppert_criterion(catalog120):
             if SUPERSOLUBLE.membership(image.as_subgroup()) != want:
                 bad.append((g.name, "image", N.order))
             if quotient_in(SUPERSOLUBLE, g.as_subgroup(), N) != want:
-                bad.append((g.name, "walk from N", N.order))
+                bad.append((g.name, "quotient_in", N.order))
     assert not bad, bad
     assert checked == 5_871
 
@@ -232,20 +232,6 @@ def test_closed_form_postcondition_is_raw(F, outside):
         residual(wrong, G)
 
 
-def test_scan_postcondition_is_raw():
-    # a quotient_membership that accepts every quotient makes the scan pick the
-    # trivial subgroup; the postcondition applies U's membership to G/1 = S4
-    wrong = Formation(
-        name="U-accept-all-quotients",
-        description="supersoluble membership, every quotient claimed supersoluble",
-        membership=SUPERSOLUBLE.membership,
-        quotient_membership=lambda K, N: True,
-    )
-    assert residual(SUPERSOLUBLE, catalog.symmetric(4)).order == 4
-    with pytest.raises(FormationVerificationError):
-        residual(wrong, catalog.symmetric(4))
-
-
 def test_verify_formation_closure_clean(small_groups):
     for F in (ABELIAN, NILPOTENT):
         report = verify_formation_closure(F, small_groups)
@@ -276,6 +262,21 @@ def test_verify_formation_closure_flags_bogus_closed_form(small_groups):
     report = verify_formation_closure(bogus, small_groups)
     failed = {c.check for c in report.checks if c.status == "fail"}
     assert "residual-well-defined" in failed
+
+
+def test_verify_formation_closure_flags_too_large_closed_form(small_groups):
+    # a closed form naming the whole group passes the residual postcondition
+    # (G/G is abelian) but makes quotient_in refuse every proper quotient;
+    # the route check compares quotient_in with membership of the image
+    whole = Formation(
+        name="A-whole-closed-form",
+        description="abelian groups, claimed residual always the whole group",
+        membership=ABELIAN.membership,
+        closed_residual=lambda sub: sub,
+    )
+    report = verify_formation_closure(whole, small_groups)
+    failed = {c.check for c in report.checks if c.status == "fail"}
+    assert failed == {"quotient-route"}
 
 
 def test_nilpotent_derived_flag_choices():
