@@ -1,10 +1,11 @@
 """groupforms: exact subgroup-predicate engine for small permutation groups.
 
 Core surface: permutation groups with full element enumeration
-(``permgroup``), subgroup lattices (``lattice``), formations and residuals
+(``permgroup``), subgroup enumeration up to conjugacy and the full lattice of
+the ``lattice`` command (``lattice``), formations and residuals
 (``formations``), the chain predicates (``subnormal``), structure checkers
 (``structure``), named constructors and the catalog (``catalog``), group
-files and caches (``groupfile``), and the CLI (``cli``).
+files and lattice caches (``groupfile``), and the CLI (``cli``).
 """
 
 from .permgroup import (
@@ -18,7 +19,6 @@ from .permgroup import (
     derived_subgroup,
     direct_product,
     fitting,
-    generate,
     is_abelian,
     is_elementary_abelian,
     is_nilpotent,
@@ -31,15 +31,12 @@ from .permgroup import (
     prime_divisors,
     quotient,
     semidirect_product,
-    subgroup_generated,
     sylow_subgroup,
 )
 from .lattice import (
     SubgroupLattice,
     all_subgroups,
-    frattini,
     interval,
-    maximal_subgroups,
     minimal_overgroups,
     normal_subgroups,
 )
@@ -55,7 +52,6 @@ from .formations import (
     contains,
     formation_by_name,
     residual,
-    verify_formation_closure,
 )
 from .subnormal import (
     ChainWitness,
@@ -75,8 +71,6 @@ from .structure import (
     check_theorem1,
     check_theorem2,
     is_ef_group,
-    is_minimal_non_f,
-    is_schmidt,
     primary_cyclic_subgroups,
     verify_paper_example,
 )

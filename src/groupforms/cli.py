@@ -58,6 +58,7 @@ def _run_checks(
 ) -> _reports.VerdictReport:
     F = formation_by_name(formation_name)
     budget = TimeBudget(budgets.get("time"))
+    lattice_budget = budgets["lattice"]
     report = _reports.VerdictReport(
         kind="analyze",
         subject=_reports.group_descriptor(group),
@@ -68,17 +69,19 @@ def _run_checks(
         budget.check()
         try:
             if check == "theorem1":
-                verdict = _structure.check_theorem1(group, F, lattice_budget=budgets["lattice"])
+                verdict = _structure.check_theorem1(group, F, lattice_budget=lattice_budget)
                 report.checks.append(verdict.to_check_result())
             elif check == "theorem2":
-                verdict = _structure.check_theorem2(group, F, lattice_budget=budgets["lattice"])
+                verdict = _structure.check_theorem2(group, F, lattice_budget=lattice_budget)
                 report.checks.append(verdict.to_check_result())
             elif check == "corollary1":
-                report.checks.append(_structure.check_corollary1(group, F).to_check_result())
+                verdict = _structure.check_corollary1(group, F, lattice_budget=lattice_budget)
+                report.checks.append(verdict.to_check_result())
             elif check == "corollary2":
-                report.checks.append(_structure.check_corollary2(group, F).to_check_result())
+                verdict = _structure.check_corollary2(group, F, lattice_budget=lattice_budget)
+                report.checks.append(verdict.to_check_result())
             elif check == "lemmas":
-                sub = _structure.check_lemma_suite([group], F)
+                sub = _structure.check_lemma_suite([group], F, lattice_budget=lattice_budget)
                 report.subreports.append(sub)
             elif check == "example864":
                 report.subreports.append(_structure.verify_paper_example(group))
@@ -245,11 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_size_budgets(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--budget-max-order", type=int, default=2000)
+        p.add_argument("--budget-lattice", type=int, default=400)
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--formation", default="N", choices=list(BUILT_IN))
         p.add_argument("--report", help="also write the JSON report to this path")
-        p.add_argument("--budget-max-order", type=int, default=2000)
-        p.add_argument("--budget-lattice", type=int, default=400)
+        add_size_budgets(p)
         p.add_argument("--budget-time", type=float, default=None,
                        help="soft per-run time budget in seconds")
 
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat = sub.add_parser("lattice", help="compute or load a subgroup lattice cache")
     p_lat.add_argument("--group", required=True)
     p_lat.add_argument("--cache", help="cache file path (load if valid, else recompute)")
-    add_common(p_lat)
+    add_size_budgets(p_lat)
     p_lat.set_defaults(func=cmd_lattice)
     return parser
 

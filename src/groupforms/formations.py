@@ -6,8 +6,7 @@ the others fall back to a scan of the normal subgroups. On both paths the
 residual operation checks that the quotient lies in the formation and raises
 ``FormationVerificationError`` when it does not. The residual operation
 does not check that a closed form is minimal; the tests compare every closed
-form with the scan, and ``verify_formation_closure`` reports a closed form
-that is too large.
+form with the scan and guard against one that is too large.
 
 When F has a closed form, whether K/N lies in F is decided by residual
 containment, K^F <= N, without building the quotient group. The other
@@ -19,12 +18,10 @@ group's normal subgroups, so it builds no subgroup lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import lattice as _lattice
-from . import reports
 from .permgroup import (
-    FiniteGroup,
     GroupError,
     GroupLike,
     SubgroupRef,
@@ -45,15 +42,19 @@ class FormationVerificationError(GroupError):
     """The residual postcondition failed: the predicate is not formation-closed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formation:
     """A named isomorphism-invariant group class with declared closure flags.
 
     ``closed_residual``, when given, maps a subgroup K to K^F directly; without
     it the residual is found by scanning K's normal subgroups. A closed form
     also decides ``quotient_in`` (K/N in F iff K^F <= N), so one that returns
-    too large a subgroup changes F-subnormality verdicts;
-    ``verify_formation_closure`` reports such a closed form.
+    too large a subgroup changes F-subnormality verdicts; nothing in the
+    program checks that it is the least such subgroup.
+
+    Cached verdicts are keyed by the formation object itself (``eq=False``:
+    equality and hash by identity), never by its name, so two formations
+    that share a name do not share verdicts.
     """
 
     name: str
@@ -67,7 +68,7 @@ class Formation:
 
     def contains(self, G: GroupLike) -> bool:
         sub = _as_subgroup(G)
-        return memo(sub.parent, "formation_member", (sub.members, self.name), self._decide, sub)
+        return memo(sub.parent, "formation_member", (sub.members, self), self._decide, sub)
 
     def _decide(self, sub: SubgroupRef) -> bool:
         return bool(self.membership(sub))
@@ -197,7 +198,7 @@ def formation_by_name(name: str) -> Formation:
 
 def quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
     """Whether K/N lies in F, with the verdict cached per (K, N, F)."""
-    return memo(K.parent, "quotient_in", (K.members, N.members, F.name), _quotient_in, F, K, N)
+    return memo(K.parent, "quotient_in", (K.members, N.members, F), _quotient_in, F, K, N)
 
 
 def _quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
@@ -223,7 +224,7 @@ def residual(F: Formation, G: GroupLike) -> SubgroupRef:
     See ``_residual`` for the two routes; the result is cached per (G, F).
     """
     sub = _as_subgroup(G)
-    return memo(sub.parent, "residual", (sub.members, F.name), _residual, F, sub)
+    return memo(sub.parent, "residual", (sub.members, F), _residual, F, sub)
 
 
 def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
@@ -236,7 +237,7 @@ def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
     final check that G/R lies in F rejects predicates that are not
     formation-closed and closed forms that return too small a subgroup. A
     closed form that returns too large a subgroup passes this check; the tests
-    that compare it with the scan and ``verify_formation_closure`` catch it.
+    that compare it with the scan catch it.
 
     The final check builds the quotient image G/R and applies F's membership
     predicate to it, once per (G, F): ``quotient_in`` decides by residual
@@ -272,87 +273,3 @@ def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
         )
     return R
 
-
-def verify_formation_closure(
-    F: Formation, catalog: Sequence[FiniteGroup]
-) -> reports.VerdictReport:
-    """Empirical guard for the declared closure flags over a catalog.
-
-    Checks quotient closure, residual well-definedness (intersection
-    stability), that ``quotient_in`` agrees with membership of the quotient
-    image, and subgroup closure where flagged. Violations land in the report
-    rather than raising. The closure checks test F's membership predicate on
-    the quotient image: residual containment, the closed-form route of
-    ``quotient_in``, assumes the very closure properties checked here. The
-    route check catches a closed form that is not the least residual.
-    """
-    report = reports.VerdictReport(kind="formation-closure", formation=F.name)
-    for G in catalog:
-        gname = G.name or f"order{G.order}"
-        normals = _lattice.normal_subgroups(G)
-        in_f = F.contains(G)
-        if in_f:
-            bad = [N for N in normals if not _image_in(F, G.as_subgroup(), N)]
-            if bad:
-                report.add(
-                    "quotient-closure",
-                    reports.FAIL,
-                    {"group": gname},
-                    [reports.subgroup_witness(N) for N in bad],
-                )
-            else:
-                report.add("quotient-closure", reports.PASS, {"group": gname})
-        qualifying = [N for N in normals if _image_in(F, G.as_subgroup(), N)]
-        in_image = {N.members for N in qualifying}
-        try:
-            wrong = [
-                N
-                for N in normals
-                if quotient_in(F, G.as_subgroup(), N) != (N.members in in_image)
-            ]
-        except FormationVerificationError as exc:
-            report.add("quotient-route", reports.FAIL, {"group": gname, "error": str(exc)})
-        else:
-            report.add(
-                "quotient-route",
-                reports.PASS if not wrong else reports.FAIL,
-                {"group": gname},
-                [reports.subgroup_witness(N) for N in wrong],
-            )
-        stable = True
-        witnesses = []
-        for i, N in enumerate(qualifying):
-            for M in qualifying[i + 1 :]:
-                meet = SubgroupRef(G, N.members & M.members)
-                if not _image_in(F, G.as_subgroup(), meet):
-                    stable = False
-                    witnesses.append(
-                        {
-                            "first": reports.subgroup_witness(N),
-                            "second": reports.subgroup_witness(M),
-                        }
-                    )
-        report.add(
-            "residual-well-defined",
-            reports.PASS if stable else reports.FAIL,
-            {"group": gname},
-            witnesses,
-        )
-        if F.subgroup_closed and in_f:
-            bad_subs = []
-            try:
-                lat = _lattice.all_subgroups(G)
-            except _lattice.LatticeBudgetError:
-                report.add("subgroup-closure", reports.SKIP, {"group": gname, "reason": "budget"})
-            else:
-                for cls in lat.conjugacy_classes:
-                    H = lat.nodes[cls[0]]
-                    if not F.contains(H):
-                        bad_subs.append(H)
-                report.add(
-                    "subgroup-closure",
-                    reports.PASS if not bad_subs else reports.FAIL,
-                    {"group": gname},
-                    [reports.subgroup_witness(H) for H in bad_subs],
-                )
-    return report

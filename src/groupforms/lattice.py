@@ -1,18 +1,21 @@
-"""Subgroup enumeration: full lattices, normal subgroups, intervals.
+"""Subgroup enumeration: subgroup sets, conjugacy orbits, normal subgroups,
+intervals, and the full lattice of the ``lattice`` command.
 
 All subgroups of a group come from cyclic extension when it is soluble and
-from join closure otherwise. Full lattices (maximality edges and conjugacy
-classes) are built only for groups whose order is within the lattice budget.
-Chain predicates never need one: everything above a fixed subgroup H,
-including the maximal subgroups of K that contain H, comes from
-minimal-overgroup and interval enumeration, which stays feasible well past
-the budget.
+from join closure otherwise, within the lattice budget. The checkers take
+them up to conjugacy through ``conjugacy_orbits``; a subgroup is maximal
+when its only minimal overgroup is the group. The full lattice (maximality
+edges and conjugacy classes, ``all_subgroups``) serves only the ``lattice``
+command and its cache. Chain predicates never need the budget: everything
+above a fixed subgroup H, including the maximal subgroups of K that contain
+H, comes from minimal-overgroup and interval enumeration, which stays
+feasible well past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .permgroup import (
     FiniteGroup,
@@ -149,16 +152,6 @@ class SubgroupLattice:
     edges: tuple[tuple[int, int], ...]  # (i, j): node i is maximal in node j
     conjugacy_classes: tuple[tuple[int, ...], ...]
 
-    def node_index(self, members: frozenset[int]) -> int:
-        return self._by_members()[members]
-
-    def _by_members(self) -> dict[frozenset[int], int]:
-        return memo(self.parent, "lattice_index", self.top, _index_of_nodes, self.nodes)
-
-
-def _index_of_nodes(nodes: tuple[SubgroupRef, ...]) -> dict[frozenset[int], int]:
-    return {ref.members: i for i, ref in enumerate(nodes)}
-
 
 def all_subgroups(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
     sub = _as_subgroup(G)
@@ -175,7 +168,10 @@ def _all_subgroups(sub: SubgroupRef, lattice_budget: int) -> SubgroupLattice:
     for i, ref in enumerate(nodes):
         for over in minimal_overgroups(sub, ref, within=sub.members):
             edges.append((i, by_members[over.members]))
-    classes = _conjugacy_classes_of_sets(parent, [ref.members for ref in nodes], sub.members)
+    classes = tuple(
+        tuple(sorted(by_members[s] for s in orbit))
+        for _, orbit in conjugacy_orbits(parent, sets, sub.members)
+    )
     return SubgroupLattice(
         parent=parent,
         top=sub.members,
@@ -185,45 +181,16 @@ def _all_subgroups(sub: SubgroupRef, lattice_budget: int) -> SubgroupLattice:
     )
 
 
-def _conjugacy_classes_of_sets(
-    parent: FiniteGroup, sets: list[frozenset[int]], ambient: frozenset[int]
-) -> tuple[tuple[int, ...], ...]:
-    index = {s: i for i, s in enumerate(sets)}
-    seen = [False] * len(sets)
-    classes = []
-    gens = parent.greedy_generators(ambient)
-    for i, s in enumerate(sets):
-        if seen[i]:
-            continue
-        orbit = {i}
-        work = [s]
-        seen[i] = True
-        while work:
-            cur = work.pop()
-            for g in gens:
-                img = parent.conjugate_set(cur, g)
-                j = index.get(img)
-                if j is not None and not seen[j]:
-                    seen[j] = True
-                    orbit.add(j)
-                    work.append(img)
-        classes.append(tuple(sorted(orbit)))
-    return tuple(classes)
-
-
-def conjugacy_class_reps(lat: SubgroupLattice) -> list[SubgroupRef]:
-    """One node per conjugacy class, the canonically least one."""
-    return [lat.nodes[cls[0]] for cls in lat.conjugacy_classes]
-
-
-def orbit_reps_under(
+def conjugacy_orbits(
     parent: FiniteGroup, sets: Iterable[frozenset[int]], under: frozenset[int]
-) -> list[frozenset[int]]:
-    """Orbit representatives (canonically least) of subgroup sets under conjugation.
+) -> Iterator[tuple[frozenset[int], set[frozenset[int]]]]:
+    """Each orbit of the subgroup sets under conjugation by ``under``, with
+    its canonically least member of ``sets``, in canonical order of those.
 
     Each generator of ``under`` becomes one conjugation map over the parent's
     elements, built once per call. Each orbit is followed in full, so sets
-    that are not closed under conjugation still lose every conjugate.
+    that are not closed under conjugation still lose every conjugate, and an
+    orbit may then hold sets that are not in ``sets``.
     """
     t = parent._table
     inv = parent._inv
@@ -232,11 +199,9 @@ def orbit_reps_under(
         for g in parent.greedy_generators(under)
     ]
     remaining = set(sets)
-    reps = []
     for s in sorted(remaining, key=lambda s: (len(s), tuple(sorted(s)))):
         if s not in remaining:
             continue
-        reps.append(s)
         orbit = {s}
         work = [s]
         while work:
@@ -247,7 +212,14 @@ def orbit_reps_under(
                     orbit.add(img)
                     work.append(img)
         remaining -= orbit
-    return reps
+        yield s, orbit
+
+
+def orbit_reps_under(
+    parent: FiniteGroup, sets: Iterable[frozenset[int]], under: frozenset[int]
+) -> list[frozenset[int]]:
+    """Orbit representatives (canonically least) of subgroup sets under conjugation."""
+    return [rep for rep, _ in conjugacy_orbits(parent, sets, under)]
 
 
 def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
@@ -356,16 +328,6 @@ def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
     return [SubgroupRef(parent, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
 
 
-def maximal_subgroups(
-    G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET
-) -> list[SubgroupRef]:
-    """Subgroups maximal in the (sub)group, read off its full lattice."""
-    sub = _as_subgroup(G)
-    lat = all_subgroups(sub, lattice_budget)
-    top_idx = lat.node_index(sub.members)
-    return [lat.nodes[i] for i, j in lat.edges if j == top_idx]
-
-
 def maximal_subgroups_containing(K: SubgroupRef, J: SubgroupRef) -> list[SubgroupRef]:
     """Maximal subgroups M of K with J <= M, in canonical order.
 
@@ -384,14 +346,3 @@ def maximal_subgroups_containing(K: SubgroupRef, J: SubgroupRef) -> list[Subgrou
             out.append(M)
     return out
 
-
-def frattini(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupRef:
-    """Frattini subgroup: intersection of all maximal subgroups."""
-    sub = _as_subgroup(G)
-    parent = sub.parent
-    if sub.order == 1:
-        return sub
-    mem = sub.members
-    for M in maximal_subgroups(sub, lattice_budget):
-        mem = mem & M.members
-    return SubgroupRef(parent, mem)

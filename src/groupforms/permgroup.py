@@ -576,26 +576,6 @@ class GroupHom:
 # classical operations
 
 
-def generate(
-    generators: Iterable[Sequence[int]],
-    degree: int,
-    max_order: int = DEFAULT_MAX_ORDER,
-    name: Optional[str] = None,
-) -> FiniteGroup:
-    """Close a generator list into a FiniteGroup (deterministic element order)."""
-    return FiniteGroup.from_generators(generators, degree, max_order=max_order, name=name)
-
-
-def subgroup_generated(G: GroupLike, seed: Iterable[int]) -> SubgroupRef:
-    sub = _as_subgroup(G)
-    parent = sub.parent
-    seed = list(seed)
-    for s in seed:
-        if s not in sub.members:
-            raise GroupError(f"seed element {s} not in the group")
-    return SubgroupRef(parent, parent.closure(seed))
-
-
 def normalizer(G: GroupLike, H: SubgroupRef) -> SubgroupRef:
     """N_G(H) = {g in G : H^g = H}."""
     amb = _as_subgroup(G)

@@ -1,9 +1,14 @@
-"""Carter/Schmidt finders, E_F classification, and the theorem checkers.
+"""Carter finder, E_F classification, and the theorem checkers.
 
 Every checker computes both sides of its statement independently; a verdict
 is a genuine verification, never a derivation. Checkers whose statement
 carries formation hypotheses (saturated, superradical, ...) gate on the
 declared flags and label the verdict empirical when a flag is missing.
+
+Subgroups are taken up to conjugacy (``subgroup_class_reps``); Carter
+subgroups take whole conjugacy orbits, and a subgroup is maximal when its
+only minimal overgroup is the group (``_is_maximal``). No checker builds a
+full subgroup lattice.
 """
 
 from __future__ import annotations
@@ -107,42 +112,36 @@ def subgroup_class_reps(
     return [SubgroupRef(parent, s) for s in reps]
 
 
-def carter_subgroups(G: GroupLike) -> list[SubgroupRef]:
-    """All nilpotent self-normalizing subgroups (may be empty)."""
+def carter_subgroups(
+    G: GroupLike, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
+) -> list[SubgroupRef]:
+    """All nilpotent self-normalizing subgroups (may be empty): every member
+    of each conjugacy class whose least member is one."""
     sub = _as_subgroup(G)
     parent = sub.parent
-    lat = _lattice.all_subgroups(sub)
+    sets = _lattice.subgroup_sets(sub, lattice_budget)
     out: list[SubgroupRef] = []
-    for cls in lat.conjugacy_classes:
-        rep = lat.nodes[cls[0]]
-        if is_nilpotent(rep) and is_self_normalizing(sub, rep):
-            out.extend(lat.nodes[i] for i in cls)
+    for rep, orbit in _lattice.conjugacy_orbits(parent, sets, sub.members):
+        H = SubgroupRef(parent, rep)
+        if is_nilpotent(H) and is_self_normalizing(sub, H):
+            out.extend(SubgroupRef(parent, s) for s in orbit)
     return sorted(out, key=lambda r: r.sort_key)
 
 
-def is_minimal_non_f(G: GroupLike, F: Formation) -> bool:
-    """G outside F with every proper subgroup inside F."""
-    sub = _as_subgroup(G)
-    if F.contains(sub):
-        return False
-    lat = _lattice.all_subgroups(sub)
-    if F.subgroup_closed:
-        candidates = [M for M in _lattice.maximal_subgroups(sub)]
-    else:
-        candidates = [ref for ref in _lattice.conjugacy_class_reps(lat) if ref.order < sub.order]
-    return all(F.contains(M) for M in candidates)
+def _is_maximal(sub: SubgroupRef, M: SubgroupRef) -> bool:
+    """M is maximal in sub: sub is M's only minimal overgroup inside sub."""
+    overs = _lattice.minimal_overgroups(sub, M, within=sub.members)
+    return [o.members for o in overs] == [sub.members]
 
 
-def is_schmidt(G: GroupLike) -> bool:
-    return is_minimal_non_f(G, NILPOTENT)
-
-
-def is_ef_group(G: GroupLike, F: Formation) -> bool:
+def is_ef_group(
+    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
+) -> bool:
     """G outside F whose every non-trivial subgroup is F-subnormal or F-abnormal."""
     sub = _as_subgroup(G)
     if F.contains(sub):
         return False
-    for H in subgroup_class_reps(sub):
+    for H in subgroup_class_reps(sub, lattice_budget):
         if H.order == 1:
             continue
         if is_f_subnormal(sub, H, F) or is_f_abnormal(sub, H, F):
@@ -393,8 +392,7 @@ def check_theorem2(
                     continue
                 if not is_self_normalizing(sub, P):
                     continue
-                overs = _lattice.minimal_overgroups(sub, P, within=sub.members)
-                if [o.members for o in overs] != [sub.members]:
+                if not _is_maximal(sub, P):
                     continue
                 right = True
                 reason = None
@@ -411,7 +409,9 @@ def check_theorem2(
     return verdict
 
 
-def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
+def check_corollary1(
+    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
+) -> TheoremVerdict:
     """Order-divisibility split under Theorem 1 statement (1): proper A is
     abnormal when |Carter| divides |A|, else F-subnormal and in F."""
     sub = _as_subgroup(G)
@@ -432,7 +432,7 @@ def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
             "corollary1", _label(sub), sub.order, F.name, False,
             "hypothesis violated: Theorem 1 statement (1) fails",
         )
-    carters = carter_subgroups(sub)
+    carters = carter_subgroups(sub, lattice_budget)
     if not carters:
         return TheoremVerdict(
             "corollary1", _label(sub), sub.order, F.name, False,
@@ -443,7 +443,7 @@ def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
     verdict.details["carter_order"] = k
     divides_ok = True
     other_ok = True
-    for A in subgroup_class_reps(sub):
+    for A in subgroup_class_reps(sub, lattice_budget):
         if A.order == sub.order:
             continue
         if A.order % k == 0:
@@ -463,7 +463,9 @@ def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
     return verdict
 
 
-def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
+def check_corollary2(
+    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
+) -> TheoremVerdict:
     """Three-way equivalence: primary cyclics F-subnormal-or-F-abnormal,
     the E_F property, and the split shape with G' the F-residual."""
     sub = _as_subgroup(G)
@@ -485,7 +487,7 @@ def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
             verdict.witnesses.append({"statement": "C1", "subgroup": reports.subgroup_witness(C)})
             break
     verdict.statements["C1_primary_cyclic_sn_or_abn"] = c1
-    verdict.statements["C2_ef_group"] = is_ef_group(sub, F)
+    verdict.statements["C2_ef_group"] = is_ef_group(sub, F, lattice_budget)
 
     d = derived_subgroup(sub)
     f_res = residual(F, sub)
@@ -506,13 +508,15 @@ def _violation(lemma: str, group: str, detail: dict) -> dict:
     return out
 
 
-def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
+def check_lemma1(
+    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
+) -> list[dict]:
     """Properties (1)-(6) of F-subnormal subgroups."""
     sub = _as_subgroup(G)
     parent = sub.parent
     label = _label(sub)
     violations: list[dict] = []
-    reps = subgroup_class_reps(sub)
+    reps = subgroup_class_reps(sub, lattice_budget)
     fsn_reps = [H for H in reps if is_f_subnormal(sub, H, F)]
     normals = _lattice.normal_subgroups(sub)
 
@@ -520,7 +524,7 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
     for H in fsn_reps:
         if H.order == sub.order:
             continue
-        for K in subgroup_class_reps(H):
+        for K in subgroup_class_reps(H, lattice_budget):
             if is_f_subnormal(H, K, F) and not is_f_subnormal(sub, K, F):
                 violations.append(
                     _violation("1.1", label, {"H": H.order, "K": K.order})
@@ -532,7 +536,7 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
         if N.order == 1 or N.order == sub.order:
             continue
         hom = quotient(sub, N)
-        for Kbar in subgroup_class_reps(hom.image):
+        for Kbar in subgroup_class_reps(hom.image, lattice_budget):
             if is_f_subnormal(hom.image, Kbar, F):
                 K = hom.preimage_subgroup(Kbar)
                 if not is_f_subnormal(sub, K, F):
@@ -556,7 +560,7 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
             if not is_f_subnormal(sub, L, F):
                 violations.append(_violation("1.4", label, {"L": L.order}))
         # (5) intersections into arbitrary subgroups
-        all_sets = _lattice.subgroup_sets(sub)
+        all_sets = _lattice.subgroup_sets(sub, lattice_budget)
         for H in fsn_reps:
             norm_h = normalizer(sub, H).members
             for K_set in _lattice.orbit_reps_under(parent, all_sets, norm_h):
@@ -570,7 +574,7 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
         for H in fsn_reps:
             if not F.contains(H):
                 continue
-            for K in subgroup_class_reps(H):
+            for K in subgroup_class_reps(H, lattice_budget):
                 if not is_f_subnormal(sub, K, F):
                     violations.append(
                         _violation("1.6", label, {"H": H.order, "K": K.order})
@@ -578,7 +582,9 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
     return violations
 
 
-def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
+def check_lemma2(
+    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
+) -> list[dict]:
     """F-abnormal subgroups: upward closure, self-normalization, abnormality."""
     sub = _as_subgroup(G)
     parent = sub.parent
@@ -587,7 +593,7 @@ def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
         return []
     violations = []
     soluble = is_soluble(sub)
-    for A in subgroup_class_reps(sub):
+    for A in subgroup_class_reps(sub, lattice_budget):
         if not is_f_abnormal(sub, A, F):
             continue
         over_sets = [r.members for r in _lattice.interval(sub, A)]
@@ -603,7 +609,7 @@ def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
     return violations
 
 
-def check_lemma3(G: GroupLike) -> list[dict]:
+def check_lemma3(G: GroupLike, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET) -> list[dict]:
     """Abnormal subgroups: Sylow normalizers, upward closure, quotients."""
     sub = _as_subgroup(G)
     parent = sub.parent
@@ -616,7 +622,7 @@ def check_lemma3(G: GroupLike) -> list[dict]:
     normals = _lattice.normal_subgroups(sub)
     from .permgroup import quotient
 
-    for A in subgroup_class_reps(sub):
+    for A in subgroup_class_reps(sub, lattice_budget):
         if not is_abnormal(sub, A):
             continue
         if not is_self_normalizing(sub, A):
@@ -638,7 +644,9 @@ def check_lemma3(G: GroupLike) -> list[dict]:
     return violations
 
 
-def check_lemma4(G: GroupLike, F: Formation) -> Optional[list[dict]]:
+def check_lemma4(
+    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
+) -> Optional[list[dict]]:
     """All maximal subgroups F-subnormal forces membership; None = gated out."""
     sub = _as_subgroup(G)
     label = _label(sub)
@@ -646,18 +654,9 @@ def check_lemma4(G: GroupLike, F: Formation) -> Optional[list[dict]]:
         return None
     if sub.order == 1:
         return []
-    lat = _lattice.all_subgroups(sub)
-    top = lat.node_index(sub.members)
-    maximal_class_reps = []
-    seen = set()
-    for i, j in lat.edges:
-        if j != top or i in seen:
-            continue
-        for cls in lat.conjugacy_classes:
-            if i in cls:
-                seen.update(cls)
-                maximal_class_reps.append(lat.nodes[cls[0]])
-                break
+    maximal_class_reps = [
+        M for M in subgroup_class_reps(sub, lattice_budget) if _is_maximal(sub, M)
+    ]
     if all(is_f_subnormal(sub, M, F) for M in maximal_class_reps):
         if not F.contains(sub):
             return [_violation("4", label, {"maximals": len(maximal_class_reps)})]
@@ -696,13 +695,14 @@ def check_lemma6(G: GroupLike, F: Formation) -> Optional[list[dict]]:
     return []
 
 
+# looked up at call time, so a rebound module attribute is the one called
 _LEMMA_RUNNERS = {
-    "1": lambda G, F: check_lemma1(G, F),
-    "2": lambda G, F: check_lemma2(G, F),
-    "3": lambda G, F: check_lemma3(G),
-    "4": lambda G, F: check_lemma4(G, F),
-    "5": lambda G, F: check_lemma5(G, F),
-    "6": lambda G, F: check_lemma6(G, F),
+    "1": lambda G, F, budget: check_lemma1(G, F, budget),
+    "2": lambda G, F, budget: check_lemma2(G, F, budget),
+    "3": lambda G, F, budget: check_lemma3(G, budget),
+    "4": lambda G, F, budget: check_lemma4(G, F, budget),
+    "5": lambda G, F, budget: check_lemma5(G, F),
+    "6": lambda G, F, budget: check_lemma6(G, F),
 }
 
 
@@ -710,12 +710,13 @@ def check_lemma_suite(
     groups: Iterable[FiniteGroup],
     F: Formation,
     lemmas: Sequence[str] = ("1", "2", "3", "4", "5", "6"),
+    lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET,
 ) -> reports.VerdictReport:
     report = reports.VerdictReport(kind="lemma-suite", formation=F.name)
     for G in groups:
         label = G.name or f"order{G.order}"
         for lemma in lemmas:
-            result = _LEMMA_RUNNERS[lemma](G, F)
+            result = _LEMMA_RUNNERS[lemma](G, F, lattice_budget)
             if result is None:
                 report.add(
                     f"lemma{lemma}",

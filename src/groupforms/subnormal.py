@@ -100,7 +100,7 @@ def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[
 
 def _fsn(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
     """Whether H is F-subnormal in K (H <= K), cached per (K, H, F)."""
-    return memo(K.parent, "fsn", (K.members, H.members, F.name), _fsn_search, K, H, F)
+    return memo(K.parent, "fsn", (K.members, H.members, F), _fsn_search, K, H, F)
 
 
 def _fsn_search(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
@@ -129,7 +129,7 @@ def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     _check_contained(amb, H)
     if H.members == amb.members:
         return True  # vacuous quantification
-    return memo(amb.parent, "fabn", (amb.members, H.members, F.name), _f_abnormal, amb, H, F)
+    return memo(amb.parent, "fabn", (amb.members, H.members, F), _f_abnormal, amb, H, F)
 
 
 def _f_abnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
@@ -145,7 +145,7 @@ def is_absolutely_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> boo
     amb = _as_subgroup(G)
     _check_contained(amb, H)
     return memo(
-        amb.parent, "abs_fsn", (amb.members, H.members, F.name), _absolutely_f_subnormal, amb, H, F
+        amb.parent, "abs_fsn", (amb.members, H.members, F), _absolutely_f_subnormal, amb, H, F
     )
 
 

@@ -2,10 +2,29 @@
 
 from __future__ import annotations
 
+from typing import Iterable, Optional, Sequence
+
 from groupforms import lattice as lat
-from groupforms.formations import SUPERSOLUBLE, Formation, quotient_in, residual
+from groupforms import reports
+from groupforms.formations import (
+    NILPOTENT,
+    SUPERSOLUBLE,
+    Formation,
+    FormationVerificationError,
+    _image_in,
+    quotient_in,
+    residual,
+)
+from groupforms.lattice import (
+    DEFAULT_LATTICE_BUDGET,
+    LatticeBudgetError,
+    SubgroupLattice,
+    all_subgroups,
+)
 from groupforms.permgroup import (
+    DEFAULT_MAX_ORDER,
     FiniteGroup,
+    GroupError,
     GroupLike,
     SubgroupRef,
     _as_subgroup,
@@ -159,7 +178,7 @@ def is_supersoluble(G: GroupLike) -> bool:
     sub = _as_subgroup(G)
     if sub.order == 1:
         return True
-    return all(is_prime(sub.order // M.order) for M in lat.maximal_subgroups(sub))
+    return all(is_prime(sub.order // M.order) for M in maximal_subgroups(sub))
 
 
 def subgroup_orbit(
@@ -194,3 +213,157 @@ def orbit_reps_by_subgroup_orbit(
         for img in subgroup_orbit(parent, s, under):
             remaining.discard(img)
     return reps
+
+
+# ---------------------------------------------------------------------------
+# Readers of the full lattice, generator closure, minimal-non-F recognition
+# and the formation-closure guard: code that only the tests use.
+
+
+def generate(
+    generators: Iterable[Sequence[int]],
+    degree: int,
+    max_order: int = DEFAULT_MAX_ORDER,
+    name: Optional[str] = None,
+) -> FiniteGroup:
+    """Close a generator list into a FiniteGroup (deterministic element order)."""
+    return FiniteGroup.from_generators(generators, degree, max_order=max_order, name=name)
+
+
+def subgroup_generated(G: GroupLike, seed: Iterable[int]) -> SubgroupRef:
+    sub = _as_subgroup(G)
+    parent = sub.parent
+    seed = list(seed)
+    for s in seed:
+        if s not in sub.members:
+            raise GroupError(f"seed element {s} not in the group")
+    return SubgroupRef(parent, parent.closure(seed))
+
+
+def conjugacy_class_reps(lat: SubgroupLattice) -> list[SubgroupRef]:
+    """One node per conjugacy class, the canonically least one."""
+    return [lat.nodes[cls[0]] for cls in lat.conjugacy_classes]
+
+
+def maximal_subgroups(
+    G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET
+) -> list[SubgroupRef]:
+    """Subgroups maximal in the (sub)group, read off its full lattice."""
+    sub = _as_subgroup(G)
+    lat = all_subgroups(sub, lattice_budget)
+    top_idx = next(i for i, ref in enumerate(lat.nodes) if ref.members == sub.members)
+    return [lat.nodes[i] for i, j in lat.edges if j == top_idx]
+
+
+def frattini(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupRef:
+    """Frattini subgroup: intersection of all maximal subgroups."""
+    sub = _as_subgroup(G)
+    parent = sub.parent
+    if sub.order == 1:
+        return sub
+    mem = sub.members
+    for M in maximal_subgroups(sub, lattice_budget):
+        mem = mem & M.members
+    return SubgroupRef(parent, mem)
+
+
+def is_minimal_non_f(G: GroupLike, F: Formation) -> bool:
+    """G outside F with every proper subgroup inside F."""
+    sub = _as_subgroup(G)
+    if F.contains(sub):
+        return False
+    lat = all_subgroups(sub)
+    if F.subgroup_closed:
+        candidates = [M for M in maximal_subgroups(sub)]
+    else:
+        candidates = [ref for ref in conjugacy_class_reps(lat) if ref.order < sub.order]
+    return all(F.contains(M) for M in candidates)
+
+
+def is_schmidt(G: GroupLike) -> bool:
+    return is_minimal_non_f(G, NILPOTENT)
+
+
+def verify_formation_closure(
+    F: Formation, catalog: Sequence[FiniteGroup]
+) -> reports.VerdictReport:
+    """Empirical guard for the declared closure flags over a catalog.
+
+    Checks quotient closure, residual well-definedness (intersection
+    stability), that ``quotient_in`` agrees with membership of the quotient
+    image, and subgroup closure where flagged. Violations land in the report
+    rather than raising. The closure checks test F's membership predicate on
+    the quotient image: residual containment, the closed-form route of
+    ``quotient_in``, assumes the very closure properties checked here. The
+    route check catches a closed form that is not the least residual.
+    """
+    report = reports.VerdictReport(kind="formation-closure", formation=F.name)
+    for G in catalog:
+        gname = G.name or f"order{G.order}"
+        normals = lat.normal_subgroups(G)
+        in_f = F.contains(G)
+        if in_f:
+            bad = [N for N in normals if not _image_in(F, G.as_subgroup(), N)]
+            if bad:
+                report.add(
+                    "quotient-closure",
+                    reports.FAIL,
+                    {"group": gname},
+                    [reports.subgroup_witness(N) for N in bad],
+                )
+            else:
+                report.add("quotient-closure", reports.PASS, {"group": gname})
+        qualifying = [N for N in normals if _image_in(F, G.as_subgroup(), N)]
+        in_image = {N.members for N in qualifying}
+        try:
+            wrong = [
+                N
+                for N in normals
+                if quotient_in(F, G.as_subgroup(), N) != (N.members in in_image)
+            ]
+        except FormationVerificationError as exc:
+            report.add("quotient-route", reports.FAIL, {"group": gname, "error": str(exc)})
+        else:
+            report.add(
+                "quotient-route",
+                reports.PASS if not wrong else reports.FAIL,
+                {"group": gname},
+                [reports.subgroup_witness(N) for N in wrong],
+            )
+        stable = True
+        witnesses = []
+        for i, N in enumerate(qualifying):
+            for M in qualifying[i + 1 :]:
+                meet = SubgroupRef(G, N.members & M.members)
+                if not _image_in(F, G.as_subgroup(), meet):
+                    stable = False
+                    witnesses.append(
+                        {
+                            "first": reports.subgroup_witness(N),
+                            "second": reports.subgroup_witness(M),
+                        }
+                    )
+        report.add(
+            "residual-well-defined",
+            reports.PASS if stable else reports.FAIL,
+            {"group": gname},
+            witnesses,
+        )
+        if F.subgroup_closed and in_f:
+            bad_subs = []
+            try:
+                lat_G = all_subgroups(G)
+            except LatticeBudgetError:
+                report.add("subgroup-closure", reports.SKIP, {"group": gname, "reason": "budget"})
+            else:
+                for cls in lat_G.conjugacy_classes:
+                    H = lat_G.nodes[cls[0]]
+                    if not F.contains(H):
+                        bad_subs.append(H)
+                report.add(
+                    "subgroup-closure",
+                    reports.PASS if not bad_subs else reports.FAIL,
+                    {"group": gname},
+                    [reports.subgroup_witness(H) for H in bad_subs],
+                )
+    return report

@@ -19,6 +19,7 @@ from conftest import record_criterion
 from helpers import (
     is_f_subnormal_via_quotients,
     is_f_subnormal_via_residual,
+    is_schmidt,
     residual_by_scan,
     subgroup_orbit,
     subgroup_refs,
@@ -238,7 +239,7 @@ def test_criterion_6_structural_oracles(catalog120):
             for s in lat.subgroup_sets(g)
             if len(s) < g.order
         )
-        if structure.is_schmidt(g) != brute:
+        if is_schmidt(g) != brute:
             schmidt_bad.append(g.name)
     ef_ok = (
         structure.is_ef_group(catalog.symmetric(3), NILPOTENT)

@@ -64,16 +64,56 @@ def test_analyze_honours_lattice_budget(capsys):
     assert "S2" not in details["statements"]
 
 
-@pytest.mark.parametrize("check,statement", [("theorem1", "S2"), ("theorem2", "right")])
+def test_analyze_lemmas_honour_lattice_budget(capsys):
+    code, out = run_cli(
+        capsys, "analyze", "--group", "S4", "--check", "lemmas", "--budget-lattice", "5"
+    )
+    assert code == EXIT_ERROR
+    result = json.loads(out)["checks"][0]
+    assert result["check"] == "lemmas"
+    assert result["status"] == reports.ERROR
+    assert "exceeds lattice budget 5" in result["details"]["error"]
+
+
+@pytest.mark.parametrize(
+    "check,statement",
+    [
+        ("theorem1", "S2"),
+        ("theorem2", "right"),
+        ("corollary2", "C2_ef_group"),
+        ("lemmas", "lemma4"),
+    ],
+)
 def test_analyze_lattice_budget_above_default(capsys, check, statement):
     # order 402 lies between the default budget (400) and the one passed here
     code, out = run_cli(
         capsys, "analyze", "--group", "direct(S3,C67)", "--check", check, "--budget-lattice", "500"
     )
     assert code == EXIT_OK
-    result = json.loads(out)["checks"][0]
-    assert result["status"] == reports.PASS
-    assert statement in result["details"]["statements"]
+    payload = json.loads(out)
+    if check == "lemmas":
+        result = {c["check"]: c for c in payload["reports"][0]["checks"]}[statement]
+        assert result["status"] == reports.PASS
+    else:
+        result = payload["checks"][0]
+        assert result["status"] == reports.PASS
+        assert statement in result["details"]["statements"]
+
+
+@pytest.mark.parametrize("formation", ["N", "U"])
+def test_checkers_never_build_a_full_lattice(monkeypatch, capsys, formation):
+    # the full lattice serves only the lattice command and its cache
+    from groupforms import lattice
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checker built a full subgroup lattice")
+
+    monkeypatch.setattr(lattice, "all_subgroups", refuse)
+    code, out = run_cli(
+        capsys, "analyze", "--group", "S4", "--formation", formation, "--check", "all"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"]["error"] == 0
 
 
 def test_analyze_example864_with_lattice_budget_1000(capsys):
@@ -155,6 +195,16 @@ def test_lattice_cache_flow(tmp_path, capsys):
     code2, out2 = run_cli(capsys, "lattice", "--group", "S4", "--cache", str(cache))
     assert json.loads(out2)["source"] == "cache"
     assert json.loads(out2)["subgroups"] == 30
+
+
+def test_lattice_rejects_options_it_cannot_honour(tmp_path):
+    # the lattice command writes no report and checks no formation
+    for extra in (["--report", str(tmp_path / "x.json")], ["--formation", "A"],
+                  ["--budget-time", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "--group", "S4", *extra])
+        assert exc.value.code == 2  # argparse usage error
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_lattice_budget_exceeded(capsys):

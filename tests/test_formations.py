@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from helpers import is_supersoluble, residual_by_scan, subgroup_refs
+from helpers import (
+    is_supersoluble,
+    maximal_subgroups,
+    residual_by_scan,
+    subgroup_refs,
+    verify_formation_closure,
+)
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -18,7 +24,6 @@ from groupforms.formations import (
     formation_by_name,
     quotient_in,
     residual,
-    verify_formation_closure,
 )
 from groupforms.permgroup import (
     GroupError,
@@ -279,6 +284,26 @@ def test_verify_formation_closure_flags_too_large_closed_form(small_groups):
     assert failed == {"quotient-route"}
 
 
+def test_formations_sharing_a_name_do_not_share_verdicts():
+    # cached verdicts are keyed by the formation object, not by its name
+    from groupforms.subnormal import is_f_abnormal, is_f_subnormal
+
+    s3 = catalog.symmetric(3)
+    c2 = next(SubgroupRef(s3, s) for s in lat.subgroup_sets(s3) if len(s) == 2)
+    trivial = SubgroupRef(s3, frozenset((s3.identity,)))
+    everything = Formation(name="A", description="x", membership=lambda s: True)
+    assert not ABELIAN.contains(s3)
+    assert not quotient_in(ABELIAN, s3.as_subgroup(), trivial)
+    assert residual(ABELIAN, s3).order == 3
+    assert not is_f_subnormal(s3, c2, ABELIAN)
+    assert is_f_abnormal(s3, c2, ABELIAN)
+    assert everything.contains(s3)
+    assert quotient_in(everything, s3.as_subgroup(), trivial)
+    assert residual(everything, s3).order == 1
+    assert is_f_subnormal(s3, c2, everything)
+    assert not is_f_abnormal(s3, c2, everything)
+
+
 def test_nilpotent_derived_flag_choices():
     assert NILPOTENT.superradical
     assert not NILPOTENT_DERIVED.superradical
@@ -293,6 +318,6 @@ def test_lemma4_gate_reason_for_abelian():
     from groupforms.subnormal import is_f_subnormal
 
     q8 = catalog.dicyclic(2)
-    maximals = lat.maximal_subgroups(q8)
+    maximals = maximal_subgroups(q8)
     assert all(is_f_subnormal(q8, M, ABELIAN) for M in maximals)
     assert not ABELIAN.contains(q8)

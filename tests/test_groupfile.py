@@ -134,7 +134,9 @@ def test_checksum_is_representation_sensitive():
 def test_cache_checksum_tells_high_degree_groups_apart(tmp_path):
     # every point of V4 and C4 below is 0 mod 256: hashing points mod 256
     # gave both the same checksum, and C4 got V4's 5-node lattice
-    from groupforms.permgroup import generate, perm_from_cycle_text
+    from helpers import generate
+
+    from groupforms.permgroup import perm_from_cycle_text
 
     def group(*cycles):
         return generate([perm_from_cycle_text(c, 1024) for c in cycles], 1024)

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from helpers import is_supersoluble, orbit_reps_by_subgroup_orbit
+from helpers import (
+    is_supersoluble,
+    maximal_subgroups,
+    orbit_reps_by_subgroup_orbit,
+    subgroup_generated,
+)
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -12,7 +17,6 @@ from groupforms.permgroup import (
     _as_subgroup,
     direct_product,
     quotient,
-    subgroup_generated,
 )
 from groupforms.lattice import LatticeBudgetError
 
@@ -84,7 +88,7 @@ def test_lattice_budget_binds_on_cached_lattice():
     with pytest.raises(LatticeBudgetError):
         lat.all_subgroups(s4, lattice_budget=5)
     with pytest.raises(LatticeBudgetError):
-        lat.maximal_subgroups(s4, lattice_budget=5)
+        maximal_subgroups(s4, lattice_budget=5)
 
 
 def test_normal_subgroups():
@@ -97,11 +101,11 @@ def test_normal_subgroups():
 
 
 def test_maximal_subgroups():
-    assert [m.order for m in lat.maximal_subgroups(catalog.cyclic(5))] == [1]
+    assert [m.order for m in maximal_subgroups(catalog.cyclic(5))] == [1]
     s3 = catalog.symmetric(3)
-    assert sorted(m.order for m in lat.maximal_subgroups(s3)) == [2, 2, 2, 3]
+    assert sorted(m.order for m in maximal_subgroups(s3)) == [2, 2, 2, 3]
     a4 = catalog.alternating(4)
-    assert sorted(m.order for m in lat.maximal_subgroups(a4)) == [3, 3, 3, 3, 4]
+    assert sorted(m.order for m in maximal_subgroups(a4)) == [3, 3, 3, 3, 4]
 
 
 def test_minimal_overgroups():
@@ -160,7 +164,7 @@ def test_edges_have_no_intermediate(catalog120):
 def test_every_nontrivial_group_has_a_maximal(small_groups):
     for g in small_groups:
         if g.order > 1:
-            assert len(lat.maximal_subgroups(g)) >= 1
+            assert len(maximal_subgroups(g)) >= 1
 
 
 def test_conjugate_nodes_have_equal_order(small_groups):
@@ -187,7 +191,7 @@ def test_maximal_subgroups_containing_matches_full_lattice(catalog120):
         if g.order > 60:
             continue
         for K in [g.as_subgroup()] + subgroup_class_reps(g):
-            oracle = lat.maximal_subgroups(K)
+            oracle = maximal_subgroups(K)
             for J in subgroup_class_reps(K):
                 want = [M for M in oracle if J.members <= M.members]
                 assert lat.maximal_subgroups_containing(K, J) == want

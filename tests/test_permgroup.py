@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import frattini, generate, subgroup_generated
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -19,7 +20,6 @@ from groupforms.permgroup import (
     derived_subgroup,
     direct_product,
     fitting,
-    generate,
     identity_perm,
     invert,
     inversion_action,
@@ -35,7 +35,6 @@ from groupforms.permgroup import (
     prime_divisors,
     quotient,
     semidirect_product,
-    subgroup_generated,
     sylow_subgroup,
 )
 
@@ -329,11 +328,11 @@ def test_fitting_s4():
 
 
 def test_frattini_c4():
-    assert lat.frattini(catalog.cyclic(4)).order == 2
+    assert frattini(catalog.cyclic(4)).order == 2
 
 
 def test_frattini_elementary_abelian_trivial():
-    assert lat.frattini(catalog.elem_abelian(3, 2)).order == 1
+    assert frattini(catalog.elem_abelian(3, 2)).order == 1
 
 
 # -- prime divisors -----------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from helpers import conjugacy_class_reps, is_minimal_non_f, is_schmidt, maximal_subgroups
 
 from groupforms import catalog, structure
 from groupforms.formations import NILPOTENT, NILPOTENT_DERIVED
@@ -28,13 +29,44 @@ def test_carter_subgroups():
     assert structure.carter_subgroups(catalog.alternating(5)) == []
 
 
+def test_carter_subgroups_match_brute_filter(catalog120):
+    # every nilpotent self-normalizing subgroup, found one subgroup at a time
+    from groupforms import lattice as lat
+    from groupforms.permgroup import SubgroupRef, is_nilpotent
+    from groupforms.subnormal import is_self_normalizing
+
+    checked = 0
+    for g in catalog120:
+        if g.order > 100:
+            continue
+        subgroups = [SubgroupRef(g, s) for s in lat.subgroup_sets(g)]
+        want = [H.members for H in subgroups if is_nilpotent(H) and is_self_normalizing(g, H)]
+        assert [C.members for C in structure.carter_subgroups(g)] == want, g.name
+        checked += 1
+    assert checked > 250
+
+
+def test_maximal_class_reps_match_full_lattice(catalog120):
+    # lemma 4's maximal class reps against the maximal subgroups read off the
+    # full lattice, filtered to class reps
+    for g in catalog120:
+        if g.order > 60:
+            continue
+        whole = g.as_subgroup()
+        reps = structure.subgroup_class_reps(g)
+        got = [M.members for M in reps if structure._is_maximal(whole, M)]
+        rep_sets = {H.members for H in reps}
+        want = [M.members for M in maximal_subgroups(g) if M.members in rep_sets]
+        assert got == want, g.name
+
+
 def test_minimal_non_f_and_schmidt():
-    assert not structure.is_minimal_non_f(catalog.cyclic(6), NILPOTENT)
-    assert structure.is_schmidt(catalog.symmetric(3))
-    assert structure.is_schmidt(catalog.alternating(4))
-    assert not structure.is_schmidt(catalog.symmetric(4))
-    assert structure.is_schmidt(catalog.schmidt_2_4_5())
-    assert structure.is_schmidt(catalog.schmidt_5_5_3())
+    assert not is_minimal_non_f(catalog.cyclic(6), NILPOTENT)
+    assert is_schmidt(catalog.symmetric(3))
+    assert is_schmidt(catalog.alternating(4))
+    assert not is_schmidt(catalog.symmetric(4))
+    assert is_schmidt(catalog.schmidt_2_4_5())
+    assert is_schmidt(catalog.schmidt_5_5_3())
 
 
 def test_schmidt_shape(catalog120):
@@ -43,7 +75,7 @@ def test_schmidt_shape(catalog120):
 
     found = 0
     for g in catalog120:
-        if g.order > 100 or not structure.is_schmidt(g):
+        if g.order > 100 or not is_schmidt(g):
             continue
         found += 1
         primes = sorted(prime_divisors(g))
@@ -145,7 +177,7 @@ def test_subgroup_class_reps_match_full_lattice(catalog120):
 
     for g in catalog120:
         if g.order <= 60:
-            assert structure.subgroup_class_reps(g) == lat.conjugacy_class_reps(lat.all_subgroups(g))
+            assert structure.subgroup_class_reps(g) == conjugacy_class_reps(lat.all_subgroups(g))
 
 
 def test_prime_order_membership_builds_each_cyclic_group_once(monkeypatch):

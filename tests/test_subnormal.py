@@ -13,7 +13,7 @@ from helpers import (
 from groupforms import catalog
 from groupforms import lattice as lat
 from groupforms.formations import ABELIAN, NILPOTENT, NILPOTENT_DERIVED, SUPERSOLUBLE
-from groupforms.permgroup import SubgroupRef, subgroup_generated, sylow_subgroup
+from groupforms.permgroup import SubgroupRef, sylow_subgroup
 from groupforms.subnormal import (
     f_subnormal_witness,
     is_abnormal,
