@@ -9,6 +9,7 @@ files and lattice caches (``groupfile``), and the CLI (``cli``).
 """
 
 from .permgroup import (
+    Budgets,
     FiniteGroup,
     GroupBudgetError,
     GroupError,
@@ -49,7 +50,6 @@ from .formations import (
     NILPOTENT_DERIVED,
     SOLUBLE,
     SUPERSOLUBLE,
-    contains,
     formation_by_name,
     residual,
 )

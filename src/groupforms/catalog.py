@@ -17,7 +17,6 @@ from typing import Iterable, Optional
 
 from .groupfile import parse_group_text
 from .permgroup import (
-    DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupError,
     direct_product,
@@ -240,10 +239,10 @@ def e9_quarter_turn() -> FiniteGroup:
     return matrix_semidirect(3, 2, [[0, -1], [1, 0]], 4, "E9:C4")
 
 
-def load_example864(max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def load_example864() -> FiniteGroup:
     """The shipped order-864 worked-example group."""
     text = resources.files("groupforms.data").joinpath("g864.pgrp").read_text(encoding="utf-8")
-    return parse_group_text(text, max_order=max_order)
+    return parse_group_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ _NAME_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\s*:\s*(.*)$")
 _SHORTHAND = re.compile(r"^([CSDAQ])(\d+)$")
 
 
-def build_named(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def build_named(spec: str) -> FiniteGroup:
     """Build a group from a constructor expression.
 
     Grammar: ``cyclic:N``, ``dihedral:N``, ``dicyclic:N``, ``symmetric:N``,
@@ -264,14 +263,14 @@ def build_named(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     s = spec.strip()
     if s.startswith("direct(") and s.endswith(")"):
         a_spec, b_spec = _split_args(s[len("direct(") : -1], 2)
-        return direct_product(build_named(a_spec, max_order), build_named(b_spec, max_order))
+        return direct_product(build_named(a_spec), build_named(b_spec))
     if s.startswith("semidirect(") and s.endswith(")"):
         a_spec, b_spec, action = _split_args(s[len("semidirect(") : -1], 3)
-        A = build_named(a_spec, max_order)
-        B = build_named(b_spec, max_order)
+        A = build_named(a_spec)
+        B = build_named(b_spec)
         if action.strip() != "inversion":
             raise GroupError(f"unknown semidirect action {action!r} (only 'inversion' is named)")
-        return semidirect_product(A, B, inversion_action(A, B), max_order=max_order)
+        return semidirect_product(A, B, inversion_action(A, B))
     short = _SHORTHAND.match(s)
     if short:
         kind, num = short.group(1), int(short.group(2))
@@ -290,7 +289,7 @@ def build_named(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if s == "sl23":
         return special_linear_2_3()
     if s == "example864":
-        return load_example864(max_order)
+        return load_example864()
     m = _NAME_RE.match(s)
     if not m:
         raise GroupError(f"unrecognized group spec {spec!r}")

@@ -6,13 +6,18 @@ requested theorem does not apply to the given group/formation).
 
 Reports are deterministic: no timestamps, sorted keys, and batch output is
 assembled in a fixed order regardless of worker parallelism.
+
+The ``--budget-*`` options form one ``permgroup.Budgets``, put in force for
+the whole run (for ``batch``, for each file): the deadline covers loading and
+checking, and each budget binds where the work happens.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
-import time
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
@@ -23,7 +28,14 @@ from . import lattice as _lattice
 from . import reports as _reports
 from . import structure as _structure
 from .formations import BUILT_IN, formation_by_name
-from .permgroup import FiniteGroup, GroupBudgetError, GroupError
+from .permgroup import (
+    Budgets,
+    FiniteGroup,
+    GroupBudgetError,
+    GroupError,
+    check_deadline,
+    current_budgets,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -33,55 +45,33 @@ EXIT_HYPOTHESIS = 3
 CHECK_NAMES = ("theorem1", "theorem2", "corollary1", "corollary2", "lemmas", "example864", "all")
 
 
-class TimeBudget:
-    def __init__(self, seconds: Optional[float]):
-        self.seconds = seconds
-        self.start = time.monotonic()
-
-    def check(self) -> None:
-        if self.seconds is not None and time.monotonic() - self.start > self.seconds:
-            raise GroupBudgetError(f"time budget of {self.seconds}s exceeded")
+def _budgets(args: argparse.Namespace) -> Budgets:
+    return Budgets(args.budget_max_order, args.budget_lattice, args.budget_time)
 
 
-def _load_group(spec: str, max_order: int) -> FiniteGroup:
+def _load_group(spec: str) -> FiniteGroup:
     path = Path(spec)
     if path.exists():
-        return _groupfile.parse_group_file(path, max_order=max_order)
-    return _catalog.build_named(spec, max_order=max_order)
+        return _groupfile.parse_group_file(path)
+    return _catalog.build_named(spec)
 
 
-def _run_checks(
-    group: FiniteGroup,
-    formation_name: str,
-    checks: list[str],
-    budgets: dict,
-) -> _reports.VerdictReport:
+def _run_checks(group: FiniteGroup, formation_name: str, checks: list[str]) -> _reports.VerdictReport:
     F = formation_by_name(formation_name)
-    budget = TimeBudget(budgets.get("time"))
-    lattice_budget = budgets["lattice"]
     report = _reports.VerdictReport(
         kind="analyze",
         subject=_reports.group_descriptor(group),
         formation=F.name,
-        budgets=budgets,
+        budgets=dataclasses.asdict(current_budgets()),
     )
     for check in checks:
-        budget.check()
         try:
-            if check == "theorem1":
-                verdict = _structure.check_theorem1(group, F, lattice_budget=lattice_budget)
-                report.checks.append(verdict.to_check_result())
-            elif check == "theorem2":
-                verdict = _structure.check_theorem2(group, F, lattice_budget=lattice_budget)
-                report.checks.append(verdict.to_check_result())
-            elif check == "corollary1":
-                verdict = _structure.check_corollary1(group, F, lattice_budget=lattice_budget)
-                report.checks.append(verdict.to_check_result())
-            elif check == "corollary2":
-                verdict = _structure.check_corollary2(group, F, lattice_budget=lattice_budget)
+            check_deadline()
+            if check in ("theorem1", "theorem2", "corollary1", "corollary2"):
+                verdict = getattr(_structure, f"check_{check}")(group, F)
                 report.checks.append(verdict.to_check_result())
             elif check == "lemmas":
-                sub = _structure.check_lemma_suite([group], F, lattice_budget=lattice_budget)
+                sub = _structure.check_lemma_suite([group], F)
                 report.subreports.append(sub)
             elif check == "example864":
                 report.subreports.append(_structure.verify_paper_example(group))
@@ -118,21 +108,17 @@ def _emit(report: _reports.VerdictReport, out_path: Optional[str]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    budgets = {
-        "max_order": args.budget_max_order,
-        "lattice": args.budget_lattice,
-        "time": args.budget_time,
-    }
-    try:
-        group = _load_group(args.group, args.budget_max_order)
-    except (GroupError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        report = _run_checks(group, args.formation, _expand_checks(args.check), budgets)
-    except GroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with _budgets(args).in_force():
+        try:
+            group = _load_group(args.group)
+        except (GroupError, GroupBudgetError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        try:
+            report = _run_checks(group, args.formation, _expand_checks(args.check))
+        except GroupError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     _emit(report, args.report)
     return _exit_code_for(report)
 
@@ -140,9 +126,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _batch_worker(task: tuple) -> dict:
     path, formation_name, check, budgets = task
     try:
-        group = _groupfile.parse_group_file(path, max_order=budgets["max_order"])
-        report = _run_checks(group, formation_name, _expand_checks(check), budgets)
-    except (GroupError, OSError) as exc:
+        with budgets.in_force():
+            group = _groupfile.parse_group_file(path)
+            report = _run_checks(group, formation_name, _expand_checks(check))
+    except (GroupError, GroupBudgetError, OSError) as exc:
         return {"file": Path(path).name, "error": str(exc)}
     return {
         "file": Path(path).name,
@@ -153,11 +140,7 @@ def _batch_worker(task: tuple) -> dict:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    budgets = {
-        "max_order": args.budget_max_order,
-        "lattice": args.budget_lattice,
-        "time": args.budget_time,
-    }
+    budgets = _budgets(args)
     directory = Path(args.dir)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -183,15 +166,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         "tool": _reports.TOOL_NAME,
         "tool_version": _reports.TOOL_VERSION,
         "kind": "batch",
-        "budgets": budgets,
+        "budgets": dataclasses.asdict(budgets),
         "formation": args.formation,
         "check": args.check,
         "runs": ok_results,
         "errors": err_results,
         "aggregate": aggregate,
     }
-    import json
-
     text = json.dumps(out, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.report:
@@ -204,28 +185,23 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
-    try:
-        group = _load_group(args.group, args.budget_max_order)
-    except (GroupError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     cache_path = Path(args.cache) if args.cache else None
-    lat = None
-    if cache_path and cache_path.exists():
+    loaded = None
+    with _budgets(args).in_force():
         try:
-            lat = _groupfile.cache_load(cache_path, group)
-            source = "cache"
-        except _groupfile.CacheMismatchError:
-            lat = None
-    if lat is None:
-        try:
-            lat = _lattice.all_subgroups(group, lattice_budget=args.budget_lattice)
-        except GroupBudgetError as exc:
+            group = _load_group(args.group)
+            if cache_path and cache_path.exists():
+                try:
+                    loaded = _groupfile.cache_load(cache_path, group)  # seeds the memo
+                except _groupfile.CacheMismatchError:
+                    pass
+            lat = _lattice.all_subgroups(group)  # checks the budget on a cache hit too
+        except (GroupError, GroupBudgetError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        source = "computed"
-        if cache_path:
-            _groupfile.cache_save(lat, cache_path)
+    source = "cache" if lat is loaded else "computed"
+    if cache_path and lat is not loaded:
+        _groupfile.cache_save(lat, cache_path)
     summary = {
         "group": group.name,
         "order": group.order,
@@ -234,8 +210,6 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         "conjugacy_classes": len(lat.conjugacy_classes),
         "source": source,
     }
-    import json
-
     sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -249,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_size_budgets(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget-max-order", type=int, default=2000)
-        p.add_argument("--budget-lattice", type=int, default=400)
+        p.add_argument("--budget-max-order", type=int, default=Budgets.max_order)
+        p.add_argument("--budget-lattice", type=int, default=Budgets.lattice)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--formation", default="N", choices=list(BUILT_IN))
@@ -277,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument("--group", required=True)
     p_lat.add_argument("--cache", help="cache file path (load if valid, else recompute)")
     add_size_budgets(p_lat)
-    p_lat.set_defaults(func=cmd_lattice)
+    p_lat.set_defaults(func=cmd_lattice, budget_time=None)
     return parser
 
 

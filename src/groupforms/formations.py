@@ -77,10 +77,6 @@ class Formation:
         return f"<Formation {self.name}>"
 
 
-def contains(F: Formation, G: GroupLike) -> bool:
-    return F.contains(G)
-
-
 def _member_abelian(sub: SubgroupRef) -> bool:
     return is_abelian(sub)
 

@@ -48,7 +48,7 @@ def _strip_comment(raw: str) -> str:
     return raw.strip()
 
 
-def parse_group_text(text: str, max_order: int = 2000) -> FiniteGroup:
+def parse_group_text(text: str) -> FiniteGroup:
     lines = text.splitlines()
     body: list[tuple[int, str]] = []
     for i, raw in enumerate(lines, start=1):
@@ -87,7 +87,7 @@ def parse_group_text(text: str, max_order: int = 2000) -> FiniteGroup:
                 raise GroupFileError(str(exc), lineno) from None
         else:
             raise GroupFileError(f"unrecognized line {line!r}", lineno)
-    group = FiniteGroup.from_generators(generators, degree, max_order=max_order, name=name)
+    group = FiniteGroup.from_generators(generators, degree, name=name)
     if expected_order is not None and group.order != expected_order:
         raise GroupFileError(
             f"order mismatch: file declares {expected_order}, generators close to {group.order}"
@@ -95,8 +95,8 @@ def parse_group_text(text: str, max_order: int = 2000) -> FiniteGroup:
     return group
 
 
-def parse_group_file(path: Union[str, Path], max_order: int = 2000) -> FiniteGroup:
-    return parse_group_text(Path(path).read_text(encoding="utf-8"), max_order=max_order)
+def parse_group_file(path: Union[str, Path]) -> FiniteGroup:
+    return parse_group_text(Path(path).read_text(encoding="utf-8"))
 
 
 def emit_group_text(G: FiniteGroup) -> str:

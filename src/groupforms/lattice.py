@@ -2,14 +2,16 @@
 intervals, and the full lattice of the ``lattice`` command.
 
 All subgroups of a group come from cyclic extension when it is soluble and
-from join closure otherwise, within the lattice budget. The checkers take
-them up to conjugacy through ``conjugacy_orbits``; a subgroup is maximal
-when its only minimal overgroup is the group. The full lattice (maximality
-edges and conjugacy classes, ``all_subgroups``) serves only the ``lattice``
-command and its cache. Chain predicates never need the budget: everything
-above a fixed subgroup H, including the maximal subgroups of K that contain
-H, comes from minimal-overgroup and interval enumeration, which stays
-feasible well past it.
+from join closure otherwise. ``subgroup_sets`` and ``all_subgroups`` refuse
+a (sub)group above the lattice budget in force (``permgroup.Budgets``), even
+when the result is cached. The checkers take subgroups up to conjugacy
+through ``conjugacy_orbits``; a subgroup is maximal when its only minimal
+overgroup is the group. The full lattice (maximality edges and conjugacy
+classes, ``all_subgroups``) serves only the ``lattice`` command and its
+cache. Chain predicates never need the lattice budget: everything above a
+fixed subgroup H, including the maximal subgroups of K that contain H, comes
+from minimal-overgroup and interval enumeration, which stays feasible well
+past it. The enumeration loops and ``_interval`` check the deadline.
 """
 
 from __future__ import annotations
@@ -24,20 +26,20 @@ from .permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    check_deadline,
+    current_budgets,
     is_prime,
     is_prime_power,
     is_soluble,
     memo,
 )
 
-DEFAULT_LATTICE_BUDGET = 400
-
 
 class LatticeBudgetError(GroupBudgetError):
     """Full-lattice enumeration was requested beyond the configured budget."""
 
 
-def subgroup_sets(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> list[frozenset[int]]:
+def subgroup_sets(G: GroupLike) -> list[frozenset[int]]:
     """All subgroups of the (sub)group as member sets, canonically sorted.
 
     Two routes, chosen by ``is_soluble``; both return the same list. A
@@ -46,14 +48,15 @@ def subgroup_sets(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) ->
     (``_join_closure``).
     """
     sub = _as_subgroup(G)
-    _check_lattice_budget(sub, lattice_budget)
+    _check_lattice_size(sub)
     return memo(sub.parent, "sub_sets", sub.members, _subgroup_sets, sub)
 
 
-def _check_lattice_budget(sub: SubgroupRef, lattice_budget: int) -> None:
-    if sub.order > lattice_budget:
+def _check_lattice_size(sub: SubgroupRef) -> None:
+    budget = current_budgets().lattice
+    if sub.order > budget:
         raise LatticeBudgetError(
-            f"subgroup enumeration for order {sub.order} exceeds lattice budget {lattice_budget}"
+            f"subgroup enumeration for order {sub.order} exceeds lattice budget {budget}"
         )
 
 
@@ -86,6 +89,7 @@ def _cyclic_extension(sub: SubgroupRef) -> list[frozenset[int]]:
     by_order: dict[int, list[frozenset[int]]] = {1: [trivial]}
     for order in range(1, sub.order + 1):
         for U in by_order.get(order, ()):
+            check_deadline()
             u_gens = gens[U]
             covered = set(U)
             for x in candidates:
@@ -130,6 +134,7 @@ def _join_closure(sub: SubgroupRef) -> list[frozenset[int]]:
     work = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
     cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), kv[1]))
     while work:
+        check_deadline()
         current = work.pop()
         gens = parent.greedy_generators(current)
         for cyc, seed in cyclic_items:
@@ -153,15 +158,15 @@ class SubgroupLattice:
     conjugacy_classes: tuple[tuple[int, ...], ...]
 
 
-def all_subgroups(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupLattice:
+def all_subgroups(G: GroupLike) -> SubgroupLattice:
     sub = _as_subgroup(G)
-    _check_lattice_budget(sub, lattice_budget)  # a cached lattice binds too
-    return memo(sub.parent, "lattice", sub.members, _all_subgroups, sub, lattice_budget)
+    _check_lattice_size(sub)  # a cached or loaded lattice binds too
+    return memo(sub.parent, "lattice", sub.members, _all_subgroups, sub)
 
 
-def _all_subgroups(sub: SubgroupRef, lattice_budget: int) -> SubgroupLattice:
+def _all_subgroups(sub: SubgroupRef) -> SubgroupLattice:
     parent = sub.parent
-    sets = subgroup_sets(sub, lattice_budget)
+    sets = subgroup_sets(sub)
     nodes = tuple(SubgroupRef(parent, s) for s in sets)
     by_members = {ref.members: i for i, ref in enumerate(nodes)}
     edges: list[tuple[int, int]] = []
@@ -320,6 +325,7 @@ def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
     found = {H.members}
     work = [H.members]
     while work:
+        check_deadline()
         cur = work.pop()
         for over in minimal_overgroups(sub, SubgroupRef(parent, cur), within=sub.members):
             if over.members not in found:

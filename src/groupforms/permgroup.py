@@ -4,19 +4,25 @@ Elements are permutations stored as image tuples (0-based). Every group
 carries its complete, canonically ordered element list plus integer
 multiplication/inverse tables, so all later subgroup predicates are exact
 integer work. Deliberately no stabilizer chains: the target scale
-(order <= ~1000, hard cap 2000) makes full enumeration the simplest thing
+(order <= ~1000, default cap 2000) makes full enumeration the simplest thing
 that is always right.
+
+The budgets of a run (``Budgets``) are put in force once, with
+``Budgets.in_force()``, and read where the work happens: generator closure
+and the products read the order limit, subgroup enumeration reads the lattice
+limit, and the long search loops call ``check_deadline``. Outside any
+``in_force`` block the defaults apply and there is no deadline.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+import time
 from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
-
-DEFAULT_MAX_ORDER = 2000
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class GroupError(ValueError):
@@ -25,6 +31,53 @@ class GroupError(ValueError):
 
 class GroupBudgetError(RuntimeError):
     """A configured budget (max order, lattice size, time) was exceeded."""
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """The limits of one run; the field names are the report's ``budgets`` keys.
+
+    ``max_order`` bounds every group built from generators, ``lattice`` the
+    order of any (sub)group whose subgroups are all enumerated, and ``time``
+    (seconds, None for no limit) the wall time from ``in_force`` on.
+    """
+
+    max_order: int = 2000
+    lattice: int = 400
+    time: Optional[float] = None
+
+    @contextmanager
+    def in_force(self) -> Iterator[None]:
+        """Make these the budgets of the enclosed code; the deadline starts now."""
+        deadline = None if self.time is None else time.monotonic() + self.time
+        token = _IN_FORCE.set((self, deadline))
+        try:
+            yield
+        finally:
+            _IN_FORCE.reset(token)
+
+
+# (budgets, monotonic deadline or None); the budget is never part of a memo key
+_IN_FORCE: ContextVar[tuple[Budgets, Optional[float]]] = ContextVar(
+    "groupforms_budgets", default=(Budgets(), None)
+)
+
+
+def current_budgets() -> Budgets:
+    return _IN_FORCE.get()[0]
+
+
+def check_deadline() -> None:
+    """Raise ``GroupBudgetError`` once the time budget in force has run out."""
+    budgets, deadline = _IN_FORCE.get()
+    if deadline is not None and time.monotonic() >= deadline:
+        raise GroupBudgetError(f"time budget of {budgets.time}s exceeded")
+
+
+def _check_product_order(order: int) -> None:
+    limit = current_budgets().max_order
+    if order > limit:
+        raise GroupBudgetError(f"product of order {order} exceeds the max-order budget ({limit})")
 
 
 # ---------------------------------------------------------------------------
@@ -50,23 +103,6 @@ def invert(p: Sequence[int]) -> tuple[int, ...]:
 def is_permutation(p: Sequence[int]) -> bool:
     n = len(p)
     return sorted(p) == list(range(n))
-
-
-def perm_order(p: Sequence[int]) -> int:
-    n = len(p)
-    seen = [False] * n
-    result = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        result = result * length // math.gcd(result, length)
-    return result
 
 
 def cycles_of(p: Sequence[int]) -> list[tuple[int, ...]]:
@@ -357,9 +393,10 @@ class FiniteGroup:
         cls,
         generator_perms: Iterable[Sequence[int]],
         degree: int,
-        max_order: int = DEFAULT_MAX_ORDER,
         name: Optional[str] = None,
     ) -> "FiniteGroup":
+        """Close the generators; raises past the max-order budget in force."""
+        max_order = current_budgets().max_order
         gens = []
         for g in generator_perms:
             gt = tuple(g)
@@ -840,13 +877,14 @@ def _quotient(sub: SubgroupRef, N: SubgroupRef) -> GroupHom:
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
     """A x B on the disjoint union of the two point sets."""
+    _check_product_order(A.order * B.order)
     dA, dB = A.degree, B.degree
     gens = []
     for g in (A.elements[i] for i in A.generators):
         gens.append(tuple(g) + tuple(dA + x for x in range(dB)))
     for g in (B.elements[i] for i in B.generators):
         gens.append(tuple(range(dA)) + tuple(dA + x for x in g))
-    got = FiniteGroup.from_generators(gens, dA + dB, max_order=A.order * B.order, name=name)
+    got = FiniteGroup.from_generators(gens, dA + dB, name=name)
     if got.order != A.order * B.order:
         raise GroupError("direct product closure produced the wrong order")
     return got
@@ -857,7 +895,6 @@ def semidirect_product(
     B: FiniteGroup,
     action: Mapping[int, Sequence[int]],
     name: Optional[str] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> FiniteGroup:
     """A x| B realized by the right regular action on the pair set A x B.
 
@@ -865,8 +902,7 @@ def semidirect_product(
     image array over A's element indices. The map is verified to consist of
     automorphisms and to extend to a homomorphism B -> Aut(A).
     """
-    if A.order * B.order > max_order:
-        raise GroupBudgetError("semidirect product exceeds the max-order budget")
+    _check_product_order(A.order * B.order)
     gen_phi: dict[int, tuple[int, ...]] = {}
     for b_gen in B.generators:
         if b_gen not in action:
@@ -919,7 +955,7 @@ def semidirect_product(
             for b in range(nB):
                 images[pair_point(a, b)] = pair_point(a, B.mul(b, b_gen))
         gen_perms.append(tuple(images))
-    got = FiniteGroup.from_generators(gen_perms, degree, max_order=max_order, name=name)
+    got = FiniteGroup.from_generators(gen_perms, degree, name=name)
     if got.order != nA * nB:
         raise GroupError("semidirect closure produced the wrong order")
     return got

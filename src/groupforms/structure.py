@@ -27,6 +27,7 @@ from .permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    current_budgets,
     derived_subgroup,
     is_elementary_abelian,
     is_nilpotent,
@@ -101,25 +102,21 @@ def primary_subgroup_class_reps(G: GroupLike) -> list[SubgroupRef]:
     return [SubgroupRef(parent, s) for s in reps]
 
 
-def subgroup_class_reps(
-    G: GroupLike, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
-) -> list[SubgroupRef]:
+def subgroup_class_reps(G: GroupLike) -> list[SubgroupRef]:
     """One subgroup per conjugacy class, the canonically least, in canonical order."""
     sub = _as_subgroup(G)
     parent = sub.parent
-    sets = _lattice.subgroup_sets(sub, lattice_budget)
+    sets = _lattice.subgroup_sets(sub)
     reps = _lattice.orbit_reps_under(parent, sets, sub.members)
     return [SubgroupRef(parent, s) for s in reps]
 
 
-def carter_subgroups(
-    G: GroupLike, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
-) -> list[SubgroupRef]:
+def carter_subgroups(G: GroupLike) -> list[SubgroupRef]:
     """All nilpotent self-normalizing subgroups (may be empty): every member
     of each conjugacy class whose least member is one."""
     sub = _as_subgroup(G)
     parent = sub.parent
-    sets = _lattice.subgroup_sets(sub, lattice_budget)
+    sets = _lattice.subgroup_sets(sub)
     out: list[SubgroupRef] = []
     for rep, orbit in _lattice.conjugacy_orbits(parent, sets, sub.members):
         H = SubgroupRef(parent, rep)
@@ -134,14 +131,12 @@ def _is_maximal(sub: SubgroupRef, M: SubgroupRef) -> bool:
     return [o.members for o in overs] == [sub.members]
 
 
-def is_ef_group(
-    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
-) -> bool:
+def is_ef_group(G: GroupLike, F: Formation) -> bool:
     """G outside F whose every non-trivial subgroup is F-subnormal or F-abnormal."""
     sub = _as_subgroup(G)
     if F.contains(sub):
         return False
-    for H in subgroup_class_reps(sub, lattice_budget):
+    for H in subgroup_class_reps(sub):
         if H.order == 1:
             continue
         if is_f_subnormal(sub, H, F) or is_f_abnormal(sub, H, F):
@@ -195,11 +190,11 @@ def _label(G: GroupLike) -> str:
     return f"order{sub.order}"
 
 
-def _hypothesis_status(F: Formation, needed: Sequence[str]) -> tuple[bool, str]:
+def _hypothesis_status(F: Formation, needed: Sequence[str]) -> str:
     missing = [flag for flag in needed if not getattr(F, flag)]
     if not missing:
-        return True, "flags satisfied"
-    return False, "empirical only: formation not flagged " + ", ".join(sorted(missing))
+        return "flags satisfied"
+    return "empirical only: formation not flagged " + ", ".join(sorted(missing))
 
 
 def _find_cyclic_sylow_complement_witness(
@@ -245,22 +240,19 @@ def _find_cyclic_sylow_complement_witness(
     return None
 
 
-def check_theorem1(
-    G: GroupLike,
-    F: Formation,
-    include_primary_class_checks: bool = True,
-    lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET,
-) -> TheoremVerdict:
+def check_theorem1(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Equivalence of the three structure statements for primary cyclic subgroups.
 
     S1: every primary cyclic subgroup F-subnormal or self-normalizing.
     S2: every non-abnormal subgroup F-subnormal and in F.
     S3: G = G' x| <x> with <x> a self-normalizing Sylow subgroup, G' the
         nilpotent residual, and G'<x^p> in F.
+
+    S2 is skipped (``s2_skipped``) when G is above the lattice budget, and
+    the primary-subgroup details (``primary_skipped``) when a Sylow subgroup is.
     """
     sub = _as_subgroup(G)
-    parent = sub.parent
-    flags_ok, flag_text = _hypothesis_status(
+    flag_text = _hypothesis_status(
         F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
     )
     if F.contains(sub):
@@ -283,9 +275,9 @@ def check_theorem1(
             break
     verdict.statements["S1"] = s1
 
-    if sub.order <= lattice_budget:
+    if sub.order <= current_budgets().lattice:
         s2 = True
-        for H in subgroup_class_reps(sub, lattice_budget):
+        for H in subgroup_class_reps(sub):
             if is_abnormal(sub, H):
                 continue
             if not (is_f_subnormal(sub, H, F) and F.contains(H)):
@@ -308,10 +300,14 @@ def check_theorem1(
         verdict.details["s3_witness"] = witness
     verdict.details["derived_equals_nilpotent_residual"] = d.members == nil_res.members
 
-    if include_primary_class_checks:
+    try:
+        primaries = primary_subgroup_class_reps(sub)
+    except _lattice.LatticeBudgetError:
+        verdict.details["primary_skipped"] = "Sylow-subgroup enumeration exceeds the lattice budget"
+    else:
         sn_or_selfnorm = True
         sn_or_abnormal = True
-        for P in primary_subgroup_class_reps(sub):
+        for P in primaries:
             fsn = is_f_subnormal(sub, P, F)
             if sn_or_selfnorm and not (fsn or is_self_normalizing(sub, P)):
                 sn_or_selfnorm = False
@@ -330,18 +326,14 @@ def check_theorem1(
     return verdict
 
 
-def check_theorem2(
-    G: GroupLike,
-    F: Formation,
-    lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET,
-) -> TheoremVerdict:
+def check_theorem2(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Biconditional: primary cyclic subgroups absolutely F-subnormal or
     self-normalizing iff G is non-nilpotent with all proper subgroups primary
     and G = G' x| <x>, G' elementary abelian p-group, <x> a maximal Carter
     subgroup of prime order q != p."""
     sub = _as_subgroup(G)
     parent = sub.parent
-    flags_ok, flag_text = _hypothesis_status(
+    flag_text = _hypothesis_status(
         F, ("subgroup_closed", "saturated", "contains_nilpotents")
     )
     if F.contains(sub):
@@ -359,14 +351,14 @@ def check_theorem2(
             break
     verdict.statements["left"] = left
 
-    if sub.order > lattice_budget:
+    if sub.order > current_budgets().lattice:
         verdict.details["right_skipped"] = "all-subgroup quantifier exceeds the lattice budget"
         verdict.details["left_side_soluble"] = is_soluble(sub) if left else None
         return verdict
     right = not is_nilpotent(sub)
     reason = None if right else "nilpotent"
     if right:
-        for H in subgroup_class_reps(sub, lattice_budget):
+        for H in subgroup_class_reps(sub):
             if H.order < sub.order and not is_primary_order(H.order):
                 right = False
                 reason = "non-primary proper subgroup"
@@ -409,13 +401,11 @@ def check_theorem2(
     return verdict
 
 
-def check_corollary1(
-    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
-) -> TheoremVerdict:
+def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Order-divisibility split under Theorem 1 statement (1): proper A is
     abnormal when |Carter| divides |A|, else F-subnormal and in F."""
     sub = _as_subgroup(G)
-    flags_ok, flag_text = _hypothesis_status(
+    flag_text = _hypothesis_status(
         F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
     )
     if F.contains(sub) or not is_soluble(sub):
@@ -432,7 +422,7 @@ def check_corollary1(
             "corollary1", _label(sub), sub.order, F.name, False,
             "hypothesis violated: Theorem 1 statement (1) fails",
         )
-    carters = carter_subgroups(sub, lattice_budget)
+    carters = carter_subgroups(sub)
     if not carters:
         return TheoremVerdict(
             "corollary1", _label(sub), sub.order, F.name, False,
@@ -443,7 +433,7 @@ def check_corollary1(
     verdict.details["carter_order"] = k
     divides_ok = True
     other_ok = True
-    for A in subgroup_class_reps(sub, lattice_budget):
+    for A in subgroup_class_reps(sub):
         if A.order == sub.order:
             continue
         if A.order % k == 0:
@@ -463,14 +453,11 @@ def check_corollary1(
     return verdict
 
 
-def check_corollary2(
-    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
-) -> TheoremVerdict:
+def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Three-way equivalence: primary cyclics F-subnormal-or-F-abnormal,
     the E_F property, and the split shape with G' the F-residual."""
     sub = _as_subgroup(G)
-    parent = sub.parent
-    flags_ok, flag_text = _hypothesis_status(
+    flag_text = _hypothesis_status(
         F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
     )
     if F.contains(sub) or not is_soluble(sub):
@@ -487,7 +474,7 @@ def check_corollary2(
             verdict.witnesses.append({"statement": "C1", "subgroup": reports.subgroup_witness(C)})
             break
     verdict.statements["C1_primary_cyclic_sn_or_abn"] = c1
-    verdict.statements["C2_ef_group"] = is_ef_group(sub, F, lattice_budget)
+    verdict.statements["C2_ef_group"] = is_ef_group(sub, F)
 
     d = derived_subgroup(sub)
     f_res = residual(F, sub)
@@ -508,15 +495,13 @@ def _violation(lemma: str, group: str, detail: dict) -> dict:
     return out
 
 
-def check_lemma1(
-    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
-) -> list[dict]:
+def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
     """Properties (1)-(6) of F-subnormal subgroups."""
     sub = _as_subgroup(G)
     parent = sub.parent
     label = _label(sub)
     violations: list[dict] = []
-    reps = subgroup_class_reps(sub, lattice_budget)
+    reps = subgroup_class_reps(sub)
     fsn_reps = [H for H in reps if is_f_subnormal(sub, H, F)]
     normals = _lattice.normal_subgroups(sub)
 
@@ -524,7 +509,7 @@ def check_lemma1(
     for H in fsn_reps:
         if H.order == sub.order:
             continue
-        for K in subgroup_class_reps(H, lattice_budget):
+        for K in subgroup_class_reps(H):
             if is_f_subnormal(H, K, F) and not is_f_subnormal(sub, K, F):
                 violations.append(
                     _violation("1.1", label, {"H": H.order, "K": K.order})
@@ -536,7 +521,7 @@ def check_lemma1(
         if N.order == 1 or N.order == sub.order:
             continue
         hom = quotient(sub, N)
-        for Kbar in subgroup_class_reps(hom.image, lattice_budget):
+        for Kbar in subgroup_class_reps(hom.image):
             if is_f_subnormal(hom.image, Kbar, F):
                 K = hom.preimage_subgroup(Kbar)
                 if not is_f_subnormal(sub, K, F):
@@ -560,7 +545,7 @@ def check_lemma1(
             if not is_f_subnormal(sub, L, F):
                 violations.append(_violation("1.4", label, {"L": L.order}))
         # (5) intersections into arbitrary subgroups
-        all_sets = _lattice.subgroup_sets(sub, lattice_budget)
+        all_sets = _lattice.subgroup_sets(sub)
         for H in fsn_reps:
             norm_h = normalizer(sub, H).members
             for K_set in _lattice.orbit_reps_under(parent, all_sets, norm_h):
@@ -574,7 +559,7 @@ def check_lemma1(
         for H in fsn_reps:
             if not F.contains(H):
                 continue
-            for K in subgroup_class_reps(H, lattice_budget):
+            for K in subgroup_class_reps(H):
                 if not is_f_subnormal(sub, K, F):
                     violations.append(
                         _violation("1.6", label, {"H": H.order, "K": K.order})
@@ -582,9 +567,7 @@ def check_lemma1(
     return violations
 
 
-def check_lemma2(
-    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
-) -> list[dict]:
+def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
     """F-abnormal subgroups: upward closure, self-normalization, abnormality."""
     sub = _as_subgroup(G)
     parent = sub.parent
@@ -593,7 +576,7 @@ def check_lemma2(
         return []
     violations = []
     soluble = is_soluble(sub)
-    for A in subgroup_class_reps(sub, lattice_budget):
+    for A in subgroup_class_reps(sub):
         if not is_f_abnormal(sub, A, F):
             continue
         over_sets = [r.members for r in _lattice.interval(sub, A)]
@@ -609,7 +592,7 @@ def check_lemma2(
     return violations
 
 
-def check_lemma3(G: GroupLike, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET) -> list[dict]:
+def check_lemma3(G: GroupLike) -> list[dict]:
     """Abnormal subgroups: Sylow normalizers, upward closure, quotients."""
     sub = _as_subgroup(G)
     parent = sub.parent
@@ -622,7 +605,7 @@ def check_lemma3(G: GroupLike, lattice_budget: int = _lattice.DEFAULT_LATTICE_BU
     normals = _lattice.normal_subgroups(sub)
     from .permgroup import quotient
 
-    for A in subgroup_class_reps(sub, lattice_budget):
+    for A in subgroup_class_reps(sub):
         if not is_abnormal(sub, A):
             continue
         if not is_self_normalizing(sub, A):
@@ -644,9 +627,7 @@ def check_lemma3(G: GroupLike, lattice_budget: int = _lattice.DEFAULT_LATTICE_BU
     return violations
 
 
-def check_lemma4(
-    G: GroupLike, F: Formation, lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET
-) -> Optional[list[dict]]:
+def check_lemma4(G: GroupLike, F: Formation) -> Optional[list[dict]]:
     """All maximal subgroups F-subnormal forces membership; None = gated out."""
     sub = _as_subgroup(G)
     label = _label(sub)
@@ -654,9 +635,7 @@ def check_lemma4(
         return None
     if sub.order == 1:
         return []
-    maximal_class_reps = [
-        M for M in subgroup_class_reps(sub, lattice_budget) if _is_maximal(sub, M)
-    ]
+    maximal_class_reps = [M for M in subgroup_class_reps(sub) if _is_maximal(sub, M)]
     if all(is_f_subnormal(sub, M, F) for M in maximal_class_reps):
         if not F.contains(sub):
             return [_violation("4", label, {"maximals": len(maximal_class_reps)})]
@@ -697,12 +676,12 @@ def check_lemma6(G: GroupLike, F: Formation) -> Optional[list[dict]]:
 
 # looked up at call time, so a rebound module attribute is the one called
 _LEMMA_RUNNERS = {
-    "1": lambda G, F, budget: check_lemma1(G, F, budget),
-    "2": lambda G, F, budget: check_lemma2(G, F, budget),
-    "3": lambda G, F, budget: check_lemma3(G, budget),
-    "4": lambda G, F, budget: check_lemma4(G, F, budget),
-    "5": lambda G, F, budget: check_lemma5(G, F),
-    "6": lambda G, F, budget: check_lemma6(G, F),
+    "1": lambda G, F: check_lemma1(G, F),
+    "2": lambda G, F: check_lemma2(G, F),
+    "3": lambda G, F: check_lemma3(G),
+    "4": lambda G, F: check_lemma4(G, F),
+    "5": lambda G, F: check_lemma5(G, F),
+    "6": lambda G, F: check_lemma6(G, F),
 }
 
 
@@ -710,13 +689,12 @@ def check_lemma_suite(
     groups: Iterable[FiniteGroup],
     F: Formation,
     lemmas: Sequence[str] = ("1", "2", "3", "4", "5", "6"),
-    lattice_budget: int = _lattice.DEFAULT_LATTICE_BUDGET,
 ) -> reports.VerdictReport:
     report = reports.VerdictReport(kind="lemma-suite", formation=F.name)
     for G in groups:
         label = G.name or f"order{G.order}"
         for lemma in lemmas:
-            result = _LEMMA_RUNNERS[lemma](G, F, lattice_budget)
+            result = _LEMMA_RUNNERS[lemma](G, F)
             if result is None:
                 report.add(
                     f"lemma{lemma}",

@@ -26,6 +26,7 @@ from .permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    check_deadline,
     core,
     memo,
     normalizer,
@@ -104,6 +105,7 @@ def _fsn(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
 
 
 def _fsn_search(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
+    check_deadline()
     if K.members == H.members:
         return True
     return any(_fsn(M, H, F) for M in _qualifying_steps(K, H, F))

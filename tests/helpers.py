@@ -16,13 +16,11 @@ from groupforms.formations import (
     residual,
 )
 from groupforms.lattice import (
-    DEFAULT_LATTICE_BUDGET,
     LatticeBudgetError,
     SubgroupLattice,
     all_subgroups,
 )
 from groupforms.permgroup import (
-    DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupError,
     GroupLike,
@@ -223,11 +221,10 @@ def orbit_reps_by_subgroup_orbit(
 def generate(
     generators: Iterable[Sequence[int]],
     degree: int,
-    max_order: int = DEFAULT_MAX_ORDER,
     name: Optional[str] = None,
 ) -> FiniteGroup:
     """Close a generator list into a FiniteGroup (deterministic element order)."""
-    return FiniteGroup.from_generators(generators, degree, max_order=max_order, name=name)
+    return FiniteGroup.from_generators(generators, degree, name=name)
 
 
 def subgroup_generated(G: GroupLike, seed: Iterable[int]) -> SubgroupRef:
@@ -245,24 +242,22 @@ def conjugacy_class_reps(lat: SubgroupLattice) -> list[SubgroupRef]:
     return [lat.nodes[cls[0]] for cls in lat.conjugacy_classes]
 
 
-def maximal_subgroups(
-    G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET
-) -> list[SubgroupRef]:
+def maximal_subgroups(G: GroupLike) -> list[SubgroupRef]:
     """Subgroups maximal in the (sub)group, read off its full lattice."""
     sub = _as_subgroup(G)
-    lat = all_subgroups(sub, lattice_budget)
+    lat = all_subgroups(sub)
     top_idx = next(i for i, ref in enumerate(lat.nodes) if ref.members == sub.members)
     return [lat.nodes[i] for i, j in lat.edges if j == top_idx]
 
 
-def frattini(G: GroupLike, lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> SubgroupRef:
+def frattini(G: GroupLike) -> SubgroupRef:
     """Frattini subgroup: intersection of all maximal subgroups."""
     sub = _as_subgroup(G)
     parent = sub.parent
     if sub.order == 1:
         return sub
     mem = sub.members
-    for M in maximal_subgroups(sub, lattice_budget):
+    for M in maximal_subgroups(sub):
         mem = mem & M.members
     return SubgroupRef(parent, mem)
 

@@ -110,7 +110,7 @@ def test_criterion_2_theorem1_equivalence(catalog120):
         if not is_soluble(g) or is_nilpotent(g):
             continue
         count += 1
-        v = structure.check_theorem1(g, NILPOTENT, include_primary_class_checks=False)
+        v = structure.check_theorem1(g, NILPOTENT)
         assert v.hypothesis_ok, g.name
         if not v.equivalence:
             counterexamples.append((g.name, v.statements))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import time
 
 import pytest
 
@@ -62,6 +64,60 @@ def test_analyze_honours_lattice_budget(capsys):
     details = json.loads(out)["checks"][0]["details"]
     assert "s2_skipped" in details
     assert "S2" not in details["statements"]
+    # the Sylow 2-subgroup (order 8) is past the budget too
+    assert "primary_skipped" in details
+    assert "primary_sn_or_selfnormalizing" not in details
+    assert "primary_sn_or_abnormal" not in details
+
+
+@pytest.mark.parametrize("spec", ["direct(S4,S4)", "S5"])
+def test_analyze_honours_max_order_budget(capsys, spec):
+    code = main(["analyze", "--group", spec, "--check", "theorem1", "--budget-max-order", "100"])
+    assert code == EXIT_ERROR
+    assert "max-order budget (100)" in capsys.readouterr().err
+
+
+def test_batch_isolates_a_file_over_the_max_order_budget(tmp_path, capsys):
+    d = tmp_path / "sizes"
+    d.mkdir()
+    for name in ("S3", "S4"):
+        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1",
+                        "--budget-max-order", "10")
+    assert code == EXIT_ERROR
+    payload = json.loads(out)
+    assert [e["file"] for e in payload["errors"]] == ["s4.pgrp"]
+    assert [r["file"] for r in payload["runs"]] == ["s3.pgrp"]
+    assert payload["budgets"] == {"lattice": 400, "max_order": 10, "time": None}
+
+
+def test_time_budget_binds_within_a_single_check(monkeypatch, capsys):
+    # A clock that advances 1 ms per reading. Loading and the check before the
+    # first check read it a few times; the U lemma suite on this group reads
+    # it about 2,800 times, so the 0.5 s deadline passes inside the check.
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks) / 1000)
+    code, out = run_cli(
+        capsys, "analyze", "--group", "direct(S4,C2)", "--formation", "U",
+        "--check", "lemmas", "--budget-time", "0.5",
+    )
+    assert code == EXIT_ERROR
+    payload = json.loads(out)
+    assert "reports" not in payload  # no partial lemma report
+    result = payload["checks"][0]
+    assert (result["check"], result["status"]) == ("lemmas", reports.ERROR)
+    assert result["details"] == {"error": "time budget of 0.5s exceeded", "incomplete": True}
+
+
+def test_time_budget_covers_loading(capsys):
+    # building the order-864 group alone takes well over 10 ms
+    code, out = run_cli(
+        capsys, "analyze", "--group", "example864", "--check", "example864",
+        "--budget-time", "0.01",
+    )
+    assert code == EXIT_ERROR
+    result = json.loads(out)["checks"][0]
+    assert (result["check"], result["status"]) == ("example864", reports.ERROR)
 
 
 def test_analyze_lemmas_honour_lattice_budget(capsys):
@@ -195,6 +251,10 @@ def test_lattice_cache_flow(tmp_path, capsys):
     code2, out2 = run_cli(capsys, "lattice", "--group", "S4", "--cache", str(cache))
     assert json.loads(out2)["source"] == "cache"
     assert json.loads(out2)["subgroups"] == 30
+    # the lattice budget binds on a cache hit too
+    code3 = main(["lattice", "--group", "S4", "--cache", str(cache), "--budget-lattice", "5"])
+    assert code3 == EXIT_ERROR
+    assert "exceeds lattice budget 5" in capsys.readouterr().err
 
 
 def test_lattice_rejects_options_it_cannot_honour(tmp_path):

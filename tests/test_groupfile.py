@@ -69,11 +69,19 @@ def test_degree_violation():
 
 
 def test_budget_guard():
-    from groupforms.permgroup import GroupBudgetError
+    from groupforms.permgroup import Budgets, GroupBudgetError
 
     text = "pgrp v1\ndegree 7\n(1 2 3 4 5 6 7)\n(1 2)\n"
-    with pytest.raises(GroupBudgetError):
-        parse_group_text(text, max_order=100)
+    with Budgets(max_order=100).in_force(), pytest.raises(GroupBudgetError):
+        parse_group_text(text)
+
+
+@pytest.mark.parametrize("spec", ["direct(S4,C5)", "semidirect(C30,C2,inversion)", "S5"])
+def test_build_named_honours_max_order(spec):
+    from groupforms.permgroup import Budgets, GroupBudgetError
+
+    with Budgets(max_order=50).in_force(), pytest.raises(GroupBudgetError, match="max-order"):
+        catalog.build_named(spec)
 
 
 def test_emit_parse_roundtrip_idempotent():

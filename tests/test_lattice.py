@@ -12,13 +12,18 @@ from helpers import (
 
 from groupforms import catalog
 from groupforms import lattice as lat
+from groupforms.formations import NILPOTENT
 from groupforms.permgroup import (
+    Budgets,
+    GroupBudgetError,
     SubgroupRef,
     _as_subgroup,
     direct_product,
     quotient,
+    sylow_subgroup,
 )
 from groupforms.lattice import LatticeBudgetError
+from groupforms.subnormal import is_f_subnormal
 
 
 def _from_bottom(X):
@@ -78,17 +83,35 @@ def test_join_closure_matches_cyclic_extension(catalog120):
 
 
 def test_lattice_budget():
-    with pytest.raises(LatticeBudgetError):
-        lat.subgroup_sets(catalog.symmetric(3), lattice_budget=4)
+    with Budgets(lattice=4).in_force(), pytest.raises(LatticeBudgetError):
+        lat.subgroup_sets(catalog.symmetric(3))
 
 
 def test_lattice_budget_binds_on_cached_lattice():
     s4 = catalog.symmetric(4)
     assert len(lat.all_subgroups(s4).nodes) == 30
-    with pytest.raises(LatticeBudgetError):
-        lat.all_subgroups(s4, lattice_budget=5)
-    with pytest.raises(LatticeBudgetError):
-        maximal_subgroups(s4, lattice_budget=5)
+    with Budgets(lattice=5).in_force():
+        with pytest.raises(LatticeBudgetError):
+            lat.all_subgroups(s4)
+        with pytest.raises(LatticeBudgetError):
+            maximal_subgroups(s4)
+    assert len(lat.all_subgroups(s4).nodes) == 30  # the defaults are back
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda G: lat.subgroup_sets(G),
+        lambda G: lat.interval(G, sylow_subgroup(G, 3)),
+        lambda G: is_f_subnormal(G, sylow_subgroup(G, 3), NILPOTENT),
+    ],
+    ids=["subgroup_sets", "interval", "is_f_subnormal"],
+)
+def test_time_budget_binds_inside_searches(search):
+    G = catalog.symmetric(4)  # cold: nothing is cached yet
+    with Budgets(time=0).in_force(), pytest.raises(GroupBudgetError, match="time budget"):
+        search(G)
+    search(G)  # no deadline outside the block, and the abort cached nothing
 
 
 def test_normal_subgroups():

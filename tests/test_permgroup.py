@@ -10,6 +10,7 @@ from helpers import frattini, generate, subgroup_generated
 from groupforms import catalog
 from groupforms import lattice as lat
 from groupforms.permgroup import (
+    Budgets,
     FiniteGroup,
     GroupBudgetError,
     GroupError,
@@ -113,8 +114,8 @@ def test_generate_degree_mismatch():
 
 def test_generate_budget_guard():
     # S7 has order 5040, far beyond the cap
-    with pytest.raises(GroupBudgetError):
-        generate([tuple(range(1, 7)) + (0,), (1, 0, 2, 3, 4, 5, 6)], 7, max_order=100)
+    with Budgets(max_order=100).in_force(), pytest.raises(GroupBudgetError):
+        generate([tuple(range(1, 7)) + (0,), (1, 0, 2, 3, 4, 5, 6)], 7)
 
 
 # -- subgroup_generated -------------------------------------------------------

@@ -7,7 +7,8 @@ from helpers import conjugacy_class_reps, is_minimal_non_f, is_schmidt, maximal_
 
 from groupforms import catalog, structure
 from groupforms.formations import NILPOTENT, NILPOTENT_DERIVED
-from groupforms.permgroup import GroupError
+from groupforms.lattice import LatticeBudgetError
+from groupforms.permgroup import Budgets, GroupError
 
 
 def test_primary_cyclic_subgroups():
@@ -153,6 +154,12 @@ def test_lemma_suite_report_shape(small_groups):
 def test_verify_paper_example_order_gate():
     with pytest.raises(GroupError):
         structure.verify_paper_example(catalog.symmetric(4))
+
+
+def test_verify_paper_example_honours_lattice_budget(g864):
+    # the Sylow 2-subgroup (order 32) is past the budget
+    with Budgets(lattice=16).in_force(), pytest.raises(LatticeBudgetError):
+        structure.verify_paper_example(g864)
 
 
 def test_theorem1_on_example864(g864):
