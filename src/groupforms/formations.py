@@ -8,11 +8,12 @@ residual operation checks that the quotient lies in the formation and raises
 does not check that a closed form is minimal; the tests compare every closed
 form with the scan and guard against one that is too large.
 
-When F has a closed form, whether K/N lies in F is decided by residual
-containment, K^F <= N, without building the quotient group. The other
-formations (U, and any built from a bare predicate) apply the membership
-predicate to the quotient image. U membership walks a chief series of the
-group's normal subgroups, so it builds no subgroup lattice.
+``quotient_in`` decides whether K/N lies in F one way: F's membership
+predicate on the quotient image, cached per (K, N, F). The chain predicates
+test their steps by residual containment instead (``subnormal``), so only the
+residual scan, the residual postconditions and the chain witnesses build
+quotient images. U membership walks a chief series of the group's normal
+subgroups, so it builds no subgroup lattice.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ class Formation:
 
     ``closed_residual``, when given, maps a subgroup K to K^F directly; without
     it the residual is found by scanning K's normal subgroups. A closed form
-    also decides ``quotient_in`` (K/N in F iff K^F <= N), so one that returns
-    too large a subgroup changes F-subnormality verdicts; nothing in the
-    program checks that it is the least such subgroup.
+    yields only the residual, but every chain step is decided by containment
+    of that residual, so one that returns too large a subgroup changes
+    F-subnormality verdicts; nothing in the program checks that it is the
+    least such subgroup.
 
     Cached verdicts are keyed by the formation object itself (``eq=False``:
     equality and hash by identity), never by its name, so two formations
@@ -193,24 +195,12 @@ def formation_by_name(name: str) -> Formation:
 
 
 def quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
-    """Whether K/N lies in F, with the verdict cached per (K, N, F)."""
-    return memo(K.parent, "quotient_in", (K.members, N.members, F), _quotient_in, F, K, N)
-
-
-def _quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
-    """K/N in F by residual containment when F has a closed form.
-
-    K/N lies in F iff K^F <= N (the residual is the least normal subgroup
-    with quotient in F), so no quotient group is built. Without a closed form
-    F's membership predicate is applied to the quotient image.
-    """
-    if F.closed_residual is not None:
-        return residual(F, K).members <= N.members
-    return _image_in(F, K, N)
+    """Whether K/N lies in F: F's membership predicate on the quotient image,
+    with the verdict cached per (K, N, F)."""
+    return memo(K.parent, "quotient_in", (K.members, N.members, F), _image_in, F, K, N)
 
 
 def _image_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
-    """K/N in F by F's membership predicate on the quotient image."""
     return F.contains(quotient(K, N).image)
 
 
@@ -230,18 +220,15 @@ def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
     member of the family is a member by quotient closure (trusted formation
     metadata), so only the genuinely new candidates build quotients, and the
     ascending order guarantees nothing smaller qualifies. On both routes a
-    final check that G/R lies in F rejects predicates that are not
-    formation-closed and closed forms that return too small a subgroup. A
-    closed form that returns too large a subgroup passes this check; the tests
-    that compare it with the scan catch it.
-
-    The final check builds the quotient image G/R and applies F's membership
-    predicate to it, once per (G, F): ``quotient_in`` decides by residual
-    containment, which would pass here by construction.
+    final ``quotient_in`` check that G/R lies in F, on the quotient image,
+    rejects predicates that are not formation-closed and closed forms that
+    return too small a subgroup. A closed form that returns too large a
+    subgroup passes this check; the tests that compare it with the scan catch
+    it.
     """
     if F.closed_residual is not None:
         R = F.closed_residual(sub)
-        if not _image_in(F, sub, R):
+        if not quotient_in(F, sub, R):
             raise FormationVerificationError(
                 f"{F.name}: the closed-form residual does not have its quotient in the class"
             )
@@ -262,10 +249,9 @@ def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
     for P in passes:
         members = members & P.members
     R = SubgroupRef(sub.parent, members)
-    if not _image_in(F, sub, R):
+    if not quotient_in(F, sub, R):
         raise FormationVerificationError(
             f"{F.name} is not intersection-stable on this group: "
             "the intersection of qualifying kernels does not qualify"
         )
     return R
-

@@ -5,13 +5,15 @@ All subgroups of a group come from cyclic extension when it is soluble and
 from join closure otherwise. ``subgroup_sets`` and ``all_subgroups`` refuse
 a (sub)group above the lattice budget in force (``permgroup.Budgets``), even
 when the result is cached. The checkers take subgroups up to conjugacy
-through ``conjugacy_orbits``; a subgroup is maximal when its only minimal
-overgroup is the group. The full lattice (maximality edges and conjugacy
-classes, ``all_subgroups``) serves only the ``lattice`` command and its
-cache. Chain predicates never need the lattice budget: everything above a
-fixed subgroup H, including the maximal subgroups of K that contain H, comes
-from minimal-overgroup and interval enumeration, which stays feasible well
-past it. The enumeration loops and ``_interval`` check the deadline.
+through ``conjugacy_orbits``. There is one maximality test, ``is_maximal``:
+M is maximal in K when K is its only minimal overgroup inside K. It serves
+the chain search and the checkers. The full lattice (maximality edges and
+conjugacy classes, ``all_subgroups``) serves only the ``lattice`` command
+and its cache. Chain predicates never need the lattice budget: everything
+above a fixed subgroup H, including the maximal subgroups of K that contain
+H, comes from minimal-overgroup and interval enumeration, which stays
+feasible well past it. The enumeration loops and ``_interval`` check the
+deadline.
 """
 
 from __future__ import annotations
@@ -235,26 +237,23 @@ def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
 
 def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
     parent = sub.parent
-    if sub.is_whole():
-        classes = parent.conjugacy_classes()
-    else:
-        grp_gens = parent.greedy_generators(sub.members)
-        seen = set()
-        classes = []
-        for x in sub.sorted_members:
-            if x in seen:
-                continue
-            orbit = {x}
-            work = [x]
-            while work:
-                y = work.pop()
-                for g in grp_gens:
-                    z = parent.conj(y, g)
-                    if z not in orbit:
-                        orbit.add(z)
-                        work.append(z)
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
+    grp_gens = parent.greedy_generators(sub.members)
+    seen = set()
+    classes = []
+    for x in sub.sorted_members:
+        if x in seen:
+            continue
+        orbit = {x}
+        work = [x]
+        while work:
+            y = work.pop()
+            for g in grp_gens:
+                z = parent.conj(y, g)
+                if z not in orbit:
+                    orbit.add(z)
+                    work.append(z)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
     trivial = frozenset((parent.identity,))
     found = {trivial}
     work = [trivial]
@@ -334,21 +333,18 @@ def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
     return [SubgroupRef(parent, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
 
 
+def is_maximal(K: SubgroupRef, M: SubgroupRef) -> bool:
+    """M is maximal in K: K is M's only minimal overgroup inside K."""
+    overs = minimal_overgroups(K, M, within=K.members)
+    return [o.members for o in overs] == [K.members]
+
+
 def maximal_subgroups_containing(K: SubgroupRef, J: SubgroupRef) -> list[SubgroupRef]:
     """Maximal subgroups M of K with J <= M, in canonical order.
 
-    These are the maximal elements below K of the interval [J, K].
+    ``_interval`` already holds every minimal overgroup inside K of each
+    member of [J, K], so each ``is_maximal`` test is a cache hit.
     """
     if not J.members <= K.members:
         return []
-    nodes = interval(K, J)
-    out = []
-    for M in nodes:
-        if M.members == K.members:
-            continue
-        if not any(
-            M.members < other.members and other.members < K.members for other in nodes
-        ):
-            out.append(M)
-    return out
-
+    return [M for M in interval(K, J) if is_maximal(K, M)]

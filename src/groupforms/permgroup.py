@@ -174,6 +174,8 @@ def perm_from_cycle_text(text: str, degree: int) -> tuple[int, ...]:
         elif ch in " ,\t":
             flush_token()
         elif ch.isdigit():
+            if not depth_open:
+                raise GroupError(f"point outside a cycle in cycle notation: {text!r}")
             token += ch
         else:
             raise GroupError(f"unexpected character {ch!r} in cycle notation: {text!r}")
@@ -366,10 +368,6 @@ class FiniteGroup:
         gi = self._inv[g]
         return frozenset(t[t[gi][x]][g] for x in members)
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        """Element conjugacy classes, each sorted, ordered by minimum element."""
-        return memo(self, "conj_classes", None, _conjugacy_classes, self)
-
     def subgroup(self, members: Iterable[int], _trusted: bool = False) -> "SubgroupRef":
         ms = frozenset(members)
         if not _trusted:
@@ -493,29 +491,6 @@ def _greedy_generators(G: FiniteGroup, members: frozenset[int]) -> tuple[int, ..
 
 def _self_subgroup(G: FiniteGroup) -> "SubgroupRef":
     return SubgroupRef(G, G.whole())
-
-
-def _conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
-    gens = G.generators
-    seen = [False] * G.order
-    classes = []
-    for i in range(G.order):
-        if seen[i]:
-            continue
-        orbit = {i}
-        work = [i]
-        seen[i] = True
-        while work:
-            x = work.pop()
-            for g in gens:
-                y = G.conj(x, g)
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.add(y)
-                    work.append(y)
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: c[0])
-    return classes
 
 
 class SubgroupRef:

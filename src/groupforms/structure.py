@@ -7,8 +7,8 @@ declared flags and label the verdict empirical when a flag is missing.
 
 Subgroups are taken up to conjugacy (``subgroup_class_reps``); Carter
 subgroups take whole conjugacy orbits, and a subgroup is maximal when its
-only minimal overgroup is the group (``_is_maximal``). No checker builds a
-full subgroup lattice.
+only minimal overgroup is the group (``lattice.is_maximal``). No checker
+builds a full subgroup lattice.
 """
 
 from __future__ import annotations
@@ -123,12 +123,6 @@ def carter_subgroups(G: GroupLike) -> list[SubgroupRef]:
         if is_nilpotent(H) and is_self_normalizing(sub, H):
             out.extend(SubgroupRef(parent, s) for s in orbit)
     return sorted(out, key=lambda r: r.sort_key)
-
-
-def _is_maximal(sub: SubgroupRef, M: SubgroupRef) -> bool:
-    """M is maximal in sub: sub is M's only minimal overgroup inside sub."""
-    overs = _lattice.minimal_overgroups(sub, M, within=sub.members)
-    return [o.members for o in overs] == [sub.members]
 
 
 def is_ef_group(G: GroupLike, F: Formation) -> bool:
@@ -384,7 +378,7 @@ def check_theorem2(G: GroupLike, F: Formation) -> TheoremVerdict:
                     continue
                 if not is_self_normalizing(sub, P):
                     continue
-                if not _is_maximal(sub, P):
+                if not _lattice.is_maximal(sub, P):
                     continue
                 right = True
                 reason = None
@@ -635,7 +629,7 @@ def check_lemma4(G: GroupLike, F: Formation) -> Optional[list[dict]]:
         return None
     if sub.order == 1:
         return []
-    maximal_class_reps = [M for M in subgroup_class_reps(sub) if _is_maximal(sub, M)]
+    maximal_class_reps = [M for M in subgroup_class_reps(sub) if _lattice.is_maximal(sub, M)]
     if all(is_f_subnormal(sub, M, F) for M in maximal_class_reps):
         if not F.contains(sub):
             return [_violation("4", label, {"maximals": len(maximal_class_reps)})]

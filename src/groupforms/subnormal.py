@@ -3,21 +3,23 @@ F-subnormal, abnormal, self-normalizing.
 
 A subgroup H is F-subnormal in G when some chain of maximal-subgroup steps
 H = H_0 < H_1 < ... < H_n = G has every step quotient H_i / core(H_{i-1})
-inside F. The search walks this chain graph top-down: any qualifying step
-below K must contain <H, K^F> (for a formation the step condition is
-equivalent to containing K's F-residual), which keeps the search inside
+inside F. For a formation that step condition holds iff H_i^F <= H_{i-1}
+(the residual is normal in H_i), and every step of both chain predicates is
+decided in that form. The search walks the chain graph top-down: any
+qualifying step below K must contain <H, K^F>, which keeps the search inside
 F-quotient-sized intervals even at order 864. It memoises one boolean
 verdict per (K, H, F); ``f_subnormal_witness`` reads the depth-first chain
-back off those verdicts. The independent routes it is checked against
-(bottom-up breadth-first searches with the residual-containment step form and
-with membership of the built step quotient, and classical subnormality) are
-test oracles in ``tests/helpers.py``.
+back off those verdicts and certifies each step on its quotient image. The
+independent routes it is checked against (bottom-up breadth-first searches
+with the residual-containment step form and with membership of the built
+step quotient, and classical subnormality) are test oracles in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import lattice as _lattice
 from .formations import Formation, quotient_in, residual
@@ -57,12 +59,6 @@ def _check_contained(amb: SubgroupRef, H: SubgroupRef) -> None:
         raise GroupError("H is not a subgroup of the ambient group")
 
 
-def _edge_in_formation(F: Formation, lower: SubgroupRef, upper: SubgroupRef) -> bool:
-    """Step condition, quotient-membership form: upper / core_upper(lower) in F."""
-    c = core(upper, lower)
-    return quotient_in(F, upper, c)
-
-
 def is_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     amb = _as_subgroup(G)
     _check_contained(amb, H)
@@ -74,6 +70,7 @@ def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[
 
     Walking down from the ambient group, each step takes the first qualifying
     maximal subgroup whose cached verdict is True: the depth-first choice.
+    Each step is then certified on its quotient image, apart from the search.
     """
     if not is_f_subnormal(G, H, F):
         return None
@@ -111,22 +108,22 @@ def _fsn_search(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
     return any(_fsn(M, H, F) for M in _qualifying_steps(K, H, F))
 
 
-def _qualifying_steps(K: SubgroupRef, H: SubgroupRef, F: Formation) -> Iterator[SubgroupRef]:
-    """Maximal M < K with H <= M and K/core_K(M) in F, lazily in canonical order.
+def _qualifying_steps(K: SubgroupRef, H: SubgroupRef, F: Formation) -> list[SubgroupRef]:
+    """Maximal M < K with H <= M and K/core_K(M) in F, in canonical order.
 
-    Each such M contains <H, K^F>; when that join is K itself there is none.
+    These are the maximal subgroups of K that contain <H, K^F>; when that
+    join is K itself there is none.
     """
     parent = K.parent
     join = parent.closure(residual(F, K).members | H.members)
     if join == K.members:
-        return
-    for M in _lattice.maximal_subgroups_containing(K, SubgroupRef(parent, join)):
-        if _edge_in_formation(F, M, K):
-            yield M
+        return []
+    return _lattice.maximal_subgroups_containing(K, SubgroupRef(parent, join))
 
 
 def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
-    """True iff every step K < L above H has quotient L/core_L(K) outside F."""
+    """True iff every step K < L above H has quotient L/core_L(K) outside F,
+    that is L^F is not contained in K."""
     amb = _as_subgroup(G)
     _check_contained(amb, H)
     if H.members == amb.members:
@@ -136,7 +133,7 @@ def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
 
 def _f_abnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
     return not any(
-        _edge_in_formation(F, K, L)
+        residual(F, L).members <= K.members
         for K in _lattice.interval(amb, H)
         for L in _lattice.minimal_overgroups(amb, K, within=amb.members)
     )

@@ -11,7 +11,6 @@ from groupforms.formations import (
     SUPERSOLUBLE,
     Formation,
     FormationVerificationError,
-    _image_in,
     quotient_in,
     residual,
 )
@@ -285,20 +284,22 @@ def verify_formation_closure(
     """Empirical guard for the declared closure flags over a catalog.
 
     Checks quotient closure, residual well-definedness (intersection
-    stability), that ``quotient_in`` agrees with membership of the quotient
-    image, and subgroup closure where flagged. Violations land in the report
-    rather than raising. The closure checks test F's membership predicate on
-    the quotient image: residual containment, the closed-form route of
-    ``quotient_in``, assumes the very closure properties checked here. The
-    route check catches a closed form that is not the least residual.
+    stability), that residual containment (the step test of the chain
+    predicates) agrees with membership of the quotient image, and subgroup
+    closure where flagged. Violations land in the report rather than raising.
+    The closure checks read ``quotient_in``, F's membership predicate on the
+    quotient image: residual containment assumes the very closure properties
+    checked here. The route check catches a closed form that is not the least
+    residual.
     """
     report = reports.VerdictReport(kind="formation-closure", formation=F.name)
     for G in catalog:
         gname = G.name or f"order{G.order}"
+        whole = G.as_subgroup()
         normals = lat.normal_subgroups(G)
         in_f = F.contains(G)
         if in_f:
-            bad = [N for N in normals if not _image_in(F, G.as_subgroup(), N)]
+            bad = [N for N in normals if not quotient_in(F, whole, N)]
             if bad:
                 report.add(
                     "quotient-closure",
@@ -308,17 +309,14 @@ def verify_formation_closure(
                 )
             else:
                 report.add("quotient-closure", reports.PASS, {"group": gname})
-        qualifying = [N for N in normals if _image_in(F, G.as_subgroup(), N)]
+        qualifying = [N for N in normals if quotient_in(F, whole, N)]
         in_image = {N.members for N in qualifying}
         try:
-            wrong = [
-                N
-                for N in normals
-                if quotient_in(F, G.as_subgroup(), N) != (N.members in in_image)
-            ]
+            R = residual(F, G)
         except FormationVerificationError as exc:
             report.add("quotient-route", reports.FAIL, {"group": gname, "error": str(exc)})
         else:
+            wrong = [N for N in normals if (R.members <= N.members) != (N.members in in_image)]
             report.add(
                 "quotient-route",
                 reports.PASS if not wrong else reports.FAIL,
@@ -330,7 +328,7 @@ def verify_formation_closure(
         for i, N in enumerate(qualifying):
             for M in qualifying[i + 1 :]:
                 meet = SubgroupRef(G, N.members & M.members)
-                if not _image_in(F, G.as_subgroup(), meet):
+                if not quotient_in(F, whole, meet):
                     stable = False
                     witnesses.append(
                         {

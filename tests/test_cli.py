@@ -297,3 +297,22 @@ def test_batch_lemmas_supersoluble_report_unchanged(tmp_path, capsys):
     assert code == EXIT_OK
     masked = out.replace(f'"tool_version": "{reports.TOOL_VERSION}"', '"tool_version": ""')
     assert hashlib.sha256(masked.encode()).hexdigest() == LEMMAS_U_BATCH_SHA256
+
+
+# sha256 and exit code of ``analyze --check all`` on direct(S4,elem_abelian:2,2),
+# recorded while chain steps were still tested through core and quotient_in
+# (tool_version masked)
+DIRECT_S4_V4_ALL = {
+    "N": (EXIT_OK, "3649e2f9da7989edc64d56bf47ae8ac87a086c147a6a1868e704ed1f09d707bf"),
+    "NA": (EXIT_VIOLATION, "e0709c1eede8d453ca6634e40b5ae6a78d8fedd376781acd589607a1cc826eee"),
+}
+
+
+@pytest.mark.parametrize("formation", sorted(DIRECT_S4_V4_ALL))
+def test_analyze_all_on_direct_s4_v4_report_unchanged(capsys, formation):
+    code, out = run_cli(
+        capsys, "analyze", "--group", "direct(S4,elem_abelian:2,2)",
+        "--formation", formation, "--check", "all",
+    )
+    masked = out.replace(f'"tool_version": "{reports.TOOL_VERSION}"', '"tool_version": ""')
+    assert (code, hashlib.sha256(masked.encode()).hexdigest()) == DIRECT_S4_V4_ALL[formation]

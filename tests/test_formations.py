@@ -163,9 +163,10 @@ ALL_BUILT_IN = (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE)
 
 
 def test_quotient_in_matches_membership_of_quotient_image(catalog120):
-    # containment decides K/N without a quotient group for A, N, NA and Sol;
-    # the membership predicate on the built image must agree, for every
-    # subgroup K and every normal N of K, catalog groups <= 32 (U included)
+    # the chain predicates decide K/N in F by residual containment, K^F <= N;
+    # quotient_in and the membership predicate on the built image must agree
+    # with it, for every subgroup K and every normal N of K, catalog groups
+    # <= 32 (U included)
     pairs = 0
     bad = []
     for g in catalog120:
@@ -176,7 +177,8 @@ def test_quotient_in_matches_membership_of_quotient_image(catalog120):
                 image = quotient(K, N).image.as_subgroup()
                 for F in ALL_BUILT_IN:
                     pairs += 1
-                    if quotient_in(F, K, N) != F.membership(image):
+                    contained = residual(F, K).members <= N.members
+                    if not (contained == quotient_in(F, K, N) == F.membership(image)):
                         bad.append((g.name, K.order, N.order, F.name))
     assert not bad, bad
     assert pairs == 58_220
@@ -223,8 +225,9 @@ def _trivial_residual(sub):
     ],
 )
 def test_closed_form_postcondition_is_raw(F, outside):
-    # quotient_in decides by containment in the closed form, so it would
-    # accept any claimed residual; the postcondition builds G/R and must refuse
+    # the chain steps decide by containment in the closed form, so they would
+    # accept any claimed residual; the postcondition builds G/R through
+    # quotient_in and must refuse
     wrong = Formation(
         name=f"{F.name}-trivial-closed-form",
         description="built-in membership, claimed residual always trivial",
@@ -271,8 +274,9 @@ def test_verify_formation_closure_flags_bogus_closed_form(small_groups):
 
 def test_verify_formation_closure_flags_too_large_closed_form(small_groups):
     # a closed form naming the whole group passes the residual postcondition
-    # (G/G is abelian) but makes quotient_in refuse every proper quotient;
-    # the route check compares quotient_in with membership of the image
+    # (G/G is abelian) but makes residual containment refuse every proper
+    # quotient; the route check compares containment with membership of the
+    # image
     whole = Formation(
         name="A-whole-closed-form",
         description="abelian groups, claimed residual always the whole group",

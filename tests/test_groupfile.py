@@ -61,6 +61,13 @@ def test_syntax_error_reports_line():
     assert err.value.line == 3
 
 
+def test_point_outside_a_cycle_reports_line():
+    # "(1 2)3(4 5)" used to parse as (1 2)(34 5) at degree 40
+    with pytest.raises(GroupFileError) as err:
+        parse_group_text("pgrp v1\ndegree 40\n(1 2 3)\n(1 2)3(4 5)\n")
+    assert err.value.line == 4
+
+
 def test_degree_violation():
     with pytest.raises(GroupFileError):
         parse_group_text("pgrp v1\ndegree 0\n")

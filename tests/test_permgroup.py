@@ -87,6 +87,10 @@ def test_cycle_parse_errors():
         perm_from_cycle_text("(1 5)", 3)
     with pytest.raises(GroupError):
         perm_from_cycle_text("(1 2)(2 3)", 3)
+    # a point outside an open cycle is an error wherever it stands
+    for text in ("3(1 2)", "(1 2)3(4 5)", "(1 2)3", "(1 2) 3 (4 5)"):
+        with pytest.raises(GroupError):
+            perm_from_cycle_text(text, 40)
 
 
 # -- generate -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from helpers import conjugacy_class_reps, is_minimal_non_f, is_schmidt, maximal_subgroups
 
 from groupforms import catalog, structure
+from groupforms import lattice as lat
 from groupforms.formations import NILPOTENT, NILPOTENT_DERIVED
 from groupforms.lattice import LatticeBudgetError
 from groupforms.permgroup import Budgets, GroupError
@@ -32,7 +33,6 @@ def test_carter_subgroups():
 
 def test_carter_subgroups_match_brute_filter(catalog120):
     # every nilpotent self-normalizing subgroup, found one subgroup at a time
-    from groupforms import lattice as lat
     from groupforms.permgroup import SubgroupRef, is_nilpotent
     from groupforms.subnormal import is_self_normalizing
 
@@ -48,14 +48,14 @@ def test_carter_subgroups_match_brute_filter(catalog120):
 
 
 def test_maximal_class_reps_match_full_lattice(catalog120):
-    # lemma 4's maximal class reps against the maximal subgroups read off the
-    # full lattice, filtered to class reps
+    # the maximality test of lemma 4, theorem 2 and the chain search against
+    # the maximal subgroups read off the full lattice, filtered to class reps
     for g in catalog120:
         if g.order > 60:
             continue
         whole = g.as_subgroup()
         reps = structure.subgroup_class_reps(g)
-        got = [M.members for M in reps if structure._is_maximal(whole, M)]
+        got = [M.members for M in reps if lat.is_maximal(whole, M)]
         rep_sets = {H.members for H in reps}
         want = [M.members for M in maximal_subgroups(g) if M.members in rep_sets]
         assert got == want, g.name
@@ -180,7 +180,6 @@ def test_theorem1_on_example864(g864):
 
 
 def test_subgroup_class_reps_match_full_lattice(catalog120):
-    from groupforms import lattice as lat
 
     for g in catalog120:
         if g.order <= 60:

@@ -119,6 +119,44 @@ def test_oracle_agreement_exhaustive_small():
                 assert is_f_abnormal(g, H, F) == oracle_f_abnormal(g, H, F)
 
 
+def test_chain_steps_need_no_core_or_quotient(monkeypatch):
+    # every step of the chain predicates is decided by residual containment:
+    # with core and quotient_in unusable in subnormal, the verdicts on a fresh
+    # S4 still match the oracles, which test each step on its quotient image
+    from groupforms import subnormal
+    from groupforms.structure import subgroup_class_reps
+
+    g = catalog.symmetric(4)
+    formations = (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED)
+    reps = [H.members for H in subgroup_class_reps(g)]
+    want = {}
+    for F in formations:
+        for members in reps:
+            H = SubgroupRef(g, members)
+            absolute = all(oracle_f_subnormal(g, L, F) for L in lat.interval(g, H))
+            want[F, members] = (
+                oracle_f_subnormal(g, H, F),
+                oracle_f_abnormal(g, H, F),
+                absolute,
+            )
+
+    def unusable(*args):
+        raise AssertionError("a chain step built a core or a quotient image")
+
+    monkeypatch.setattr(subnormal, "core", unusable)
+    monkeypatch.setattr(subnormal, "quotient_in", unusable)
+    fresh = catalog.symmetric(4)
+    for F in formations:
+        for members in reps:
+            H = SubgroupRef(fresh, members)
+            got = (
+                is_f_subnormal(fresh, H, F),
+                is_f_abnormal(fresh, H, F),
+                is_absolutely_f_subnormal(fresh, H, F),
+            )
+            assert got == want[F, members], (F.name, len(members))
+
+
 def test_alternativity(small_groups):
     # no proper subgroup is simultaneously F-subnormal and F-abnormal
     for g in small_groups:
