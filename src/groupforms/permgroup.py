@@ -22,6 +22,7 @@ from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -88,9 +89,20 @@ def identity_perm(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
 
 
+def _gather(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``f(seq) == tuple(seq[i] for i in positions)``, done in C.
+
+    An ``itemgetter`` of one index returns a scalar (and of none raises), so
+    fewer than two positions are a special case.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda seq: tuple(seq[i] for i in positions)
+
+
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Product 'apply p, then q'."""
-    return tuple(q[x] for x in p)
+    return _gather(p)(q)
 
 
 def invert(p: Sequence[int]) -> tuple[int, ...]:
@@ -161,16 +173,15 @@ def perm_from_cycle_text(text: str, degree: int) -> tuple[int, ...]:
                 raise GroupError(f"unbalanced ')' in cycle notation: {text!r}")
             flush_token()
             depth_open = False
-            if len(current) > 1:
-                pts = [x - 1 for x in current]
-                for x in pts:
-                    if not 0 <= x < degree:
-                        raise GroupError(f"point {x + 1} out of range for degree {degree}")
-                    if x in touched:
-                        raise GroupError(f"point {x + 1} repeated in {text!r}")
-                    touched.add(x)
-                for a, b in zip(pts, pts[1:] + pts[:1]):
-                    images[a] = b
+            pts = [x - 1 for x in current]
+            for x in pts:
+                if not 0 <= x < degree:
+                    raise GroupError(f"point {x + 1} out of range for degree {degree}")
+                if x in touched:
+                    raise GroupError(f"point {x + 1} repeated in {text!r}")
+                touched.add(x)
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                images[a] = b
         elif ch in " ,\t":
             flush_token()
         elif ch.isdigit():
@@ -234,10 +245,12 @@ class FiniteGroup:
 
     Immutable after construction. ``elements`` is lexicographically sorted on
     image tuples, which makes every set-valued result downstream
-    deterministic. ``_op_cache`` holds idempotent lazy results (lattices,
-    residuals, normalizers, ...), one dict per namespace; every read and
-    write goes through ``memo``. Concurrent duplicate computation is
-    harmless by design.
+    deterministic. ``generator_perms`` must generate ``elements``: unless a
+    table is passed in, ``_build_table`` fills it along their Cayley graph
+    and raises ``GroupError`` otherwise. ``_op_cache`` holds idempotent lazy
+    results (lattices, residuals, normalizers, ...), one dict per namespace;
+    every read and write goes through ``memo``. Concurrent duplicate
+    computation is harmless by design.
     """
 
     __slots__ = (
@@ -278,28 +291,41 @@ class FiniteGroup:
                 raise GroupError("generator outside element set")
             gen_idx.append(idx)
         self.generators = tuple(gen_idx)
-        if _table is not None:
-            self._table = _table
-        else:
-            self._table = self._build_table()
-        inv = array("i", [-1]) * self.order
+        self._table = self._build_table() if _table is None else _table
         e = self._identity
-        for a in range(self.order):
-            row = self._table[a]
-            for b in range(self.order):
-                if row[b] == e:
-                    inv[a] = b
-                    break
-        self._inv = inv
+        self._inv = array("i", [row.index(e) for row in self._table])
         self._orders: Optional[array] = None
         self._op_cache: dict = {}
 
     def _build_table(self) -> list[array]:
+        """The multiplication table, filled along the Cayley graph of the generators.
+
+        Only the generator rows are looked up element by element. For a = p*g,
+        ``table[a][b] = table[p][table[g][b]]``, so row a is row p gathered at
+        the positions of row g: one C-level ``itemgetter`` call per row. A
+        breadth-first walk from the identity fills the rest; a row it leaves
+        empty means the generators do not generate the element set.
+        """
         index = self._index
         elems = self.elements
-        table = []
-        for p in elems:
-            table.append(array("i", (index[compose(p, q)] for q in elems)))
+        e = self._identity
+        steps = [
+            (g, _gather([index[compose(elems[g], q)] for q in elems]))
+            for g in dict.fromkeys(self.generators)
+            if g != e
+        ]
+        table: list[Optional[array]] = [None] * self.order
+        table[e] = array("i", range(self.order))
+        reached = [e]
+        for p in reached:  # breadth first: the loop also visits what it appends
+            row = table[p]
+            for g, gather in steps:
+                a = row[g]
+                if table[a] is None:
+                    table[a] = array("i", gather(row))
+                    reached.append(a)
+        if len(reached) < self.order:
+            raise GroupError("generators do not generate the element set")
         return table
 
     # -- low-level element arithmetic (index space) --
@@ -432,15 +458,14 @@ class FiniteGroup:
     ) -> "FiniteGroup":
         """Internal fast path: canonicalize a precomputed (perms, table) pair."""
         order = len(perms)
-        sort_idx = sorted(range(order), key=lambda i: perms[i])
+        sort_idx = sorted(range(order), key=perms.__getitem__)
         new_of_old = [0] * order
         for new, old in enumerate(sort_idx):
             new_of_old[old] = new
         sorted_perms = [perms[old] for old in sort_idx]
-        new_table = [
-            array("i", (new_of_old[table[old_i][old_j]] for old_j in sort_idx))
-            for old_i in sort_idx
-        ]
+        renumber = new_of_old.__getitem__
+        in_new_order = _gather(sort_idx)
+        new_table = [array("i", map(renumber, in_new_order(table[old_i]))) for old_i in sort_idx]
         degree = len(sorted_perms[0])
         return cls(degree, sorted_perms, generator_perms, name=name, _table=new_table)
 
@@ -838,8 +863,10 @@ def _quotient(sub: SubgroupRef, N: SubgroupRef) -> GroupHom:
         for nn in N.members:
             coset_of[t[nn][x]] = r
     q = len(reps)
-    qtable = [[coset_of[t[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    perms = [tuple(qtable[j][i] for j in range(q)) for i in range(q)]
+    coset = coset_of.__getitem__
+    at_reps = _gather(reps)
+    qtable = [tuple(map(coset, at_reps(t[r]))) for r in reps]
+    perms = list(zip(*qtable))
     gen_perms = [perms[coset_of[g]] for g in gens] or [identity_perm(q)]
     image = FiniteGroup.from_table(perms, qtable, gen_perms, name=None)
     emap = {x: image._index[perms[r]] for x, r in coset_of.items()}

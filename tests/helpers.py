@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Optional, Sequence
 
 from groupforms import lattice as lat
@@ -31,6 +32,21 @@ from groupforms.permgroup import (
     quotient,
 )
 from groupforms.subnormal import _check_contained
+
+
+def table_by_compose(G: FiniteGroup) -> tuple[list[array], array]:
+    """The multiplication table and inverses by n^2 lookups of composed tuples,
+    with the inverse found by scanning each row for the identity."""
+    index = G._index
+    elems = G.elements
+    table = [array("i", (index[tuple(q[x] for x in p)] for q in elems)) for p in elems]
+    inv = array("i", [-1]) * G.order
+    for a, row in enumerate(table):
+        for b in range(G.order):
+            if row[b] == G.identity:
+                inv[a] = b
+                break
+    return table, inv
 
 
 def oracle_f_subnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:

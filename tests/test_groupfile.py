@@ -68,6 +68,13 @@ def test_point_outside_a_cycle_reports_line():
     assert err.value.line == 4
 
 
+def test_one_point_cycle_out_of_range_reports_line():
+    # "(1 2)(9)" at degree 4 used to parse as (1 2)
+    with pytest.raises(GroupFileError) as err:
+        parse_group_text("pgrp v1\ndegree 4\n(1 2 3)\n(1 2)(9)\n")
+    assert err.value.line == 4
+
+
 def test_degree_violation():
     with pytest.raises(GroupFileError):
         parse_group_text("pgrp v1\ndegree 0\n")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import frattini, generate, subgroup_generated
+from helpers import frattini, generate, subgroup_generated, table_by_compose
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -91,6 +91,57 @@ def test_cycle_parse_errors():
     for text in ("3(1 2)", "(1 2)3(4 5)", "(1 2)3", "(1 2) 3 (4 5)"):
         with pytest.raises(GroupError):
             perm_from_cycle_text(text, 40)
+    # one-point cycles are checked for range and repeats like longer ones
+    with pytest.raises(GroupError):
+        perm_from_cycle_text("(1 2)(9)", 4)
+    with pytest.raises(GroupError):
+        perm_from_cycle_text("(1 2)(1)", 4)
+    assert perm_from_cycle_text("(3)", 4) == identity_perm(4)
+
+
+# -- multiplication tables ----------------------------------------------------
+
+def _assert_table_matches_compose(G):
+    table, inv = table_by_compose(G)
+    assert G._table == table, G.name
+    assert G._inv == inv, G.name
+
+
+def test_table_matches_compose_on_catalog(catalog120):
+    for g in catalog120:
+        _assert_table_matches_compose(g)
+
+
+def test_table_matches_compose_on_example864(g864):
+    _assert_table_matches_compose(g864)
+
+
+def test_table_matches_compose_on_trivial_groups():
+    for g in (catalog.cyclic(1), catalog.symmetric(1)):
+        assert g.order == 1
+        _assert_table_matches_compose(g)
+
+
+def test_table_with_repeated_and_identity_generators():
+    g = FiniteGroup.from_generators([(1, 2, 0), (0, 1, 2), (1, 2, 0), (1, 0, 2)], 3)
+    assert g.order == 6 and len(g.generators) == 4
+    _assert_table_matches_compose(g)
+
+
+def test_quotient_tables_match_compose(catalog120):
+    for g in catalog120:
+        if g.order > 48:
+            continue
+        for n in lat.normal_subgroups(g):
+            _assert_table_matches_compose(quotient(g, n).image)
+
+
+def test_non_generating_generators_raise():
+    elements = s3().elements
+    with pytest.raises(GroupError):
+        FiniteGroup(3, elements, [(1, 2, 0)])
+    with pytest.raises(GroupError):
+        FiniteGroup(3, elements, [])
 
 
 # -- generate -----------------------------------------------------------------
