@@ -28,6 +28,7 @@ from .permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    _gather,
     check_deadline,
     current_budgets,
     is_prime,
@@ -138,11 +139,11 @@ def _join_closure(sub: SubgroupRef) -> list[frozenset[int]]:
     while work:
         check_deadline()
         current = work.pop()
-        gens = parent.greedy_generators(current)
+        coset = _gather(sorted(current))
         for cyc, seed in cyclic_items:
             if seed in current:
                 continue
-            join = parent.closure(list(gens) + [seed])
+            join = parent.join(current, [seed], coset)
             if join not in found:
                 found.add(join)
                 work.append(join)
@@ -260,11 +261,11 @@ def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
     class_list = [c for c in classes if not (len(c) == 1 and c[0] == parent.identity)]
     while work:
         N = work.pop()
-        n_gens = parent.greedy_generators(N)
+        coset = _gather(sorted(N))
         for cls in class_list:
             if cls[0] in N:
                 continue
-            bigger = parent.closure(list(n_gens) + list(cls))
+            bigger = parent.join(N, cls, coset)
             if bigger not in found:
                 found.add(bigger)
                 work.append(bigger)
@@ -276,7 +277,8 @@ def minimal_overgroups(
 ) -> list[SubgroupRef]:
     """All K with H maximal in K (inside ``within``, default the whole group).
 
-    Minimal elements of {<H, g> : g outside H}; one join per H-coset suffices.
+    Minimal elements of {<H, g> : g outside H}; <H, x> is the same for every
+    x in gH, so one join per left coset of H suffices.
     """
     sub = _as_subgroup(G)
     parent = sub.parent
@@ -289,19 +291,17 @@ def minimal_overgroups(
 def _minimal_overgroups(
     parent: FiniteGroup, H: SubgroupRef, top: frozenset[int]
 ) -> list[SubgroupRef]:
-    h_gens = list(parent.greedy_generators(H.members))
     candidates: dict[frozenset[int], None] = {}
     covered: set[int] = set(H.members)
     t = parent._table
+    coset = _gather(H.sorted_members)
     for g in sorted(top):
         if g in covered:
             continue
-        join = parent.closure(h_gens + [g])
+        join = parent.join(H.members, [g], coset)
         if join <= top:
             candidates.setdefault(join, None)
-        # skip the rest of the coset H*g
-        for h in H.members:
-            covered.add(t[h][g])
+        covered.update(coset(t[g]))
     mins = []
     cand_list = sorted(candidates, key=lambda s: (len(s), tuple(sorted(s))))
     for s in cand_list:

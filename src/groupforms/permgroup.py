@@ -97,7 +97,10 @@ def _gather(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ..
     """
     if len(positions) > 1:
         return itemgetter(*positions)
-    return lambda seq: tuple(seq[i] for i in positions)
+    if positions:
+        (p,) = positions
+        return lambda seq: (seq[p],)
+    return lambda seq: ()
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -367,7 +370,12 @@ class FiniteGroup:
         return memo(self, "whole", None, frozenset, range(self.order))
 
     def closure(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the seed elements, as an index set."""
+        """The subgroup generated by the seeds, as an index set, from scratch.
+
+        A breadth-first walk that multiplies every element reached by every
+        seed. For a subgroup that extends a known one, ``join`` does the same
+        work a coset at a time.
+        """
         t = self._table
         e = self._identity
         gens = sorted({s for s in seeds if s != e})
@@ -383,6 +391,54 @@ class FiniteGroup:
                         out.add(y)
                         new.append(y)
             frontier = new
+        return frozenset(out)
+
+    def join(
+        self,
+        base: frozenset[int],
+        seeds: Iterable[int],
+        coset: Optional[Callable[[Sequence[int]], tuple[int, ...]]] = None,
+    ) -> frozenset[int]:
+        """<base, seeds> for a subgroup member set ``base``, as an index set.
+
+        Dimino's closure (Holt, Eick and O'Brien, Handbook of Computational
+        Group Theory, 2005): the result is grown one left coset of ``base``
+        at a time from the greedy generators of ``base`` and the seeds
+        outside it; see ``_cosets_closure``. ``coset`` is
+        ``_gather(sorted(base))``, for a caller that joins one base with many
+        seeds and builds it once.
+        """
+        new = tuple(dict.fromkeys(s for s in seeds if s not in base))
+        if not new:
+            return base
+        gens = self.greedy_generators(base) + new
+        return self._cosets_closure(base, gens, coset or _gather(sorted(base)))
+
+    def _cosets_closure(
+        self,
+        base: frozenset[int],
+        gens: Sequence[int],
+        coset: Callable[[Sequence[int]], tuple[int, ...]],
+    ) -> frozenset[int]:
+        """<base, gens> when ``gens`` include generators of the subgroup ``base``.
+
+        Starting from ``base`` itself, each generator s sends a reached coset
+        rH to the coset (s*r)H, whose members are row s*r gathered at the
+        positions of ``base``: one C-level call per new coset. A union of
+        left cosets that contains the identity and is closed under left
+        multiplication by the generators is the group they generate, so the
+        Python work is cosets times generators rather than elements times
+        generators.
+        """
+        t = self._table
+        out = set(base)
+        reps = [self._identity]
+        for r in reps:  # the loop also visits the representatives it appends
+            for s in gens:
+                y = t[s][r]
+                if y not in out:
+                    out.update(coset(t[y]))
+                    reps.append(y)
         return frozenset(out)
 
     def greedy_generators(self, members: frozenset[int]) -> tuple[int, ...]:
@@ -502,16 +558,21 @@ def memo(group: FiniteGroup, namespace: str, key, compute: Callable, *args):
 
 
 def _greedy_generators(G: FiniteGroup, members: frozenset[int]) -> tuple[int, ...]:
-    gens: list[int] = []
+    """The least element outside the span so far, until the span is ``members``.
+
+    Each step extends the span by one coset walk from the last span, whose
+    generators are the ones chosen so far.
+    """
+    gens: tuple[int, ...] = ()
     current: frozenset[int] = frozenset((G.identity,))
     if len(members) > 1:
         for x in sorted(members):
             if x not in current:
-                gens.append(x)
-                current = G.closure(gens)
+                gens += (x,)
+                current = G._cosets_closure(current, gens, _gather(sorted(current)))
                 if len(current) == len(members):
                     break
-    return tuple(gens)
+    return gens
 
 
 def _self_subgroup(G: FiniteGroup) -> "SubgroupRef":
@@ -682,7 +743,7 @@ def normal_closure(G: GroupLike, seed: Iterable[int]) -> SubgroupRef:
                     extra.append(y)
         if not extra:
             return SubgroupRef(parent, current)
-        current = parent.closure(list(current | set(extra)))
+        current = parent.join(current, extra)
 
 
 def commutator_subgroup(G: GroupLike, A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
@@ -695,8 +756,7 @@ def commutator_subgroup(G: GroupLike, A: SubgroupRef, B: SubgroupRef) -> Subgrou
     for a in a_gens:
         for b in b_gens:
             seeds.add(parent.commutator(a, b))
-    join = parent.closure(set(A.generators) | set(B.generators) | {parent.identity})
-    return normal_closure(SubgroupRef(parent, join), seeds)
+    return normal_closure(SubgroupRef(parent, parent.join(A.members, B.generators)), seeds)
 
 
 def derived_subgroup(G: GroupLike) -> SubgroupRef:
@@ -808,7 +868,7 @@ def _sylow_subgroup(sub: SubgroupRef, p: int) -> SubgroupRef:
                 break
         if grow is None:
             raise GroupError("Sylow growth stalled (inconsistent group data)")
-        current = parent.closure(list(parent.greedy_generators(current)) + [grow])
+        current = parent.join(current, [grow])
     return SubgroupRef(parent, current)
 
 
@@ -828,10 +888,10 @@ def fitting(G: GroupLike) -> SubgroupRef:
 
 def _fitting(sub: SubgroupRef) -> SubgroupRef:
     parent = sub.parent
-    seeds: set[int] = {parent.identity}
+    members = frozenset((parent.identity,))
     for p in sorted(prime_divisors(sub)):
-        seeds |= p_core(sub, p).members
-    result = SubgroupRef(parent, parent.closure(seeds))
+        members = parent.join(members, p_core(sub, p).generators)
+    result = SubgroupRef(parent, members)
     if not is_nilpotent(result):
         raise GroupError("Fitting computation produced a non-nilpotent subgroup")
     return result

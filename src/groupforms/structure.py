@@ -219,9 +219,7 @@ def _find_cyclic_sylow_complement_witness(
         xp = x
         for _ in range(p - 1):
             xp = parent._table[xp][x]
-        part = SubgroupRef(
-            parent, parent.closure(list(parent.greedy_generators(Gp.members)) + [xp])
-        )
+        part = SubgroupRef(parent, parent.join(Gp.members, [xp]))
         if not F.contains(part):
             continue
         return {

@@ -28,6 +28,7 @@ from .permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    _gather,
     check_deadline,
     core,
     memo,
@@ -115,7 +116,7 @@ def _qualifying_steps(K: SubgroupRef, H: SubgroupRef, F: Formation) -> list[Subg
     join is K itself there is none.
     """
     parent = K.parent
-    join = parent.closure(residual(F, K).members | H.members)
+    join = parent.join(H.members, residual(F, K).members)
     if join == K.members:
         return []
     return _lattice.maximal_subgroups_containing(K, SubgroupRef(parent, join))
@@ -162,19 +163,17 @@ def is_abnormal(G: GroupLike, H: SubgroupRef) -> bool:
 def _abnormal(amb: SubgroupRef, H: SubgroupRef) -> bool:
     parent = amb.parent
     t = parent._table
-    h_gens = list(parent.greedy_generators(H.members))
-    h_sorted = H.sorted_members
+    h_gens = parent.greedy_generators(H.members)
+    coset = _gather(H.sorted_members)
     covered = set(H.members)
     for x in sorted(amb.members):
         if x in covered:
             continue
-        join = parent.closure(h_gens + [parent.conj(g, x) for g in h_gens])
+        join = parent.join(H.members, [parent.conj(g, x) for g in h_gens], coset)
         if x not in join:
             return False
-        for h in h_sorted:
-            hx = t[h][x]
-            for k in h_sorted:
-                covered.add(t[hx][k])
+        for h in H.sorted_members:
+            covered.update(coset(t[t[h][x]]))
     return True
 
 

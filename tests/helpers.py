@@ -252,6 +252,31 @@ def subgroup_generated(G: GroupLike, seed: Iterable[int]) -> SubgroupRef:
     return SubgroupRef(parent, parent.closure(seed))
 
 
+def greedy_generators_from_scratch(G: FiniteGroup, members: frozenset[int]) -> tuple[int, ...]:
+    """The greedy generating set with every span closed from scratch: the
+    least element outside the span so far, until the span is ``members``."""
+    gens: list[int] = []
+    current: frozenset[int] = frozenset((G.identity,))
+    if len(members) > 1:
+        for x in sorted(members):
+            if x not in current:
+                gens.append(x)
+                current = G.closure(gens)
+                if len(current) == len(members):
+                    break
+    return tuple(gens)
+
+
+def minimal_overgroups_by_scan(G: FiniteGroup, H: SubgroupRef) -> list[frozenset[int]]:
+    """Minimal elements of {<H, g> : g outside H}, one from-scratch closure of
+    H and g per element g, in canonical order."""
+    joins = {G.closure(H.members | {g}) for g in range(G.order) if g not in H.members}
+    return sorted(
+        (s for s in joins if not any(other < s for other in joins)),
+        key=lambda s: (len(s), tuple(sorted(s))),
+    )
+
+
 def conjugacy_class_reps(lat: SubgroupLattice) -> list[SubgroupRef]:
     """One node per conjugacy class, the canonically least one."""
     return [lat.nodes[cls[0]] for cls in lat.conjugacy_classes]

@@ -316,3 +316,26 @@ def test_analyze_all_on_direct_s4_v4_report_unchanged(capsys, formation):
     )
     masked = out.replace(f'"tool_version": "{reports.TOOL_VERSION}"', '"tool_version": ""')
     assert (code, hashlib.sha256(masked.encode()).hexdigest()) == DIRECT_S4_V4_ALL[formation]
+
+
+# sha256 and exit code of ``analyze --group example864`` reports, recorded
+# while every subgroup join was still closed from scratch (tool_version masked)
+EXAMPLE864_REPORTS = {
+    ("N", "example864"): (
+        EXIT_VIOLATION, "a374947a544bd26ccc4ce1da83168ed717b189a24e65c69aa7ae3abbb25cd246"
+    ),
+    ("NA", "theorem2"): (
+        EXIT_OK, "39805bb8a5a0c5c258cc39e9cf4401390aa876450912ae453d21b31f902abb6d"
+    ),
+}
+
+
+@pytest.mark.parametrize("formation, check", sorted(EXAMPLE864_REPORTS))
+def test_analyze_example864_report_unchanged(capsys, formation, check):
+    code, out = run_cli(
+        capsys, "analyze", "--group", "example864", "--formation", formation, "--check", check,
+    )
+    masked = out.replace(f'"tool_version": "{reports.TOOL_VERSION}"', '"tool_version": ""')
+    assert (code, hashlib.sha256(masked.encode()).hexdigest()) == EXAMPLE864_REPORTS[
+        (formation, check)
+    ]

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     is_supersoluble,
     maximal_subgroups,
+    minimal_overgroups_by_scan,
     orbit_reps_by_subgroup_orbit,
     subgroup_generated,
 )
@@ -150,6 +151,14 @@ def test_minimal_overgroups_incomparable(small_groups):
                 assert s < a.members
                 for b in overs[i + 1 :]:
                     assert not (a.members < b.members or b.members < a.members)
+
+
+def test_minimal_overgroups_match_scan(small_groups):
+    for g in small_groups:
+        for s in lat.subgroup_sets(g):
+            H = SubgroupRef(g, s)
+            got = [o.members for o in lat.minimal_overgroups(g, H)]
+            assert got == minimal_overgroups_by_scan(g, H), g.name
 
 
 def test_interval():

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import frattini, generate, subgroup_generated, table_by_compose
+from helpers import (
+    frattini,
+    generate,
+    greedy_generators_from_scratch,
+    subgroup_generated,
+    table_by_compose,
+)
 
 from groupforms import catalog
 from groupforms import lattice as lat
@@ -15,6 +21,8 @@ from groupforms.permgroup import (
     GroupBudgetError,
     GroupError,
     SubgroupRef,
+    _gather,
+    _greedy_generators,
     compose,
     core,
     derived_series,
@@ -100,6 +108,45 @@ def test_cycle_parse_errors():
 
 
 # -- multiplication tables ----------------------------------------------------
+
+@pytest.mark.parametrize("positions", [(), (3,), (0, 4), (5, 1, 1, 2)])
+def test_gather_matches_tuple_of_items(positions):
+    seq = list(range(10, 20))
+    assert _gather(positions)(seq) == tuple(seq[i] for i in positions)
+
+
+def _assert_join_matches_closure(G):
+    for s in lat.subgroup_sets(G):
+        for g in range(G.order):
+            assert G.join(s, [g]) == G.closure(s | {g}), G.name
+
+
+def test_join_matches_closure_on_catalog_and_quotients(catalog120):
+    for G in catalog120:
+        if G.order <= 48:
+            _assert_join_matches_closure(G)
+        if G.order <= 24:
+            for N in lat.normal_subgroups(G):
+                _assert_join_matches_closure(quotient(G, N).image)
+
+
+def test_join_with_many_seeds_matches_closure():
+    G = s4()
+    sets = lat.subgroup_sets(G)
+    for a in sets:
+        for b in sets:
+            assert G.join(a, b) == G.closure(a | b)
+
+
+def test_greedy_generators_match_from_scratch(catalog120, g864):
+    from groupforms.structure import subgroup_class_reps
+
+    cases = [(G, H.members) for G in catalog120 for H in subgroup_class_reps(G)]
+    for p in (2, 3):
+        cases += [(g864, s) for s in lat.subgroup_sets(sylow_subgroup(g864, p))]
+    for G, members in cases:
+        assert _greedy_generators(G, members) == greedy_generators_from_scratch(G, members), G.name
+
 
 def _assert_table_matches_compose(G):
     table, inv = table_by_compose(G)
