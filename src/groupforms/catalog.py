@@ -19,6 +19,7 @@ from .groupfile import parse_group_text
 from .permgroup import (
     FiniteGroup,
     GroupError,
+    derived_subgroup,
     direct_product,
     inversion_action,
     is_abelian,
@@ -394,8 +395,6 @@ def fingerprint(G: FiniteGroup) -> tuple:
     histogram: dict[int, int] = {}
     for x in range(G.order):
         histogram[orders[x]] = histogram.get(orders[x], 0) + 1
-    from .permgroup import derived_subgroup
-
     return (
         G.order,
         tuple(sorted(histogram.items())),

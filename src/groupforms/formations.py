@@ -79,14 +79,6 @@ class Formation:
         return f"<Formation {self.name}>"
 
 
-def _member_abelian(sub: SubgroupRef) -> bool:
-    return is_abelian(sub)
-
-
-def _member_nilpotent(sub: SubgroupRef) -> bool:
-    return is_nilpotent(sub)
-
-
 def _member_supersoluble(sub: SubgroupRef) -> bool:
     """Every chief factor has prime order.
 
@@ -109,10 +101,6 @@ def _member_nilpotent_derived(sub: SubgroupRef) -> bool:
     return is_nilpotent(derived_subgroup(sub))
 
 
-def _member_soluble(sub: SubgroupRef) -> bool:
-    return is_soluble(sub)
-
-
 def _last_lower_central(sub: SubgroupRef) -> SubgroupRef:
     return lower_central_series(sub)[-1]
 
@@ -129,7 +117,7 @@ def _nilpotent_residual_of_derived(sub: SubgroupRef) -> SubgroupRef:
 ABELIAN = Formation(
     name="A",
     description="abelian groups",
-    membership=_member_abelian,
+    membership=is_abelian,
     subgroup_closed=True,
     saturated=False,  # Q8/Phi(Q8) is abelian, Q8 is not
     superradical=False,
@@ -140,7 +128,7 @@ ABELIAN = Formation(
 NILPOTENT = Formation(
     name="N",
     description="nilpotent groups",
-    membership=_member_nilpotent,
+    membership=is_nilpotent,
     subgroup_closed=True,
     saturated=True,
     superradical=True,
@@ -172,7 +160,7 @@ NILPOTENT_DERIVED = Formation(
 SOLUBLE = Formation(
     name="Sol",
     description="soluble groups",
-    membership=_member_soluble,
+    membership=is_soluble,
     subgroup_closed=True,
     saturated=True,
     superradical=False,

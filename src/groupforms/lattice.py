@@ -2,12 +2,14 @@
 intervals, and the full lattice of the ``lattice`` command.
 
 All subgroups of a group come from cyclic extension when it is soluble and
-from join closure otherwise. ``subgroup_sets`` and ``all_subgroups`` refuse
-a (sub)group above the lattice budget in force (``permgroup.Budgets``), even
-when the result is cached. The checkers take subgroups up to conjugacy
-through ``conjugacy_orbits``. There is one maximality test, ``is_maximal``:
-M is maximal in K when K is its only minimal overgroup inside K. It serves
-the chain search and the checkers. The full lattice (maximality edges and
+from the interval [1, X] of minimal overgroups otherwise. ``subgroup_sets``
+and ``all_subgroups`` refuse a (sub)group above the lattice budget in force
+(``permgroup.Budgets``), even when the result is cached. The checkers take
+subgroups up to conjugacy through ``conjugacy_orbits``, which also gives the
+element classes behind ``normal_subgroups``. Every list of member sets is in
+the order of ``canonical``. There is one maximality test, ``is_maximal``: M
+is maximal in K when K is its only minimal overgroup inside K. It serves the
+chain search and the checkers. The full lattice (maximality edges and
 conjugacy classes, ``all_subgroups``) serves only the ``lattice`` command
 and its cache. Chain predicates never need the lattice budget: everything
 above a fixed subgroup H, including the maximal subgroups of K that contain
@@ -42,13 +44,18 @@ class LatticeBudgetError(GroupBudgetError):
     """Full-lattice enumeration was requested beyond the configured budget."""
 
 
+def canonical(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """Member sets in canonical order: by size, then by sorted members."""
+    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+
+
 def subgroup_sets(G: GroupLike) -> list[frozenset[int]]:
     """All subgroups of the (sub)group as member sets, canonically sorted.
 
     Two routes, chosen by ``is_soluble``; both return the same list. A
     soluble group is enumerated by cyclic extension (``_cyclic_extension``),
-    an insoluble one by join closure of its cyclic subgroups
-    (``_join_closure``).
+    an insoluble one as the interval [1, X] of iterated minimal overgroups
+    (``interval``), which reaches perfect subgroups too.
     """
     sub = _as_subgroup(G)
     _check_lattice_size(sub)
@@ -66,7 +73,8 @@ def _check_lattice_size(sub: SubgroupRef) -> None:
 def _subgroup_sets(sub: SubgroupRef) -> list[frozenset[int]]:
     if is_soluble(sub):
         return _cyclic_extension(sub)
-    return _join_closure(sub)
+    trivial = SubgroupRef(sub.parent, frozenset((sub.parent.identity,)))
+    return [r.members for r in interval(sub, trivial)]
 
 
 def _cyclic_extension(sub: SubgroupRef) -> list[frozenset[int]]:
@@ -117,37 +125,7 @@ def _cyclic_extension(sub: SubgroupRef) -> list[frozenset[int]]:
                 if S not in gens:
                     gens[S] = u_gens + (x,)
                     by_order.setdefault(len(S), []).append(S)
-    return sorted(gens, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-def _join_closure(sub: SubgroupRef) -> list[frozenset[int]]:
-    """Join closure of the cyclic subgroups: every subgroup is the join of
-    its cyclic subgroups, so iterating one-cyclic joins from the bottom
-    reaches everything, perfect subgroups included."""
-    parent = sub.parent
-    trivial = frozenset((parent.identity,))
-    cyclics: dict[frozenset[int], int] = {}
-    for x in sub.sorted_members:
-        if x == parent.identity:
-            continue
-        c = parent.closure([x])
-        if c not in cyclics:
-            cyclics[c] = x
-    found: set[frozenset[int]] = {trivial} | set(cyclics)
-    work = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), kv[1]))
-    while work:
-        check_deadline()
-        current = work.pop()
-        coset = _gather(sorted(current))
-        for cyc, seed in cyclic_items:
-            if seed in current:
-                continue
-            join = parent.join(current, [seed], coset)
-            if join not in found:
-                found.add(join)
-                work.append(join)
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    return canonical(gens)
 
 
 @dataclass(frozen=True)
@@ -207,7 +185,7 @@ def conjugacy_orbits(
         for g in parent.greedy_generators(under)
     ]
     remaining = set(sets)
-    for s in sorted(remaining, key=lambda s: (len(s), tuple(sorted(s)))):
+    for s in canonical(remaining):
         if s not in remaining:
             continue
         orbit = {s}
@@ -238,38 +216,25 @@ def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
 
 def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
     parent = sub.parent
-    grp_gens = parent.greedy_generators(sub.members)
-    seen = set()
-    classes = []
-    for x in sub.sorted_members:
-        if x in seen:
-            continue
-        orbit = {x}
-        work = [x]
-        while work:
-            y = work.pop()
-            for g in grp_gens:
-                z = parent.conj(y, g)
-                if z not in orbit:
-                    orbit.add(z)
-                    work.append(z)
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
     trivial = frozenset((parent.identity,))
+    singletons = [frozenset((x,)) for x in sub.members if x != parent.identity]
+    classes = [
+        sorted(x for (x,) in orbit)
+        for _, orbit in conjugacy_orbits(parent, singletons, sub.members)
+    ]
     found = {trivial}
     work = [trivial]
-    class_list = [c for c in classes if not (len(c) == 1 and c[0] == parent.identity)]
     while work:
         N = work.pop()
         coset = _gather(sorted(N))
-        for cls in class_list:
+        for cls in classes:
             if cls[0] in N:
                 continue
             bigger = parent.join(N, cls, coset)
             if bigger not in found:
                 found.add(bigger)
                 work.append(bigger)
-    return [SubgroupRef(parent, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
+    return [SubgroupRef(parent, s) for s in canonical(found)]
 
 
 def minimal_overgroups(
@@ -302,10 +267,11 @@ def _minimal_overgroups(
         if join <= top:
             candidates.setdefault(join, None)
         covered.update(coset(t[g]))
-    mins = []
-    cand_list = sorted(candidates, key=lambda s: (len(s), tuple(sorted(s))))
-    for s in cand_list:
-        if not any(other < s for other in cand_list if len(other) < len(s)):
+    # in ascending order every candidate comes after the ones it contains,
+    # and a candidate that is not minimal contains a minimal one
+    mins: list[frozenset[int]] = []
+    for s in canonical(candidates):
+        if not any(m < s for m in mins):
             mins.append(s)
     return [SubgroupRef(parent, s) for s in mins]
 
@@ -330,7 +296,7 @@ def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
             if over.members not in found:
                 found.add(over.members)
                 work.append(over.members)
-    return [SubgroupRef(parent, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
+    return [SubgroupRef(parent, s) for s in canonical(found)]
 
 
 def is_maximal(K: SubgroupRef, M: SubgroupRef) -> bool:

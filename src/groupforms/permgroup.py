@@ -266,7 +266,6 @@ class FiniteGroup:
         "_table",
         "_inv",
         "_identity",
-        "_orders",
         "_op_cache",
     )
 
@@ -297,7 +296,6 @@ class FiniteGroup:
         self._table = self._build_table() if _table is None else _table
         e = self._identity
         self._inv = array("i", [row.index(e) for row in self._table])
-        self._orders: Optional[array] = None
         self._op_cache: dict = {}
 
     def _build_table(self) -> list[array]:
@@ -353,18 +351,19 @@ class FiniteGroup:
         return self._identity
 
     def element_orders(self) -> array:
-        if self._orders is None:
-            e = self._identity
-            t = self._table
-            out = array("i", [0]) * self.order
-            for i in range(self.order):
-                o, x = 1, i
-                while x != e:
-                    x = t[x][i]
-                    o += 1
-                out[i] = o
-            self._orders = out
-        return self._orders
+        return memo(self, "orders", None, self._element_orders)
+
+    def _element_orders(self) -> array:
+        e = self._identity
+        t = self._table
+        out = array("i", [0]) * self.order
+        for i in range(self.order):
+            o, x = 1, i
+            while x != e:
+                x = t[x][i]
+                o += 1
+            out[i] = o
+        return out
 
     def whole(self) -> frozenset[int]:
         return memo(self, "whole", None, frozenset, range(self.order))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import lattice as _lattice
 from . import reports
@@ -39,6 +39,7 @@ from .permgroup import (
     p_part,
     prime_divisors,
     prime_factorization,
+    quotient,
     sylow_subgroup,
     fitting,
 )
@@ -74,7 +75,7 @@ def primary_cyclic_subgroups(G: GroupLike) -> list[SubgroupRef]:
     for x in sub.sorted_members:
         if orders[x] > 1 and is_prime_power(orders[x]):
             seen.setdefault(parent.closure([x]), None)
-    return [SubgroupRef(parent, s) for s in sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))]
+    return [SubgroupRef(parent, s) for s in _lattice.canonical(seen)]
 
 
 def primary_cyclic_class_reps(G: GroupLike) -> list[SubgroupRef]:
@@ -184,6 +185,27 @@ def _label(G: GroupLike) -> str:
     return f"order{sub.order}"
 
 
+def _not_applicable(theorem: str, sub: SubgroupRef, F: Formation, reason: str) -> TheoremVerdict:
+    return TheoremVerdict(
+        theorem, _label(sub), sub.order, F.name, False, f"hypothesis violated: {reason}"
+    )
+
+
+def _holds_for_all(
+    verdict: TheoremVerdict,
+    statement: str,
+    subgroups: Iterable[SubgroupRef],
+    holds: Callable[[SubgroupRef], bool],
+) -> bool:
+    """Whether ``holds`` is true of every subgroup, tried in order; the first
+    that fails is recorded as the statement's witness."""
+    for H in subgroups:
+        if not holds(H):
+            verdict.witnesses.append({"statement": statement, "subgroup": reports.subgroup_witness(H)})
+            return False
+    return True
+
+
 def _hypothesis_status(F: Formation, needed: Sequence[str]) -> str:
     missing = [flag for flag in needed if not getattr(F, flag)]
     if not missing:
@@ -248,35 +270,20 @@ def check_theorem1(G: GroupLike, F: Formation) -> TheoremVerdict:
         F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
     )
     if F.contains(sub):
-        return TheoremVerdict(
-            "theorem1", _label(sub), sub.order, F.name, False,
-            f"hypothesis violated: group lies in {F.name}",
-        )
+        return _not_applicable("theorem1", sub, F, f"group lies in {F.name}")
     if not is_soluble(sub):
-        return TheoremVerdict(
-            "theorem1", _label(sub), sub.order, F.name, False,
-            "hypothesis violated: group is insoluble",
-        )
+        return _not_applicable("theorem1", sub, F, "group is insoluble")
     verdict = TheoremVerdict("theorem1", _label(sub), sub.order, F.name, True, flag_text)
 
-    s1 = True
-    for C in primary_cyclic_class_reps(sub):
-        if not (is_f_subnormal(sub, C, F) or is_self_normalizing(sub, C)):
-            s1 = False
-            verdict.witnesses.append({"statement": "S1", "subgroup": reports.subgroup_witness(C)})
-            break
-    verdict.statements["S1"] = s1
-
+    verdict.statements["S1"] = _holds_for_all(
+        verdict, "S1", primary_cyclic_class_reps(sub),
+        lambda C: is_f_subnormal(sub, C, F) or is_self_normalizing(sub, C),
+    )
     if sub.order <= current_budgets().lattice:
-        s2 = True
-        for H in subgroup_class_reps(sub):
-            if is_abnormal(sub, H):
-                continue
-            if not (is_f_subnormal(sub, H, F) and F.contains(H)):
-                s2 = False
-                verdict.witnesses.append({"statement": "S2", "subgroup": reports.subgroup_witness(H)})
-                break
-        verdict.statements["S2"] = s2
+        verdict.statements["S2"] = _holds_for_all(
+            verdict, "S2", subgroup_class_reps(sub),
+            lambda H: is_abnormal(sub, H) or (is_f_subnormal(sub, H, F) and F.contains(H)),
+        )
     else:
         verdict.details["s2_skipped"] = "all-subgroup quantifier exceeds the lattice budget"
 
@@ -329,18 +336,13 @@ def check_theorem2(G: GroupLike, F: Formation) -> TheoremVerdict:
         F, ("subgroup_closed", "saturated", "contains_nilpotents")
     )
     if F.contains(sub):
-        return TheoremVerdict(
-            "theorem2", _label(sub), sub.order, F.name, False,
-            f"hypothesis violated: group lies in {F.name}",
-        )
+        return _not_applicable("theorem2", sub, F, f"group lies in {F.name}")
     verdict = TheoremVerdict("theorem2", _label(sub), sub.order, F.name, True, flag_text)
 
-    left = True
-    for C in primary_cyclic_class_reps(sub):
-        if not (is_absolutely_f_subnormal(sub, C, F) or is_self_normalizing(sub, C)):
-            left = False
-            verdict.witnesses.append({"statement": "left", "subgroup": reports.subgroup_witness(C)})
-            break
+    left = _holds_for_all(
+        verdict, "left", primary_cyclic_class_reps(sub),
+        lambda C: is_absolutely_f_subnormal(sub, C, F) or is_self_normalizing(sub, C),
+    )
     verdict.statements["left"] = left
 
     if sub.order > current_budgets().lattice:
@@ -401,25 +403,16 @@ def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
         F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
     )
     if F.contains(sub) or not is_soluble(sub):
-        return TheoremVerdict(
-            "corollary1", _label(sub), sub.order, F.name, False,
-            "hypothesis violated: needs a soluble group outside the formation",
-        )
+        return _not_applicable("corollary1", sub, F, "needs a soluble group outside the formation")
     s1 = all(
         is_f_subnormal(sub, C, F) or is_self_normalizing(sub, C)
         for C in primary_cyclic_class_reps(sub)
     )
     if not s1:
-        return TheoremVerdict(
-            "corollary1", _label(sub), sub.order, F.name, False,
-            "hypothesis violated: Theorem 1 statement (1) fails",
-        )
+        return _not_applicable("corollary1", sub, F, "Theorem 1 statement (1) fails")
     carters = carter_subgroups(sub)
     if not carters:
-        return TheoremVerdict(
-            "corollary1", _label(sub), sub.order, F.name, False,
-            "hypothesis violated: no Carter subgroup found",
-        )
+        return _not_applicable("corollary1", sub, F, "no Carter subgroup found")
     verdict = TheoremVerdict("corollary1", _label(sub), sub.order, F.name, True, flag_text)
     k = carters[0].order
     verdict.details["carter_order"] = k
@@ -453,19 +446,13 @@ def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
         F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
     )
     if F.contains(sub) or not is_soluble(sub):
-        return TheoremVerdict(
-            "corollary2", _label(sub), sub.order, F.name, False,
-            "hypothesis violated: needs a soluble group outside the formation",
-        )
+        return _not_applicable("corollary2", sub, F, "needs a soluble group outside the formation")
     verdict = TheoremVerdict("corollary2", _label(sub), sub.order, F.name, True, flag_text)
 
-    c1 = True
-    for C in primary_cyclic_class_reps(sub):
-        if not (is_f_subnormal(sub, C, F) or is_f_abnormal(sub, C, F)):
-            c1 = False
-            verdict.witnesses.append({"statement": "C1", "subgroup": reports.subgroup_witness(C)})
-            break
-    verdict.statements["C1_primary_cyclic_sn_or_abn"] = c1
+    verdict.statements["C1_primary_cyclic_sn_or_abn"] = _holds_for_all(
+        verdict, "C1", primary_cyclic_class_reps(sub),
+        lambda C: is_f_subnormal(sub, C, F) or is_f_abnormal(sub, C, F),
+    )
     verdict.statements["C2_ef_group"] = is_ef_group(sub, F)
 
     d = derived_subgroup(sub)
@@ -507,8 +494,6 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
                     _violation("1.1", label, {"H": H.order, "K": K.order})
                 )
     # (2) lifting from quotients
-    from .permgroup import quotient
-
     for N in normals:
         if N.order == 1 or N.order == sub.order:
             continue
@@ -595,8 +580,6 @@ def check_lemma3(G: GroupLike) -> list[dict]:
         if not is_abnormal(sub, N):
             violations.append(_violation("3.1", label, {"p": p, "normalizer": N.order}))
     normals = _lattice.normal_subgroups(sub)
-    from .permgroup import quotient
-
     for A in subgroup_class_reps(sub):
         if not is_abnormal(sub, A):
             continue

@@ -26,6 +26,8 @@ from groupforms.permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    _gather,
+    check_deadline,
     core,
     is_prime,
     normal_closure,
@@ -183,6 +185,36 @@ def residual_by_scan(F: Formation, G: GroupLike) -> SubgroupRef:
 
 def subgroup_refs(G: FiniteGroup) -> list[SubgroupRef]:
     return [SubgroupRef(G, s) for s in lat.subgroup_sets(G)]
+
+
+def subgroup_sets_by_join_closure(sub: SubgroupRef) -> list[frozenset[int]]:
+    """Join closure of the cyclic subgroups: every subgroup is the join of
+    its cyclic subgroups, so iterating one-cyclic joins from the bottom
+    reaches everything, perfect subgroups included."""
+    parent = sub.parent
+    trivial = frozenset((parent.identity,))
+    cyclics: dict[frozenset[int], int] = {}
+    for x in sub.sorted_members:
+        if x == parent.identity:
+            continue
+        c = parent.closure([x])
+        if c not in cyclics:
+            cyclics[c] = x
+    found: set[frozenset[int]] = {trivial} | set(cyclics)
+    work = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), kv[1]))
+    while work:
+        check_deadline()
+        current = work.pop()
+        coset = _gather(sorted(current))
+        for cyc, seed in cyclic_items:
+            if seed in current:
+                continue
+            join = parent.join(current, [seed], coset)
+            if join not in found:
+                found.add(join)
+                work.append(join)
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def is_supersoluble(G: GroupLike) -> bool:

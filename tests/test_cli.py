@@ -257,6 +257,24 @@ def test_lattice_cache_flow(tmp_path, capsys):
     assert "exceeds lattice budget 5" in capsys.readouterr().err
 
 
+# sha256 of the ``lattice --cache`` files of insoluble groups, recorded while
+# their subgroups still came from the join closure of the cyclic subgroups
+INSOLUBLE_LATTICE_CACHES = {
+    "A5": "e1f354444828fe7c3f3f59f9e5a6ecf7083efb098ad874aac9dd98b17a0533e1",
+    "S5": "bab3a6d09603a03ff4ed8cbb0e301e278144f9ebe4937b35438ceb4e106c69ed",
+    "direct(A5,C3)": "0fdd86243a95b9bdf1b040868f4448f28b517c793cea26f46d99a2fd58e998e2",
+}
+
+
+@pytest.mark.parametrize("group", sorted(INSOLUBLE_LATTICE_CACHES))
+def test_insoluble_lattice_cache_unchanged(tmp_path, capsys, group):
+    cache = tmp_path / "lattice.json"
+    code, out = run_cli(capsys, "lattice", "--group", group, "--cache", str(cache))
+    assert code == EXIT_OK
+    assert json.loads(out)["source"] == "computed"
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == INSOLUBLE_LATTICE_CACHES[group]
+
+
 def test_lattice_rejects_options_it_cannot_honour(tmp_path):
     # the lattice command writes no report and checks no formation
     for extra in (["--report", str(tmp_path / "x.json")], ["--formation", "A"],

@@ -9,6 +9,7 @@ from helpers import (
     minimal_overgroups_by_scan,
     orbit_reps_by_subgroup_orbit,
     subgroup_generated,
+    subgroup_sets_by_join_closure,
 )
 
 from groupforms import catalog
@@ -20,6 +21,7 @@ from groupforms.permgroup import (
     SubgroupRef,
     _as_subgroup,
     direct_product,
+    normalizer,
     quotient,
     sylow_subgroup,
 )
@@ -28,9 +30,10 @@ from groupforms.subnormal import is_f_subnormal
 
 
 def _from_bottom(X):
-    """Oracle: the interval [1, X], built from minimal overgroups only, an
-    algorithm independent of both routes of ``subgroup_sets``, in the same
-    canonical order."""
+    """Oracle: the interval [1, X], built from minimal overgroups only, in the
+    same canonical order. It is independent of cyclic extension, the soluble
+    route of ``subgroup_sets``; the insoluble route is this interval itself,
+    checked against the join closure of the cyclic subgroups instead."""
     X = _as_subgroup(X)
     trivial = SubgroupRef(X.parent, frozenset((X.parent.identity,)))
     return [r.members for r in lat.interval(X, trivial)]
@@ -77,10 +80,23 @@ def test_subgroup_sets_of_s4_x_d6_match_oracle():
 
 
 def test_join_closure_matches_cyclic_extension(catalog120):
-    # the insoluble route, run on soluble groups, against the soluble route
+    # the join-closure oracle, run on soluble groups, against the soluble route
     for g in catalog120:
         if g.order <= 48:
-            assert lat._join_closure(g.as_subgroup()) == lat._cyclic_extension(g.as_subgroup()), g.name
+            assert subgroup_sets_by_join_closure(g.as_subgroup()) == lat._cyclic_extension(
+                g.as_subgroup()
+            ), g.name
+
+
+@pytest.mark.parametrize("spec", ["A5", "S5", "direct(A5,C2)", "direct(A5,C3)", "alternating:6"])
+def test_insoluble_subgroup_sets_match_join_closure(spec):
+    # the insoluble route (the interval [1, X]) against an algorithm that
+    # shares no code with it: the join closure of the cyclic subgroups
+    g = catalog.build_named(spec)
+    assert subgroup_sets_by_join_closure(g.as_subgroup()) == lat.subgroup_sets(g)
+    if spec == "alternating:6":
+        lattice = lat.all_subgroups(g)  # A6 has 501 subgroups in 22 classes
+        assert (len(lattice.nodes), len(lattice.conjugacy_classes)) == (501, 22)
 
 
 def test_lattice_budget():
@@ -122,6 +138,27 @@ def test_normal_subgroups():
     assert [n.order for n in lat.normal_subgroups(s3)] == [1, 3, 6]
     a4 = catalog.alternating(4)
     assert [n.order for n in lat.normal_subgroups(a4)] == [1, 4, 12]
+
+
+def _normal_by_normalizer(X):
+    sets = lat.subgroup_sets(X)
+    return [s for s in sets if normalizer(X, SubgroupRef(X.parent, s)).members == X.members]
+
+
+def test_normal_subgroups_match_normalizer_oracle(catalog120, g864):
+    # the normal members of the subgroup list, each decided by its normalizer
+    checked = 0
+    for g in catalog120:
+        ambients = [g.as_subgroup()]
+        if g.order <= 48:
+            ambients += [quotient(g, N).image.as_subgroup() for N in lat.normal_subgroups(g)]
+        for X in ambients:
+            assert [N.members for N in lat.normal_subgroups(X)] == _normal_by_normalizer(X), g.name
+            checked += 1
+    assert checked > 2000
+    with Budgets(lattice=1000).in_force():
+        X = g864.as_subgroup()
+        assert [N.members for N in lat.normal_subgroups(X)] == _normal_by_normalizer(X)
 
 
 def test_maximal_subgroups():
