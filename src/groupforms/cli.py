@@ -148,7 +148,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     files = sorted(p for p in directory.iterdir() if p.suffix == ".pgrp")
     tasks = [(str(p), args.formation, args.check, budgets) for p in files]
     if args.jobs > 1 and len(tasks) > 1:
-        with Pool(args.jobs) as pool:
+        with Pool(min(args.jobs, len(tasks))) as pool:
             results = pool.map(_batch_worker, tasks)
     else:
         results = [_batch_worker(t) for t in tasks]

@@ -1,12 +1,15 @@
 """Formations as membership predicates with declared closure flags.
 
-Saturation and superradicality are trusted metadata, never computed. A
-formation may carry a closed-form residual (a term of a standard series);
-the others fall back to a scan of the normal subgroups. On both paths the
-residual operation checks that the quotient lies in the formation and raises
-``FormationVerificationError`` when it does not. The residual operation
-does not check that a closed form is minimal; the tests compare every closed
-form with the scan and guard against one that is too large.
+Saturation, superradicality and subgroup closure are trusted metadata, never
+computed. ``subgroup_closed`` is also read by the F-subnormality search
+(``subnormal``), which answers True at once when K^F <= H, so a wrong flag
+changes verdicts, not only which checkers run. A formation may carry a
+closed-form residual (a term of a standard series); the others fall back to
+a scan of the normal subgroups. On both paths the residual operation checks
+that the quotient lies in the formation and raises
+``FormationVerificationError`` when it does not. The residual operation does
+not check that a closed form is minimal; the tests compare every closed form
+with the scan and guard against one that is too large.
 
 ``quotient_in`` decides whether K/N lies in F one way: F's membership
 predicate on the quotient image, cached per (K, N, F). The chain predicates
@@ -53,6 +56,10 @@ class Formation:
     of that residual, so one that returns too large a subgroup changes
     F-subnormality verdicts; nothing in the program checks that it is the
     least such subgroup.
+
+    The closure flags are trusted, never computed. ``subgroup_closed`` gates
+    checkers and lets the F-subnormality search stop at K^F <= H, so a
+    formation wrongly flagged subgroup-closed gets wrong verdicts.
 
     Cached verdicts are keyed by the formation object itself (``eq=False``:
     equality and hash by identity), never by its name, so two formations

@@ -45,6 +45,8 @@ from .permgroup import (
 )
 from .formations import NILPOTENT, NILPOTENT_DERIVED
 from .subnormal import (
+    WitnessChainError,
+    f_subnormal_witness,
     is_abnormal,
     is_absolutely_f_subnormal,
     is_f_abnormal,
@@ -474,6 +476,16 @@ def _violation(lemma: str, group: str, detail: dict) -> dict:
     return out
 
 
+def _has_certified_chain(G: SubgroupRef, L: SubgroupRef, F: Formation) -> bool:
+    """Whether L has a witness chain in G whose every step quotient passes F's
+    membership predicate on its built image."""
+    try:
+        witness = f_subnormal_witness(G, L, F)
+    except WitnessChainError:
+        return False
+    return witness is not None and all(step.quotient_in_formation for step in witness.steps)
+
+
 def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
     """Properties (1)-(6) of F-subnormal subgroups."""
     sub = _as_subgroup(G)
@@ -516,10 +528,11 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
                     _violation("1.3", label, {"N": N.order, "H": H.order})
                 )
     if F.subgroup_closed:
-        # (4) everything above the residual
+        # (4) everything above the residual, each L by a certified chain: the
+        # search itself settles these verdicts by this very lemma
         res = residual(F, sub)
         for L in _lattice.interval(sub, res):
-            if not is_f_subnormal(sub, L, F):
+            if not _has_certified_chain(sub, L, F):
                 violations.append(_violation("1.4", label, {"L": L.order}))
         # (5) intersections into arbitrary subgroups
         all_sets = _lattice.subgroup_sets(sub)

@@ -7,12 +7,16 @@ inside F. For a formation that step condition holds iff H_i^F <= H_{i-1}
 (the residual is normal in H_i), and every step of both chain predicates is
 decided in that form. The search walks the chain graph top-down: any
 qualifying step below K must contain <H, K^F>, which keeps the search inside
-F-quotient-sized intervals even at order 864. It memoises one boolean
-verdict per (K, H, F); ``f_subnormal_witness`` reads the depth-first chain
-back off those verdicts and certifies each step on its quotient image. The
-independent routes it is checked against (bottom-up breadth-first searches
-with the residual-containment step form and with membership of the built
-step quotient, and classical subnormality) are test oracles in
+F-quotient-sized intervals even at order 864. For a formation flagged
+``subgroup_closed`` the search stops at once, True, when K^F <= H: every L
+in [H, K] then has L^F <= K^F <= H (Lemma 1(4)), so every maximal chain from
+H to K qualifies. The flag is trusted, so a formation wrongly flagged gets
+wrong verdicts. It memoises one boolean verdict per (K, H, F);
+``f_subnormal_witness`` reads the depth-first chain back off those verdicts
+and certifies each step on its quotient image. The independent routes it is
+checked against (bottom-up breadth-first searches with the
+residual-containment step form and with membership of the built step
+quotient, and classical subnormality) are test oracles in
 ``tests/helpers.py``.
 """
 
@@ -34,6 +38,10 @@ from .permgroup import (
     memo,
     normalizer,
 )
+
+
+class WitnessChainError(GroupError):
+    """A True F-subnormality verdict has no qualifying step to continue its chain."""
 
 
 @dataclass(frozen=True)
@@ -72,13 +80,21 @@ def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[
     Walking down from the ambient group, each step takes the first qualifying
     maximal subgroup whose cached verdict is True: the depth-first choice.
     Each step is then certified on its quotient image, apart from the search.
+    Raises ``WitnessChainError`` when a True verdict has no qualifying step
+    below some K, as a formation wrongly flagged ``subgroup_closed`` can bring
+    about.
     """
     if not is_f_subnormal(G, H, F):
         return None
     K = _as_subgroup(G)
     chain = [K]
     while K.members != H.members:
-        K = next(M for M in _qualifying_steps(K, H, F) if _fsn(M, H, F))
+        step = next((M for M in _qualifying_steps(K, H, F) if _fsn(M, H, F)), None)
+        if step is None:
+            raise WitnessChainError(
+                f"{F.name}: no qualifying step continues the chain below {K!r} towards {H!r}"
+            )
+        K = step
         chain.append(K)
     chain.reverse()
     steps = []
@@ -103,8 +119,12 @@ def _fsn(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
 
 
 def _fsn_search(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
+    """True at once when K == H, or when F is subgroup-closed and K^F <= H
+    (Lemma 1(4)); otherwise whether some qualifying step below K leads to H."""
     check_deadline()
     if K.members == H.members:
+        return True
+    if F.subgroup_closed and residual(F, K).members <= H.members:
         return True
     return any(_fsn(M, H, F) for M in _qualifying_steps(K, H, F))
 

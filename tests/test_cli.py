@@ -357,3 +357,32 @@ def test_analyze_example864_report_unchanged(capsys, formation, check):
     assert (code, hashlib.sha256(masked.encode()).hexdigest()) == EXAMPLE864_REPORTS[
         (formation, check)
     ]
+
+
+def test_batch_starts_no_more_workers_than_files(tmp_path, capsys, monkeypatch):
+    from groupforms import cli
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    d = tmp_path / "two"
+    d.mkdir()
+    for name in ("S3", "C6"):
+        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1", "--jobs", "8")
+    assert code == EXIT_OK
+    assert asked == [2]
+    assert len(json.loads(out)["runs"]) == 2

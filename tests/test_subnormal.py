@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
 from helpers import (
+    is_f_subnormal_via_quotients,
     is_f_subnormal_via_residual,
     is_subnormal,
     oracle_f_abnormal,
@@ -12,7 +16,14 @@ from helpers import (
 
 from groupforms import catalog
 from groupforms import lattice as lat
-from groupforms.formations import ABELIAN, NILPOTENT, NILPOTENT_DERIVED, SUPERSOLUBLE
+from groupforms.formations import (
+    ABELIAN,
+    NILPOTENT,
+    NILPOTENT_DERIVED,
+    SOLUBLE,
+    SUPERSOLUBLE,
+    residual,
+)
 from groupforms.permgroup import SubgroupRef, sylow_subgroup
 from groupforms.subnormal import (
     f_subnormal_witness,
@@ -225,3 +236,95 @@ def test_witness_chains_match_verdicts(catalog120):
                     assert F.membership(image.as_subgroup()), "each step quotient is in F"
                     assert step.quotient_in_formation
                     assert step.quotient_order == image.order
+
+
+def test_lemma1_4_holds_by_the_quotient_oracle(catalog120):
+    # Lemma 1(4) apart from production's search: for a subgroup-closed F every
+    # H above G^F is F-subnormal by the oracle that builds each step quotient
+    from groupforms.structure import subgroup_class_reps
+
+    checked, failures = 0, []
+    for g in catalog120:
+        if g.order > 48:
+            continue
+        for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE):
+            res = residual(F, g).members
+            for H in subgroup_class_reps(g):
+                if res <= H.members:
+                    checked += 1
+                    if not is_f_subnormal_via_quotients(g, H, F):
+                        failures.append((g.name, F.name, H.order))
+    assert not failures, failures
+    assert checked > 1000, checked
+
+
+def test_unflagged_copies_search_and_agree(catalog120, monkeypatch):
+    # the same formations without the subgroup_closed flag take the full chain
+    # search (memos are keyed by formation identity, so nothing is shared) and
+    # must give the same verdicts and the same witness chains
+    from groupforms import subnormal
+    from groupforms.structure import subgroup_class_reps
+
+    built_in = (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE)
+    copies = {F: dataclasses.replace(F, subgroup_closed=False) for F in built_in}
+    searched = []
+    real_steps = subnormal._qualifying_steps
+
+    def spy(K, H, F):
+        searched.append(F)
+        return real_steps(K, H, F)
+
+    monkeypatch.setattr(subnormal, "_qualifying_steps", spy)
+
+    def chain(w):
+        if w is None:
+            return None
+        steps = [(s.core_order, s.quotient_order, s.quotient_in_formation) for s in w.steps]
+        return [ref.members for ref in w.subgroups], steps
+
+    for g in catalog120:
+        if g.order > 32:
+            continue
+        for F, copy in copies.items():
+            for H in subgroup_class_reps(g):
+                key = (g.name, F.name, H.order)
+                assert is_f_subnormal(g, H, copy) == is_f_subnormal(g, H, F), key
+                assert chain(f_subnormal_witness(g, H, copy)) == chain(
+                    f_subnormal_witness(g, H, F)
+                ), key
+
+    # above the residual the flagged formation decides without a step, the
+    # copy by the search
+    s4 = catalog.symmetric(4)
+    a4 = residual(NILPOTENT, s4)
+    assert a4.order == 12
+    searched.clear()
+    assert is_f_subnormal(s4, a4, NILPOTENT)
+    assert searched == []
+    assert is_f_subnormal(s4, a4, copies[NILPOTENT])
+    assert searched and all(F is copies[NILPOTENT] for F in searched)
+
+
+def test_witness_without_a_qualifying_step_raises(monkeypatch):
+    # a True verdict with no step to continue the chain (reachable through a
+    # wrongly flagged formation) raises a GroupError naming K and H, and
+    # lemma 1(4) reports every such L as a violation
+    from groupforms import subnormal
+    from groupforms.permgroup import GroupError
+    from groupforms.structure import check_lemma1
+
+    s4 = catalog.symmetric(4)
+    real_steps = subnormal._qualifying_steps
+    monkeypatch.setattr(
+        subnormal,
+        "_qualifying_steps",
+        lambda K, H, F: [] if K.parent is s4 else real_steps(K, H, F),
+    )
+    a4 = residual(NILPOTENT, s4)
+    assert is_f_subnormal(s4, a4, NILPOTENT)
+    with pytest.raises(GroupError, match="order 24.*towards <SubgroupRef order 12"):
+        f_subnormal_witness(s4, a4, NILPOTENT)
+    lemma4 = [v for v in check_lemma1(s4, NILPOTENT) if v["lemma"] == "1.4"]
+    assert lemma4 == [{"lemma": "1.4", "group": "S4", "L": 12}]
+    # the same group with its steps intact passes
+    assert not [v for v in check_lemma1(catalog.symmetric(4), NILPOTENT) if v["lemma"] == "1.4"]
