@@ -2,20 +2,22 @@
 intervals, and the full lattice of the ``lattice`` command.
 
 All subgroups of a group come from cyclic extension when it is soluble and
-from the interval [1, X] of minimal overgroups otherwise. ``subgroup_sets``
-and ``all_subgroups`` refuse a (sub)group above the lattice budget in force
-(``permgroup.Budgets``), even when the result is cached. The checkers take
+from the interval [1, X] of minimal overgroups otherwise. ``subgroup_sets``,
+``class_reps`` and ``all_subgroups`` refuse a (sub)group above the lattice
+budget in force (``permgroup.Budgets``), even when the result is cached. The checkers take
 subgroups up to conjugacy through ``conjugacy_orbits``, which also gives the
-element classes behind ``normal_subgroups``. Every list of member sets is in
-the order of ``canonical``. There is one maximality test, ``is_maximal``: M
+element classes behind ``normal_subgroups``. The classes of all subgroups of
+G under an acting subgroup, ``class_reps``, are cached once per (G, acting
+subgroup) in the ``class_reps`` memo namespace. Every list of member sets is
+in the order of ``canonical``. There is one maximality test, ``is_maximal``: M
 is maximal in K when K is its only minimal overgroup inside K. It serves the
 chain search and the checkers. The full lattice (maximality edges and
 conjugacy classes, ``all_subgroups``) serves only the ``lattice`` command
 and its cache. Chain predicates never need the lattice budget: everything
 above a fixed subgroup H, including the maximal subgroups of K that contain
 H, comes from minimal-overgroup and interval enumeration, which stays
-feasible well past it. The enumeration loops and ``_interval`` check the
-deadline.
+feasible well past it. The enumeration loops, ``_interval`` and each orbit
+of ``conjugacy_orbits`` check the deadline.
 """
 
 from __future__ import annotations
@@ -188,6 +190,7 @@ def conjugacy_orbits(
     for s in canonical(remaining):
         if s not in remaining:
             continue
+        check_deadline()
         orbit = {s}
         work = [s]
         while work:
@@ -206,6 +209,23 @@ def orbit_reps_under(
 ) -> list[frozenset[int]]:
     """Orbit representatives (canonically least) of subgroup sets under conjugation."""
     return [rep for rep, _ in conjugacy_orbits(parent, sets, under)]
+
+
+def class_reps(G: GroupLike, under: Optional[frozenset[int]] = None) -> list[frozenset[int]]:
+    """The canonically least member of each class of subgroups of G under
+    conjugation by ``under`` (default: G itself), in canonical order.
+
+    Cached per (G, under): the checkers ask for the same classes again and
+    again. The lattice budget binds on a cached result too.
+    """
+    sub = _as_subgroup(G)
+    _check_lattice_size(sub)
+    acting = sub.members if under is None else under
+    return memo(sub.parent, "class_reps", (sub.members, acting), _class_reps, sub, acting)
+
+
+def _class_reps(sub: SubgroupRef, under: frozenset[int]) -> list[frozenset[int]]:
+    return orbit_reps_under(sub.parent, subgroup_sets(sub), under)
 
 
 def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:

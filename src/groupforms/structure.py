@@ -5,10 +5,11 @@ is a genuine verification, never a derivation. Checkers whose statement
 carries formation hypotheses (saturated, superradical, ...) gate on the
 declared flags and label the verdict empirical when a flag is missing.
 
-Subgroups are taken up to conjugacy (``subgroup_class_reps``); Carter
-subgroups take whole conjugacy orbits, and a subgroup is maximal when its
-only minimal overgroup is the group (``lattice.is_maximal``). No checker
-builds a full subgroup lattice.
+Subgroups are taken up to conjugacy (``subgroup_class_reps``, over the
+cached ``lattice.class_reps``, which also gives the N_G(H)-classes of
+Lemma 1(5)); Carter subgroups take whole conjugacy orbits, and a subgroup
+is maximal when its only minimal overgroup is the group
+(``lattice.is_maximal``). No checker builds a full subgroup lattice.
 """
 
 from __future__ import annotations
@@ -108,10 +109,7 @@ def primary_subgroup_class_reps(G: GroupLike) -> list[SubgroupRef]:
 def subgroup_class_reps(G: GroupLike) -> list[SubgroupRef]:
     """One subgroup per conjugacy class, the canonically least, in canonical order."""
     sub = _as_subgroup(G)
-    parent = sub.parent
-    sets = _lattice.subgroup_sets(sub)
-    reps = _lattice.orbit_reps_under(parent, sets, sub.members)
-    return [SubgroupRef(parent, s) for s in reps]
+    return [SubgroupRef(sub.parent, s) for s in _lattice.class_reps(sub)]
 
 
 def carter_subgroups(G: GroupLike) -> list[SubgroupRef]:
@@ -535,10 +533,9 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
             if not _has_certified_chain(sub, L, F):
                 violations.append(_violation("1.4", label, {"L": L.order}))
         # (5) intersections into arbitrary subgroups
-        all_sets = _lattice.subgroup_sets(sub)
         for H in fsn_reps:
             norm_h = normalizer(sub, H).members
-            for K_set in _lattice.orbit_reps_under(parent, all_sets, norm_h):
+            for K_set in _lattice.class_reps(sub, norm_h):
                 K = SubgroupRef(parent, K_set)
                 meet = SubgroupRef(parent, H.members & K.members)
                 if not is_f_subnormal(K, meet, F):
@@ -560,7 +557,6 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
 def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
     """F-abnormal subgroups: upward closure, self-normalization, abnormality."""
     sub = _as_subgroup(G)
-    parent = sub.parent
     label = _label(sub)
     if not (F.subgroup_closed and _contains_all_prime_orders(F, sub)):
         return []
@@ -569,10 +565,9 @@ def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
     for A in subgroup_class_reps(sub):
         if not is_f_abnormal(sub, A, F):
             continue
-        over_sets = [r.members for r in _lattice.interval(sub, A)]
-        norm_a = normalizer(sub, A).members
-        for B_set in _lattice.orbit_reps_under(parent, over_sets, norm_a):
-            B = SubgroupRef(parent, B_set)
+        # every B in [A, G]: A is self-normalizing when the lemma holds, so
+        # each B is its own N(A)-class and taking classes would save nothing
+        for B in _lattice.interval(sub, A):
             if not is_f_abnormal(sub, B, F):
                 violations.append(_violation("2.1", label, {"A": A.order, "B": B.order, "kind": "abnormal"}))
             if not is_self_normalizing(sub, B):
@@ -585,7 +580,6 @@ def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
 def check_lemma3(G: GroupLike) -> list[dict]:
     """Abnormal subgroups: Sylow normalizers, upward closure, quotients."""
     sub = _as_subgroup(G)
-    parent = sub.parent
     label = _label(sub)
     violations = []
     for p in sorted(prime_divisors(sub)):
@@ -598,10 +592,7 @@ def check_lemma3(G: GroupLike) -> list[dict]:
             continue
         if not is_self_normalizing(sub, A):
             violations.append(_violation("3.abn-selfnorm", label, {"A": A.order}))
-        over_sets = [r.members for r in _lattice.interval(sub, A)]
-        norm_a = normalizer(sub, A).members
-        for B_set in _lattice.orbit_reps_under(parent, over_sets, norm_a):
-            B = SubgroupRef(parent, B_set)
+        for B in _lattice.interval(sub, A):
             if not is_abnormal(sub, B):
                 violations.append(_violation("3.2", label, {"A": A.order, "B": B.order, "kind": "abnormal"}))
             if not is_self_normalizing(sub, B):

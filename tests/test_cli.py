@@ -301,20 +301,28 @@ def test_analyze_example864_supersoluble_theorem1_gives_a_verdict(capsys):
     assert result["status"] in (reports.PASS, reports.FAIL)
 
 
-# sha256 of the batch report below, recorded when U membership still read
-# maximal subgroups off full lattices (tool_version masked)
-LEMMAS_U_BATCH_SHA256 = "760cac1ff44f4cb098e952ae63438cde042aabad66e7339b65bac28516e2dab6"
+# sha256 of the batch report below per formation (tool_version masked). U's
+# was recorded when U membership still read maximal subgroups off full
+# lattices; A's and N's before subgroup class reps were cached
+LEMMAS_BATCH_SHA256 = {
+    "U": "760cac1ff44f4cb098e952ae63438cde042aabad66e7339b65bac28516e2dab6",
+    "A": "705f6d38698476b4b54b6282a51a9a05d4854d4d1332756fa6b0ca4c5c9a5861",
+    "N": "159e2898067c2c278c3a14296b9e1f1ed1ff70c062381061ae7cbad8559dccc3",
+}
 
 
-def test_batch_lemmas_supersoluble_report_unchanged(tmp_path, capsys):
-    d = tmp_path / "lemmas-u"
+@pytest.mark.parametrize("formation", sorted(LEMMAS_BATCH_SHA256))
+def test_batch_lemmas_report_unchanged(tmp_path, capsys, formation):
+    d = tmp_path / "lemmas"
     d.mkdir()
     for name in ("S3", "A4", "D4", "S4", "sl23", "D6"):
         groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
-    code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "lemmas", "--formation", "U")
+    code, out = run_cli(
+        capsys, "batch", "--dir", str(d), "--check", "lemmas", "--formation", formation,
+    )
     assert code == EXIT_OK
     masked = out.replace(f'"tool_version": "{reports.TOOL_VERSION}"', '"tool_version": ""')
-    assert hashlib.sha256(masked.encode()).hexdigest() == LEMMAS_U_BATCH_SHA256
+    assert hashlib.sha256(masked.encode()).hexdigest() == LEMMAS_BATCH_SHA256[formation]
 
 
 # sha256 and exit code of ``analyze --check all`` on direct(S4,elem_abelian:2,2),

@@ -105,13 +105,22 @@ def test_lattice_budget():
 
 
 def test_lattice_budget_binds_on_cached_lattice():
+    from groupforms.structure import subgroup_class_reps
+
     s4 = catalog.symmetric(4)
+    d8 = normalizer(s4, sylow_subgroup(s4, 2)).members
     assert len(lat.all_subgroups(s4).nodes) == 30
+    assert len(subgroup_class_reps(s4)) == 11
+    assert len(lat.class_reps(s4, d8)) == 16
     with Budgets(lattice=5).in_force():
         with pytest.raises(LatticeBudgetError):
             lat.all_subgroups(s4)
         with pytest.raises(LatticeBudgetError):
             maximal_subgroups(s4)
+        with pytest.raises(LatticeBudgetError):
+            subgroup_class_reps(s4)
+        with pytest.raises(LatticeBudgetError):
+            lat.class_reps(s4, d8)
     assert len(lat.all_subgroups(s4).nodes) == 30  # the defaults are back
 
 
@@ -121,8 +130,10 @@ def test_lattice_budget_binds_on_cached_lattice():
         lambda G: lat.subgroup_sets(G),
         lambda G: lat.interval(G, sylow_subgroup(G, 3)),
         lambda G: is_f_subnormal(G, sylow_subgroup(G, 3), NILPOTENT),
+        lambda G: lat.normal_subgroups(G),
+        lambda G: lat.orbit_reps_under(G, [frozenset((x,)) for x in G.whole()], G.whole()),
     ],
-    ids=["subgroup_sets", "interval", "is_f_subnormal"],
+    ids=["subgroup_sets", "interval", "is_f_subnormal", "normal_subgroups", "orbit_reps_under"],
 )
 def test_time_budget_binds_inside_searches(search):
     G = catalog.symmetric(4)  # cold: nothing is cached yet
@@ -270,8 +281,9 @@ def test_maximal_subgroups_containing_matches_full_lattice(catalog120):
 
 def test_orbit_reps_match_subgroup_orbit_oracle(catalog120):
     # element-map conjugation gives the same reps as one subgroup_orbit per
-    # rep: whole-group class reps, the Sylow-based primary reps (input sets
-    # not closed under conjugation) and lemma 1.5's N(H)-orbit reps
+    # rep: whole-group class reps (cached ``class_reps``, cold and warm), the
+    # Sylow-based primary reps (input sets not closed under conjugation) and
+    # lemma 1.5's N(H)-orbit reps, cached and uncached
     from groupforms import structure
     from groupforms.permgroup import normalizer, prime_divisors, sylow_subgroup
 
@@ -281,19 +293,26 @@ def test_orbit_reps_match_subgroup_orbit_oracle(catalog120):
             continue
         whole = g.whole()
         sets = lat.subgroup_sets(g)
+
+        def cold_then_warm(under=None):
+            g._op_cache.pop("class_reps", None)
+            return [lat.class_reps(g, under) for _ in range(2)]
+
+        want = orbit_reps_by_subgroup_orbit(g, sets, whole)
+        assert cold_then_warm() == [want, want]
         reps = [H.members for H in structure.subgroup_class_reps(g)]
-        assert reps == orbit_reps_by_subgroup_orbit(g, sets, whole)
+        assert reps == want
         primary = []
         for p in sorted(prime_divisors(g)):
             primary.extend(s for s in lat.subgroup_sets(sylow_subgroup(g, p)) if len(s) > 1)
         got = [P.members for P in structure.primary_subgroup_class_reps(g)]
         assert got == lat.orbit_reps_under(g, primary, whole)
         assert got == orbit_reps_by_subgroup_orbit(g, primary, whole)
-        calls += 2
+        calls += 3
         for H in reps:
             norm_h = normalizer(g, SubgroupRef(g, H)).members
-            assert lat.orbit_reps_under(g, sets, norm_h) == orbit_reps_by_subgroup_orbit(
-                g, sets, norm_h
-            )
-            calls += 1
-    assert calls == 2_343
+            want = orbit_reps_by_subgroup_orbit(g, sets, norm_h)
+            assert lat.orbit_reps_under(g, sets, norm_h) == want
+            assert cold_then_warm(norm_h) == [want, want]
+            calls += 2
+    assert calls == 4_548

@@ -198,3 +198,31 @@ def test_prime_order_membership_builds_each_cyclic_group_once(monkeypatch):
     monkeypatch.setattr(structure, "cyclic", rebuild)
     assert structure._contains_all_prime_orders(ABELIAN, s4)
     assert structure.check_lemma2(s4, ABELIAN) == []
+
+
+def test_lemma_suite_takes_no_orbit_twice(monkeypatch):
+    # class reps are cached per (group, acting subgroup) and lemmas 2 and 3
+    # take no classes of intervals: no orbit computation may repeat an
+    # earlier one on the same group
+    from groupforms.formations import ABELIAN
+
+    real = lat.orbit_reps_under
+    seen: dict[int, set] = {}
+    parents = []  # keeps every spied group alive, so no id is reused
+
+    def spy(parent, sets, under):
+        sets = tuple(sets)
+        parents.append(parent)
+        key = (sets, under)
+        assert key not in seen.setdefault(id(parent), set()), (
+            f"orbits of {len(sets)} sets under a subgroup of order {len(under)} "
+            f"taken again in {parent!r}"
+        )
+        seen[id(parent)].add(key)
+        return real(parent, sets, under)
+
+    monkeypatch.setattr(lat, "orbit_reps_under", spy)
+    groups = [catalog.build_named(name) for name in ("S4", "sl23", "D6", "A5")]
+    report = structure.check_lemma_suite(groups, ABELIAN)
+    assert report.summary()["fail"] == 0
+    assert parents
