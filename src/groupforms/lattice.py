@@ -229,7 +229,13 @@ def _class_reps(sub: SubgroupRef, under: frozenset[int]) -> list[frozenset[int]]
 
 
 def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
-    """All normal subgroups, via closure of conjugacy-class unions."""
+    """All normal subgroups, as products of normal closures of conjugacy classes.
+
+    A conjugacy class spans a normal subgroup C, and for N normal <N, class> =
+    NC = <N, gens(C)>. So each distinct C is taken once, and every normal
+    subgroup is reached from 1 by joining with the greedy generators of the C
+    not below it (Hulpke, "Computing normal subgroups", ISSAC 1998).
+    """
     sub = _as_subgroup(G)
     return memo(sub.parent, "normals", sub.members, _normal_subgroups, sub)
 
@@ -238,19 +244,20 @@ def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
     parent = sub.parent
     trivial = frozenset((parent.identity,))
     singletons = [frozenset((x,)) for x in sub.members if x != parent.identity]
-    classes = [
-        sorted(x for (x,) in orbit)
+    closures = canonical({
+        parent.closure(x for (x,) in orbit)
         for _, orbit in conjugacy_orbits(parent, singletons, sub.members)
-    ]
+    })
+    spans = [(C, parent.greedy_generators(C)) for C in closures]
     found = {trivial}
     work = [trivial]
     while work:
         N = work.pop()
         coset = _gather(sorted(N))
-        for cls in classes:
-            if cls[0] in N:
+        for C, gens in spans:
+            if C <= N:
                 continue
-            bigger = parent.join(N, cls, coset)
+            bigger = parent.join(N, gens, coset)
             if bigger not in found:
                 found.add(bigger)
                 work.append(bigger)

@@ -645,7 +645,11 @@ class GroupHom:
 
     ``element_map`` sends parent element indices (of the source member set) to
     element indices of ``image``; ``image`` is the permutation realization of
-    the right-coset action.
+    the right-coset action. Quotients of one parent whose coset actions give
+    the same permutations share one ``image`` object, and with it its cached
+    lattice, residuals and verdicts; each keeps its own ``kernel`` and
+    ``element_map``. A shared image's ``generators`` are those of the first
+    quotient that built it, so read them only as some generating set.
     """
 
     source: SubgroupRef
@@ -654,8 +658,7 @@ class GroupHom:
     element_map: Mapping[int, int]
 
     def map_members(self, members: Iterable[int]) -> frozenset[int]:
-        emap = self.element_map
-        return frozenset(emap[x] for x in members)
+        return frozenset(map(self.element_map.__getitem__, members))
 
     def map_subgroup(self, H: SubgroupRef) -> SubgroupRef:
         return self.image.subgroup(self.map_members(H.members), _trusted=True)
@@ -897,7 +900,12 @@ def _fitting(sub: SubgroupRef) -> SubgroupRef:
 
 
 def quotient(G: GroupLike, N: SubgroupRef) -> GroupHom:
-    """Quotient realized by the right-coset action; errors if N is not normal."""
+    """Quotient realized by the right-coset action; errors if N is not normal.
+
+    Cached per (G, N). The image is cached on the parent by its element set,
+    so quotients whose coset actions give the same permutations return one
+    shared ``FiniteGroup`` (see ``GroupHom``).
+    """
     sub = _as_subgroup(G)
     parent = sub.parent
     if not N.members <= sub.members:
@@ -927,7 +935,9 @@ def _quotient(sub: SubgroupRef, N: SubgroupRef) -> GroupHom:
     qtable = [tuple(map(coset, at_reps(t[r]))) for r in reps]
     perms = list(zip(*qtable))
     gen_perms = [perms[coset_of[g]] for g in gens] or [identity_perm(q)]
-    image = FiniteGroup.from_table(perms, qtable, gen_perms, name=None)
+    image = memo(
+        parent, "image", tuple(sorted(perms)), FiniteGroup.from_table, perms, qtable, gen_perms, None
+    )
     emap = {x: image._index[perms[r]] for x, r in coset_of.items()}
     return GroupHom(source=sub, kernel=N, image=image, element_map=emap)
 

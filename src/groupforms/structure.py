@@ -515,13 +515,19 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
                     violations.append(
                         _violation("1.2", label, {"N": N.order, "K": K.order})
                     )
-    # (3) pushing to quotients
+    # (3) pushing to quotients, each verdict decided once per (image, HN/N):
+    # quotients with the same coset action share their image
+    pushed: dict[tuple[FiniteGroup, frozenset[int]], bool] = {}
     for N in normals:
         if N.order == sub.order:
             continue
         hom = quotient(sub, N)
+        image = hom.image
         for H in fsn_reps:
-            if not is_f_subnormal(hom.image, hom.map_subgroup(H), F):
+            key = (image, hom.map_members(H.members))
+            if key not in pushed:
+                pushed[key] = is_f_subnormal(image, SubgroupRef(image, key[1]), F)
+            if not pushed[key]:
                 violations.append(
                     _violation("1.3", label, {"N": N.order, "H": H.order})
                 )
@@ -532,15 +538,19 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
         for L in _lattice.interval(sub, res):
             if not _has_certified_chain(sub, L, F):
                 violations.append(_violation("1.4", label, {"L": L.order}))
-        # (5) intersections into arbitrary subgroups
+        # (5) intersections into arbitrary subgroups, each verdict decided
+        # once per (K, H & K)
+        met: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
         for H in fsn_reps:
             norm_h = normalizer(sub, H).members
             for K_set in _lattice.class_reps(sub, norm_h):
-                K = SubgroupRef(parent, K_set)
-                meet = SubgroupRef(parent, H.members & K.members)
-                if not is_f_subnormal(K, meet, F):
+                key = (K_set, H.members & K_set)
+                if key not in met:
+                    K, meet = SubgroupRef(parent, K_set), SubgroupRef(parent, key[1])
+                    met[key] = is_f_subnormal(K, meet, F)
+                if not met[key]:
                     violations.append(
-                        _violation("1.5", label, {"H": H.order, "K": K.order})
+                        _violation("1.5", label, {"H": H.order, "K": len(K_set)})
                     )
         # (6) descending inside F-members
         for H in fsn_reps:

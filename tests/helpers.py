@@ -219,11 +219,15 @@ def subgroup_sets_by_join_closure(sub: SubgroupRef) -> list[frozenset[int]]:
 
 def is_supersoluble(G: GroupLike) -> bool:
     """Huppert's criterion (Math. Z. 60 (1954)): every maximal subgroup has
-    prime index. Read off the full lattice, independent of the chief walk."""
+    prime index. The index is the same for every conjugate, so only the
+    subgroup class reps that ``is_maximal`` accepts are read; independent of
+    the chief walk."""
     sub = _as_subgroup(G)
-    if sub.order == 1:
-        return True
-    return all(is_prime(sub.order // M.order) for M in maximal_subgroups(sub))
+    parent = sub.parent
+    for M in lat.class_reps(sub):
+        if lat.is_maximal(sub, SubgroupRef(parent, M)) and not is_prime(sub.order // len(M)):
+            return False
+    return True
 
 
 def subgroup_orbit(
@@ -323,14 +327,16 @@ def maximal_subgroups(G: GroupLike) -> list[SubgroupRef]:
 
 
 def frattini(G: GroupLike) -> SubgroupRef:
-    """Frattini subgroup: intersection of all maximal subgroups."""
+    """Frattini subgroup: intersection of all maximal subgroups, taken a
+    class at a time, as the orbit of each class rep that ``is_maximal``
+    accepts."""
     sub = _as_subgroup(G)
     parent = sub.parent
-    if sub.order == 1:
-        return sub
     mem = sub.members
-    for M in maximal_subgroups(sub):
-        mem = mem & M.members
+    for M in lat.class_reps(sub):
+        if lat.is_maximal(sub, SubgroupRef(parent, M)):
+            for conjugate in subgroup_orbit(parent, M, sub.members):
+                mem = mem & conjugate
     return SubgroupRef(parent, mem)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from helpers import (
+    frattini,
     is_supersoluble,
     maximal_subgroups,
     residual_by_scan,
@@ -15,6 +16,7 @@ from groupforms import catalog
 from groupforms import lattice as lat
 from groupforms.formations import (
     ABELIAN,
+    BUILT_IN,
     NILPOTENT,
     NILPOTENT_DERIVED,
     SOLUBLE,
@@ -186,7 +188,7 @@ def test_quotient_in_matches_membership_of_quotient_image(catalog120):
 
 def test_chief_walk_matches_huppert_criterion(catalog120):
     # U membership walks a chief series; the oracle reads the maximal
-    # subgroups off the full lattice. Every subgroup of the catalog groups
+    # subgroups off the class reps. Every subgroup of the catalog groups
     # <= 60, and every quotient image of them, both by membership of the
     # image and through quotient_in.
     checked = 0
@@ -325,3 +327,21 @@ def test_lemma4_gate_reason_for_abelian():
     maximals = maximal_subgroups(q8)
     assert all(is_f_subnormal(q8, M, ABELIAN) for M in maximals)
     assert not ABELIAN.contains(q8)
+
+
+SATURATED = [F for F in BUILT_IN.values() if F.saturated]
+
+
+@pytest.mark.parametrize("F", SATURATED, ids=lambda F: F.name)
+def test_saturated_flag_holds_on_catalog(catalog120, F):
+    # the flag is trusted metadata that gates theorem 1 and lemma 4: a
+    # saturated F holds every G whose Frattini quotient it holds
+    bad = []
+    for g in catalog120:
+        if F.contains(quotient(g, frattini(g)).image) and not F.contains(g):
+            bad.append((g.name, g.order))
+    assert not bad, f"{F.name} is flagged saturated, yet G/Phi(G) in F and G not: {bad}"
+
+
+def test_saturated_formations_are_the_expected_ones():
+    assert sorted(F.name for F in SATURATED) == ["N", "NA", "Sol", "U"]

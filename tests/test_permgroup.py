@@ -9,6 +9,7 @@ from helpers import (
     frattini,
     generate,
     greedy_generators_from_scratch,
+    maximal_subgroups,
     subgroup_generated,
     table_by_compose,
 )
@@ -353,6 +354,29 @@ def test_quotient_kernel_maps_to_identity():
     hom = quotient(g, v4)
     assert hom.map_members(v4.members) == {hom.image.identity}
     assert hom.image.order * v4.order == g.order
+
+
+def test_quotients_with_one_coset_action_share_their_image():
+    # S4's four S3 subgroups K each give K/K' = C2 by the same permutations
+    # of two cosets: one image object, four homomorphisms
+    g = s4()
+    homs = [
+        quotient(K, derived_subgroup(K))
+        for K in (SubgroupRef(g, m) for m in lat.subgroup_sets(g) if len(m) == 6)
+    ]
+    assert len(homs) == 4
+    assert len({id(h.image) for h in homs}) == 1
+    assert homs[0].image.order == 2
+    assert len({h.kernel.members for h in homs}) == 4
+
+
+def test_frattini_matches_full_lattice(catalog120):
+    for g in catalog120:
+        if g.order <= 60:
+            want = g.whole()
+            for M in maximal_subgroups(g):
+                want = want & M.members
+            assert frattini(g).members == want
 
 
 # -- sylow ------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import inspect
+import re
+import sys
+
 import pytest
 from helpers import conjugacy_class_reps, is_minimal_non_f, is_schmidt, maximal_subgroups
 
 from groupforms import catalog, structure
 from groupforms import lattice as lat
-from groupforms.formations import NILPOTENT, NILPOTENT_DERIVED
+from groupforms.formations import ABELIAN, NILPOTENT, NILPOTENT_DERIVED, SUPERSOLUBLE
 from groupforms.lattice import LatticeBudgetError
-from groupforms.permgroup import Budgets, GroupError
+from groupforms.permgroup import Budgets, GroupError, _as_subgroup
 
 
 def test_primary_cyclic_subgroups():
@@ -187,8 +191,6 @@ def test_subgroup_class_reps_match_full_lattice(catalog120):
 
 
 def test_prime_order_membership_builds_each_cyclic_group_once(monkeypatch):
-    from groupforms.formations import ABELIAN
-
     s4 = catalog.symmetric(4)
     assert structure._contains_all_prime_orders(ABELIAN, s4)
 
@@ -204,8 +206,6 @@ def test_lemma_suite_takes_no_orbit_twice(monkeypatch):
     # class reps are cached per (group, acting subgroup) and lemmas 2 and 3
     # take no classes of intervals: no orbit computation may repeat an
     # earlier one on the same group
-    from groupforms.formations import ABELIAN
-
     real = lat.orbit_reps_under
     seen: dict[int, set] = {}
     parents = []  # keeps every spied group alive, so no id is reused
@@ -226,3 +226,75 @@ def test_lemma_suite_takes_no_orbit_twice(monkeypatch):
     report = structure.check_lemma_suite(groups, ABELIAN)
     assert report.summary()["fail"] == 0
     assert parents
+
+
+def _lemma1_property_of_line():
+    """Maps a line of ``check_lemma1`` to the property whose ``# (n)``
+    comment opens the block that holds it."""
+    lines, start = inspect.getsourcelines(structure.check_lemma1)
+    marks = [
+        (start + i, m.group(1))
+        for i, line in enumerate(lines)
+        if (m := re.match(r"\s*# \((\d)\)", line))
+    ]
+    return lambda lineno: next((p for at, p in reversed(marks) if at <= lineno), None)
+
+
+@pytest.mark.parametrize("F", [ABELIAN, NILPOTENT, SUPERSOLUBLE], ids=lambda F: F.name)
+def test_lemma1_decides_each_quotient_and_meet_once(monkeypatch, small_groups, F):
+    # properties (3) and (5) quantify over (N, H) and (H, K) but decide each
+    # distinct (ambient, subgroup) once per checked group
+    property_of = _lemma1_property_of_line()
+    code = structure.check_lemma1.__code__
+    real = structure.is_f_subnormal
+    seen: set = set()
+    counted = {"3": 0, "5": 0}
+    kept = []  # keeps every spied ambient alive, so no id is reused
+
+    def spy(G, H, formation):
+        caller = sys._getframe(1)
+        prop = property_of(caller.f_lineno) if caller.f_code is code else None
+        if prop in counted:
+            amb = _as_subgroup(G)
+            kept.append(amb)
+            key = (id(amb.parent), amb.members, H.members, formation)
+            assert key not in seen, (
+                f"lemma 1({prop}) decides a subgroup of order {H.order} in an "
+                f"ambient of order {amb.order} again"
+            )
+            seen.add(key)
+            counted[prop] += 1
+        return real(G, H, formation)
+
+    monkeypatch.setattr(structure, "is_f_subnormal", spy)
+    for g in small_groups:
+        seen.clear()
+        assert structure.check_lemma1(g, F) == []
+    assert all(counted.values()), counted
+
+
+def test_lemma1_quotients_are_homomorphisms(monkeypatch, small_groups):
+    # every quotient lemma 1 builds, shared image or not, is a surjective
+    # homomorphism onto its image with exactly its kernel sent to 1
+    real = structure.quotient
+    homs = []
+
+    def spy(G, N):
+        hom = real(G, N)
+        homs.append(hom)
+        return hom
+
+    monkeypatch.setattr(structure, "quotient", spy)
+    for g in small_groups:
+        structure.check_lemma1(g, ABELIAN)
+    homs = list({id(hom): hom for hom in homs}.values())
+    assert len({id(hom.image) for hom in homs}) < len(homs), "no image is shared"
+    for hom in homs:
+        G, image, emap = hom.source.parent, hom.image, hom.element_map
+        dom = hom.source.sorted_members
+        assert sorted(emap) == list(dom)
+        for x in dom:
+            for y in dom:
+                assert emap[G.mul(x, y)] == image.mul(emap[x], emap[y])
+        assert {x for x in dom if emap[x] == image.identity} == hom.kernel.members
+        assert set(emap.values()) == image.whole()
