@@ -157,34 +157,16 @@ def _extend_generator_map(G: FiniteGroup, images: dict[int, int]) -> Optional[tu
     return array
 
 
-def _automorphism_of_order(G: FiniteGroup, order: int) -> tuple[int, ...]:
-    """Deterministic search for an automorphism of the given order."""
-    gens = list(G.generators)
-    orders = G.element_orders()
-    candidate_images = [
-        [y for y in range(G.order) if orders[y] == orders[g]] for g in gens
-    ]
-    for combo in itertools.product(*candidate_images):
-        arr = _extend_generator_map(G, dict(zip(gens, combo)))
-        if arr is None:
-            continue
-        # multiplicative check is implied by construction; test the order
-        power = arr
-        k = 1
-        ident = tuple(range(G.order))
-        while power != ident and k <= order:
-            power = tuple(arr[x] for x in power)
-            k += 1
-        if k == order and power == ident:
-            return arr
-    raise GroupError(f"no automorphism of order {order} found")
-
-
 def special_linear_2_3() -> FiniteGroup:
-    """SL(2,3) as Q8 x| C3."""
+    """SL(2,3) as Q8 x| C3, where C3 acts by the automorphism i -> j, j -> k = ij.
+
+    ``(i, j)`` are Q8's generators; ``semidirect_product`` checks that the
+    map is an automorphism and that C3 acts through it.
+    """
     q8 = dicyclic(2)
     c3 = cyclic(3)
-    phi = _automorphism_of_order(q8, 3)
+    i, j = q8.generators
+    phi = _extend_generator_map(q8, {i: j, j: q8.mul(i, j)})
     grp = semidirect_product(q8, c3, {c3.generators[0]: phi}, name="SL(2,3)")
     return grp
 

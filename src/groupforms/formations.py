@@ -12,11 +12,13 @@ not check that a closed form is minimal; the tests compare every closed form
 with the scan and guard against one that is too large.
 
 ``quotient_in`` decides whether K/N lies in F one way: F's membership
-predicate on the quotient image, cached per (K, N, F). The chain predicates
-test their steps by residual containment instead (``subnormal``), so only the
-residual scan, the residual postconditions and the chain witnesses build
-quotient images. U membership walks a chief series of the group's normal
-subgroups, so it builds no subgroup lattice.
+predicate on the quotient image. It keeps no cache of its own: ``quotient``
+caches the image per (K, N) and ``Formation.contains`` the verdict per
+(image, F). The chain predicates test their steps by residual containment
+instead (``subnormal``), so only the residual scan, the residual
+postconditions and the chain witnesses build quotient images. U membership
+walks a chief series of the group's normal subgroups, so it builds no
+subgroup lattice.
 """
 
 from __future__ import annotations
@@ -190,12 +192,7 @@ def formation_by_name(name: str) -> Formation:
 
 
 def quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
-    """Whether K/N lies in F: F's membership predicate on the quotient image,
-    with the verdict cached per (K, N, F)."""
-    return memo(K.parent, "quotient_in", (K.members, N.members, F), _image_in, F, K, N)
-
-
-def _image_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
+    """Whether K/N lies in F: F's membership predicate on the quotient image."""
     return F.contains(quotient(K, N).image)
 
 

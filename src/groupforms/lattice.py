@@ -154,7 +154,7 @@ def _all_subgroups(sub: SubgroupRef) -> SubgroupLattice:
     by_members = {ref.members: i for i, ref in enumerate(nodes)}
     edges: list[tuple[int, int]] = []
     for i, ref in enumerate(nodes):
-        for over in minimal_overgroups(sub, ref, within=sub.members):
+        for over in minimal_overgroups(sub, ref):
             edges.append((i, by_members[over.members]))
     classes = tuple(
         tuple(sorted(by_members[s] for s in orbit))
@@ -264,20 +264,17 @@ def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
     return [SubgroupRef(parent, s) for s in canonical(found)]
 
 
-def minimal_overgroups(
-    G: GroupLike, H: SubgroupRef, within: Optional[frozenset[int]] = None
-) -> list[SubgroupRef]:
-    """All K with H maximal in K (inside ``within``, default the whole group).
+def minimal_overgroups(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
+    """All K <= G with H maximal in K.
 
-    Minimal elements of {<H, g> : g outside H}; <H, x> is the same for every
-    x in gH, so one join per left coset of H suffices.
+    Minimal elements of {<H, g> : g in G outside H}; <H, x> is the same for
+    every x in gH, so one join per left coset of H suffices.
     """
     sub = _as_subgroup(G)
-    parent = sub.parent
-    top = within if within is not None else sub.members
+    top = sub.members
     if not H.members <= top:
-        raise GroupError("H must be contained in the search space")
-    return memo(parent, "min_over", (H.members, top), _minimal_overgroups, parent, H, top)
+        raise GroupError("H must be contained in G")
+    return memo(sub.parent, "min_over", (H.members, top), _minimal_overgroups, sub.parent, H, top)
 
 
 def _minimal_overgroups(
@@ -290,9 +287,8 @@ def _minimal_overgroups(
     for g in sorted(top):
         if g in covered:
             continue
-        join = parent.join(H.members, [g], coset)
-        if join <= top:
-            candidates.setdefault(join, None)
+        # H and g lie in the subgroup top, so their join does too
+        candidates.setdefault(parent.join(H.members, [g], coset), None)
         covered.update(coset(t[g]))
     # in ascending order every candidate comes after the ones it contains,
     # and a candidate that is not minimal contains a minimal one
@@ -319,7 +315,7 @@ def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
     while work:
         check_deadline()
         cur = work.pop()
-        for over in minimal_overgroups(sub, SubgroupRef(parent, cur), within=sub.members):
+        for over in minimal_overgroups(sub, SubgroupRef(parent, cur)):
             if over.members not in found:
                 found.add(over.members)
                 work.append(over.members)
@@ -328,7 +324,7 @@ def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
 
 def is_maximal(K: SubgroupRef, M: SubgroupRef) -> bool:
     """M is maximal in K: K is M's only minimal overgroup inside K."""
-    overs = minimal_overgroups(K, M, within=K.members)
+    overs = minimal_overgroups(K, M)
     return [o.members for o in overs] == [K.members]
 
 

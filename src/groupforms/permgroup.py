@@ -250,10 +250,11 @@ class FiniteGroup:
     image tuples, which makes every set-valued result downstream
     deterministic. ``generator_perms`` must generate ``elements``: unless a
     table is passed in, ``_build_table`` fills it along their Cayley graph
-    and raises ``GroupError`` otherwise. ``_op_cache`` holds idempotent lazy
-    results (lattices, residuals, normalizers, ...), one dict per namespace;
-    every read and write goes through ``memo``. Concurrent duplicate
-    computation is harmless by design.
+    and raises ``GroupError`` otherwise. The whole member set and the
+    whole-group ``SubgroupRef`` are built once, with the group.
+    ``_op_cache`` holds idempotent lazy results (lattices, residuals,
+    normalizers, ...), one dict per namespace; every read and write goes
+    through ``memo``. Concurrent duplicate computation is harmless by design.
     """
 
     __slots__ = (
@@ -266,6 +267,8 @@ class FiniteGroup:
         "_table",
         "_inv",
         "_identity",
+        "_whole",
+        "_whole_ref",
         "_op_cache",
     )
 
@@ -296,6 +299,8 @@ class FiniteGroup:
         self._table = self._build_table() if _table is None else _table
         e = self._identity
         self._inv = array("i", [row.index(e) for row in self._table])
+        self._whole = frozenset(range(self.order))
+        self._whole_ref = SubgroupRef(self, self._whole)
         self._op_cache: dict = {}
 
     def _build_table(self) -> list[array]:
@@ -334,9 +339,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self._table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self._inv[a]
-
     def conj(self, x: int, g: int) -> int:
         """g^-1 * x * g in index space."""
         t = self._table
@@ -366,7 +368,7 @@ class FiniteGroup:
         return out
 
     def whole(self) -> frozenset[int]:
-        return memo(self, "whole", None, frozenset, range(self.order))
+        return self._whole
 
     def closure(self, seeds: Iterable[int]) -> frozenset[int]:
         """The subgroup generated by the seeds, as an index set, from scratch.
@@ -449,17 +451,16 @@ class FiniteGroup:
         gi = self._inv[g]
         return frozenset(t[t[gi][x]][g] for x in members)
 
-    def subgroup(self, members: Iterable[int], _trusted: bool = False) -> "SubgroupRef":
+    def subgroup(self, members: Iterable[int]) -> "SubgroupRef":
         ms = frozenset(members)
-        if not _trusted:
-            if not ms <= self.whole():
-                raise GroupError("member indices outside the group")
-            if self.closure(self.greedy_generators(ms) or [self._identity]) != ms:
-                raise GroupError("member set is not closed (not a subgroup)")
+        if not ms <= self._whole:
+            raise GroupError("member indices outside the group")
+        if self.closure(self.greedy_generators(ms) or [self._identity]) != ms:
+            raise GroupError("member set is not closed (not a subgroup)")
         return SubgroupRef(self, ms)
 
     def as_subgroup(self) -> "SubgroupRef":
-        return memo(self, "self_sub", None, _self_subgroup, self)
+        return self._whole_ref
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -532,27 +533,18 @@ def memo(group: FiniteGroup, namespace: str, key, compute: Callable, *args):
     """The value cached under ``group._op_cache[namespace][key]``.
 
     On a miss, ``compute(*args)`` is stored first and then returned; a
-    compute that raises stores nothing. A miss means an absent key, so
-    ``False`` and ``None`` results are cached too. ``key=None`` caches one
-    value per group directly under ``_op_cache[namespace]``: every quotient
-    image caches ``whole`` and ``self_sub``, and a one-entry dict for each
-    would add about 4 MB at the peak of the lemma suite over groups <= 60.
+    compute that raises stores nothing, not even the namespace. A miss means
+    an absent key, so ``False`` and ``None`` results are cached too, and
+    ``None`` is a key like any other.
     """
-    ops = group._op_cache
-    if key is None:
-        got = ops.get(namespace, _MISSING)
-        if got is _MISSING:
-            got = ops[namespace] = compute(*args)
-        return got
-    cache = ops.get(namespace)
-    if cache is None:
-        cache = ops[namespace] = {}
-    else:
+    cache = group._op_cache.get(namespace)
+    if cache is not None:
         got = cache.get(key, _MISSING)
         if got is not _MISSING:
             return got
     value = compute(*args)
-    cache[key] = value
+    # read the namespace again: a recursive compute may have created it
+    group._op_cache.setdefault(namespace, {})[key] = value
     return value
 
 
@@ -572,10 +564,6 @@ def _greedy_generators(G: FiniteGroup, members: frozenset[int]) -> tuple[int, ..
                 if len(current) == len(members):
                     break
     return gens
-
-
-def _self_subgroup(G: FiniteGroup) -> "SubgroupRef":
-    return SubgroupRef(G, G.whole())
 
 
 class SubgroupRef:
@@ -661,15 +649,14 @@ class GroupHom:
         return frozenset(map(self.element_map.__getitem__, members))
 
     def map_subgroup(self, H: SubgroupRef) -> SubgroupRef:
-        return self.image.subgroup(self.map_members(H.members), _trusted=True)
+        return SubgroupRef(self.image, self.map_members(H.members))
 
     def preimage_members(self, image_members: Iterable[int]) -> frozenset[int]:
         wanted = set(image_members)
         return frozenset(x for x, y in self.element_map.items() if y in wanted)
 
     def preimage_subgroup(self, H: SubgroupRef) -> SubgroupRef:
-        parent = self.source.parent
-        return parent.subgroup(self.preimage_members(H.members), _trusted=True)
+        return SubgroupRef(self.source.parent, self.preimage_members(H.members))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,11 @@ is maximal when its only minimal overgroup is the group
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import lattice as _lattice
 from . import reports
-from .catalog import cyclic
 from .formations import Formation, residual
 from .permgroup import (
     FiniteGroup,
@@ -56,13 +54,19 @@ from .subnormal import (
 )
 
 def _contains_all_prime_orders(F: Formation, G: GroupLike) -> bool:
-    return all(_contains_cyclic(F, p) for p in sorted(prime_divisors(G)))
+    """F contains C_p for every prime p dividing |G|.
 
-
-@functools.lru_cache(maxsize=None)
-def _contains_cyclic(F: Formation, p: int) -> bool:
-    # each C_p built is a fresh group with a cold memo; build it once per (F, p)
-    return F.contains(cyclic(p))
+    F is isomorphism-closed, so C_p is read off the least element of order p
+    in G itself (Cauchy), and ``F.contains`` caches the verdict on G.
+    """
+    sub = _as_subgroup(G)
+    parent = sub.parent
+    orders = parent.element_orders()
+    for p in sorted(prime_divisors(sub)):
+        x = min(x for x in sub.members if orders[x] == p)
+        if not F.contains(SubgroupRef(parent, parent.closure([x]))):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

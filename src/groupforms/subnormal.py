@@ -156,7 +156,7 @@ def _f_abnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
     return not any(
         residual(F, L).members <= K.members
         for K in _lattice.interval(amb, H)
-        for L in _lattice.minimal_overgroups(amb, K, within=amb.members)
+        for L in _lattice.minimal_overgroups(amb, K)
     )
 
 

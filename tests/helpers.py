@@ -62,7 +62,7 @@ def oracle_f_subnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:
             return True
         if K.members in dead:
             return False
-        for L in lat.minimal_overgroups(G, K, within=whole):
+        for L in lat.minimal_overgroups(G, K):
             if quotient_in(F, L, core(L, K)) and ascend(L):
                 return True
         dead.add(K.members)
@@ -91,7 +91,7 @@ def is_f_subnormal_via_residual(
     while frontier:
         nxt = []
         for K in frontier:
-            for L in lat.minimal_overgroups(amb, K, within=amb.members):
+            for L in lat.minimal_overgroups(amb, K):
                 if L.members in seen:
                     continue
                 if not residual(F, L).members <= K.members:
@@ -131,7 +131,7 @@ def is_f_subnormal_via_quotients(
     while frontier:
         nxt = []
         for K in frontier:
-            for L in lat.minimal_overgroups(amb, K, within=amb.members):
+            for L in lat.minimal_overgroups(amb, K):
                 if L.members in seen:
                     continue
                 if not member(quotient(L, core(L, K)).image.as_subgroup()):
@@ -160,9 +160,8 @@ def is_subnormal(G: GroupLike, H: SubgroupRef) -> bool:
 
 def oracle_f_abnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:
     """Direct quantifier scan over all pairs H <= K maximal-in L <= G."""
-    whole = G.whole()
     for K in lat.interval(G, H):
-        for L in lat.minimal_overgroups(G, K, within=whole):
+        for L in lat.minimal_overgroups(G, K):
             if quotient_in(F, L, core(L, K)):
                 return False
     return True

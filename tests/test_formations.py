@@ -154,9 +154,8 @@ def test_quotient_monotonicity_small(catalog120):
             hom = quotient(g, N)
             for F in (ABELIAN, NILPOTENT, NILPOTENT_DERIVED):
                 res = residual(F, g)
-                pushed = hom.image.subgroup(
-                    hom.map_members(g.closure(set(res.members) | set(N.members))),
-                    _trusted=True,
+                pushed = SubgroupRef(
+                    hom.image, hom.map_members(g.closure(set(res.members) | set(N.members)))
                 )
                 assert pushed.members == residual(F, hom.image).members
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,11 @@ from helpers import (
     table_by_compose,
 )
 
+import groupforms
 from groupforms import catalog
 from groupforms import lattice as lat
+from groupforms.formations import ABELIAN, NILPOTENT, SUPERSOLUBLE
+from groupforms.structure import check_lemma_suite
 from groupforms.permgroup import (
     Budgets,
     FiniteGroup,
@@ -429,6 +434,35 @@ def test_memo_raising_compute_leaves_no_entry():
     with pytest.raises(GroupError):
         memo(g, "test-raise-keyless", None, boom)
     assert "test-raise-keyless" not in g._op_cache
+
+
+def test_memo_has_one_layout(small_groups):
+    # every cached fact is one dict entry per namespace, on every group and
+    # on every quotient image it holds
+    for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE):
+        check_lemma_suite(small_groups, F)
+    seen: set[int] = set()
+    stack = list(small_groups)
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        for namespace, value in g._op_cache.items():
+            assert isinstance(value, dict), (g, namespace)
+        assert not {"quotient_in", "whole", "self_sub"} & set(g._op_cache), g
+        stack.extend(hom.image for hom in g._op_cache.get("quotient", {}).values())
+        stack.extend(g._op_cache.get("image", {}).values())
+    assert len(seen) > len(small_groups)
+
+
+def test_only_memo_touches_the_op_cache():
+    src = Path(groupforms.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "lru_cache" not in text and "functools.cache" not in text, path.name
+        if path.name != "permgroup.py":
+            assert "_op_cache" not in text, path.name
 
 
 def test_quotient_non_normal_raises_after_other_quotients_cached():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 import sys
@@ -11,9 +12,16 @@ from helpers import conjugacy_class_reps, is_minimal_non_f, is_schmidt, maximal_
 
 from groupforms import catalog, structure
 from groupforms import lattice as lat
-from groupforms.formations import ABELIAN, NILPOTENT, NILPOTENT_DERIVED, SUPERSOLUBLE
+from groupforms.formations import (
+    ABELIAN,
+    BUILT_IN,
+    NILPOTENT,
+    NILPOTENT_DERIVED,
+    SUPERSOLUBLE,
+    Formation,
+)
 from groupforms.lattice import LatticeBudgetError
-from groupforms.permgroup import Budgets, GroupError, _as_subgroup
+from groupforms.permgroup import Budgets, FiniteGroup, GroupError, _as_subgroup, prime_divisors
 
 
 def test_primary_cyclic_subgroups():
@@ -190,16 +198,38 @@ def test_subgroup_class_reps_match_full_lattice(catalog120):
             assert structure.subgroup_class_reps(g) == conjugacy_class_reps(lat.all_subgroups(g))
 
 
-def test_prime_order_membership_builds_each_cyclic_group_once(monkeypatch):
+def test_prime_order_gate_builds_no_group(monkeypatch):
+    # the gate reads "F contains C_p" off an element of order p in G itself;
+    # a fresh formation object shares no cached verdict with ABELIAN
     s4 = catalog.symmetric(4)
-    assert structure._contains_all_prime_orders(ABELIAN, s4)
+    assert structure.check_lemma2(s4, ABELIAN) == []  # builds S4's quotient images
+    fresh = dataclasses.replace(ABELIAN)
+    built = []
+    real_init = FiniteGroup.__init__
 
-    def rebuild(p):
-        raise AssertionError(f"C{p} built again")
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(structure, "cyclic", rebuild)
-    assert structure._contains_all_prime_orders(ABELIAN, s4)
-    assert structure.check_lemma2(s4, ABELIAN) == []
+    monkeypatch.setattr(FiniteGroup, "__init__", spy)
+    assert structure._contains_all_prime_orders(fresh, s4)
+    assert structure.check_lemma2(s4, fresh) == []
+    assert built == []
+
+
+def test_prime_order_gate_matches_cyclic_membership():
+    two_three = Formation(
+        name="{2,3}",
+        description="groups whose order has no prime divisor but 2 and 3",
+        membership=lambda sub: prime_divisors(sub) <= {2, 3},
+        subgroup_closed=True,
+    )
+    for F in (*BUILT_IN.values(), two_three):
+        for p in (2, 3, 5, 7, 11, 13):
+            G = catalog.elem_abelian(p, 2)
+            want = F.contains(catalog.cyclic(p))
+            assert structure._contains_all_prime_orders(F, G) == want, (F.name, p)
+    assert not structure._contains_all_prime_orders(two_three, catalog.dihedral(5))
 
 
 def test_lemma_suite_takes_no_orbit_twice(monkeypatch):
