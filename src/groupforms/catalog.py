@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .groupfile import parse_group_text
 from .permgroup import (
@@ -222,6 +222,11 @@ def e9_quarter_turn() -> FiniteGroup:
     return matrix_semidirect(3, 2, [[0, -1], [1, 0]], 4, "E9:C4")
 
 
+def _inversion_semidirect(A: FiniteGroup, B: FiniteGroup, name: Optional[str]) -> FiniteGroup:
+    """A x| B with every generator of B inverting the abelian group A."""
+    return semidirect_product(A, B, inversion_action(A, B), name=name)
+
+
 def load_example864() -> FiniteGroup:
     """The shipped order-864 worked-example group."""
     text = resources.files("groupforms.data").joinpath("g864.pgrp").read_text(encoding="utf-8")
@@ -233,6 +238,16 @@ def load_example864() -> FiniteGroup:
 
 _NAME_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\s*:\s*(.*)$")
 _SHORTHAND = re.compile(r"^([CSDAQ])(\d+)$")
+
+# the one-argument constructors, by the name of their ``name:N`` form
+_ONE_ARG: dict[str, Callable[[int], FiniteGroup]] = {
+    "cyclic": cyclic,
+    "dihedral": dihedral,
+    "dicyclic": dicyclic,
+    "symmetric": symmetric,
+    "alternating": alternating,
+}
+_SHORTHAND_NAME = {"C": "cyclic", "S": "symmetric", "A": "alternating", "D": "dihedral"}
 
 
 def build_named(spec: str) -> FiniteGroup:
@@ -253,22 +268,15 @@ def build_named(spec: str) -> FiniteGroup:
         B = build_named(b_spec)
         if action.strip() != "inversion":
             raise GroupError(f"unknown semidirect action {action!r} (only 'inversion' is named)")
-        return semidirect_product(A, B, inversion_action(A, B))
+        return _inversion_semidirect(A, B, None)
     short = _SHORTHAND.match(s)
     if short:
         kind, num = short.group(1), int(short.group(2))
-        if kind == "C":
-            return cyclic(num)
-        if kind == "S":
-            return symmetric(num)
-        if kind == "A":
-            return alternating(num)
-        if kind == "D":
-            return dihedral(num)
-        if kind == "Q":
-            if num % 4 != 0:
-                raise GroupError("Q-shorthand means dicyclic of order divisible by 4")
-            return dicyclic(num // 4)
+        if kind != "Q":
+            return _ONE_ARG[_SHORTHAND_NAME[kind]](num)
+        if num % 4 != 0:
+            raise GroupError("Q-shorthand means dicyclic of order divisible by 4")
+        return dicyclic(num // 4)
     if s == "sl23":
         return special_linear_2_3()
     if s == "example864":
@@ -276,20 +284,12 @@ def build_named(spec: str) -> FiniteGroup:
     m = _NAME_RE.match(s)
     if not m:
         raise GroupError(f"unrecognized group spec {spec!r}")
-    name, rest = m.group(1), m.group(2)
-    args = [int(x) for x in rest.replace(",", " ").split()] if rest.strip() else []
-    if name == "cyclic" and len(args) == 1:
-        return cyclic(args[0])
-    if name == "dihedral" and len(args) == 1:
-        return dihedral(args[0])
-    if name == "dicyclic" and len(args) == 1:
-        return dicyclic(args[0])
-    if name == "symmetric" and len(args) == 1:
-        return symmetric(args[0])
-    if name == "alternating" and len(args) == 1:
-        return alternating(args[0])
-    if name == "elem_abelian" and len(args) == 2:
-        return elem_abelian(args[0], args[1])
+    name, args = m.group(1), m.group(2).replace(",", " ").split()
+    if all(re.fullmatch(r"[-+]?\d+", a) for a in args):
+        if name in _ONE_ARG and len(args) == 1:
+            return _ONE_ARG[name](int(args[0]))
+        if name == "elem_abelian" and len(args) == 2:
+            return elem_abelian(int(args[0]), int(args[1]))
     raise GroupError(f"unrecognized group spec {spec!r}")
 
 
@@ -385,102 +385,73 @@ def fingerprint(G: FiniteGroup) -> tuple:
     )
 
 
-def catalog_groups(max_order: int = 120) -> list[FiniteGroup]:
-    """The curated catalog, deduplicated and sorted by (order, name)."""
-    entries: list[FiniteGroup] = []
-    entries.extend(cyclic(n) for n in range(1, max_order + 1))
-    entries.extend(dihedral(n) for n in range(3, max_order // 2 + 1))
-    entries.extend(dicyclic(n) for n in range(2, max_order // 4 + 1))
-    for n in (3, 4, 5):
-        if _fact(n) <= max_order:
-            entries.append(symmetric(n))
-    for n in (4, 5):
-        if _fact(n) // 2 <= max_order:
-            entries.append(alternating(n))
-    entries.extend(g for g in _abelian_types(max_order) if g.order <= max_order)
-    if 32 <= max_order:
-        entries.append(elem_abelian(2, 5))
-    special = []
-    if max_order >= 20:
-        special.append(frobenius(5, 4))
-    if max_order >= 21:
-        special.append(frobenius(7, 3))
-    if max_order >= 24:
-        special.extend([special_linear_2_3(), cyclic_semidirect(3, 8, 2)])
-    if max_order >= 27:
-        special.extend([heisenberg_3(), cyclic_semidirect(9, 3, 4)])
-    if max_order >= 36:
-        special.append(e9_quarter_turn())
-    if max_order >= 42:
-        special.append(frobenius(7, 6))
-    if max_order >= 32:
-        special.append(cyclic_semidirect(16, 2, 7))  # semidihedral of order 32
-    if max_order >= 39:
-        special.append(frobenius(13, 3))
-    if max_order >= 52:
-        special.append(frobenius(13, 4))
-    if max_order >= 55:
-        special.append(frobenius(11, 5))
-    if max_order >= 75:
-        special.append(schmidt_5_5_3())
-    if max_order >= 80:
-        special.append(schmidt_2_4_5())
-    if max_order >= 110:
-        special.append(frobenius(11, 10))
-    entries.extend(special)
-    semis = []
-    if max_order >= 18:
-        A = elem_abelian(3, 2)
-        semis.append(semidirect_product(A, cyclic(2), inversion_action(A, cyclic(2)), name="E9:C2"))
-    if max_order >= 16:
-        semis.extend([cyclic_semidirect(8, 2, 3), cyclic_semidirect(8, 2, 5)])
-    if max_order >= 36:
-        s3 = symmetric(3)
-        semis.append(direct_product(s3, s3, name="S3xS3"))
-    if max_order >= 18:
-        semis.append(direct_product(symmetric(3), cyclic(3), name="S3xC3"))
-    if max_order >= 24:
-        semis.append(direct_product(alternating(4), cyclic(2), name="A4xC2"))
-        semis.append(direct_product(dicyclic(2), cyclic(3), name="Q8xC3"))
-    if max_order >= 36:
-        semis.append(direct_product(alternating(4), cyclic(3), name="A4xC3"))
-    if max_order >= 48:
-        semis.append(direct_product(symmetric(4), cyclic(2), name="S4xC2"))
-        semis.append(direct_product(alternating(4), cyclic(4), name="A4xC4"))
-        semis.append(direct_product(alternating(4), elem_abelian(2, 2), name="A4xV4"))
-    if max_order >= 72:
-        semis.append(direct_product(symmetric(3), alternating(4), name="S3xA4"))
-    if max_order >= 60:
-        semis.append(direct_product(symmetric(3), dihedral(5), name="S3xD5"))
-        semis.append(direct_product(alternating(4), cyclic(5), name="A4xC5"))
-    if max_order >= 96:
-        semis.append(direct_product(symmetric(4), elem_abelian(2, 2), name="S4xV4"))
-        semis.append(direct_product(alternating(4), dicyclic(2), name="A4xQ8"))
-        semis.append(direct_product(symmetric(3), cyclic_semidirect(8, 2, 3), name="S3xSD16"))
-    if max_order >= 100:
-        semis.append(direct_product(frobenius(5, 4), cyclic(5), name="F20xC5"))
-    if max_order >= 120:
-        semis.append(direct_product(symmetric(3), frobenius(5, 4), name="S3xF20"))
-        semis.append(direct_product(alternating(4), dihedral(5), name="A4xD5"))
-        semis.append(direct_product(symmetric(4), cyclic(5), name="S4xC5"))
-    entries.extend(g for g in semis if g.order <= max_order)
+# The non-family catalog entries as (order, constructor) rows, in
+# construction order: deduplication keeps the first group of each
+# fingerprint, so a row never displaces an earlier one.
+_CATALOG_TABLE: tuple[tuple[int, Callable[[], FiniteGroup]], ...] = (
+    (6, lambda: symmetric(3)),
+    (24, lambda: symmetric(4)),
+    (120, lambda: symmetric(5)),
+    (12, lambda: alternating(4)),
+    (60, lambda: alternating(5)),
+    (32, lambda: elem_abelian(2, 5)),
+    (20, lambda: frobenius(5, 4)),
+    (21, lambda: frobenius(7, 3)),
+    (24, special_linear_2_3),
+    (24, lambda: cyclic_semidirect(3, 8, 2)),
+    (27, heisenberg_3),
+    (27, lambda: cyclic_semidirect(9, 3, 4)),
+    (36, e9_quarter_turn),
+    (42, lambda: frobenius(7, 6)),
+    (32, lambda: cyclic_semidirect(16, 2, 7)),  # semidihedral
+    (39, lambda: frobenius(13, 3)),
+    (52, lambda: frobenius(13, 4)),
+    (55, lambda: frobenius(11, 5)),
+    (75, schmidt_5_5_3),
+    (80, schmidt_2_4_5),
+    (110, lambda: frobenius(11, 10)),
+    (18, lambda: _inversion_semidirect(elem_abelian(3, 2), cyclic(2), "E9:C2")),
+    (16, lambda: cyclic_semidirect(8, 2, 3)),
+    (16, lambda: cyclic_semidirect(8, 2, 5)),
+    (36, lambda: direct_product(symmetric(3), symmetric(3), name="S3xS3")),
+    (18, lambda: direct_product(symmetric(3), cyclic(3), name="S3xC3")),
+    (24, lambda: direct_product(alternating(4), cyclic(2), name="A4xC2")),
+    (24, lambda: direct_product(dicyclic(2), cyclic(3), name="Q8xC3")),
+    (36, lambda: direct_product(alternating(4), cyclic(3), name="A4xC3")),
+    (48, lambda: direct_product(symmetric(4), cyclic(2), name="S4xC2")),
+    (48, lambda: direct_product(alternating(4), cyclic(4), name="A4xC4")),
+    (48, lambda: direct_product(alternating(4), elem_abelian(2, 2), name="A4xV4")),
+    (72, lambda: direct_product(symmetric(3), alternating(4), name="S3xA4")),
+    (60, lambda: direct_product(symmetric(3), dihedral(5), name="S3xD5")),
+    (60, lambda: direct_product(alternating(4), cyclic(5), name="A4xC5")),
+    (96, lambda: direct_product(symmetric(4), elem_abelian(2, 2), name="S4xV4")),
+    (96, lambda: direct_product(alternating(4), dicyclic(2), name="A4xQ8")),
+    (96, lambda: direct_product(symmetric(3), cyclic_semidirect(8, 2, 3), name="S3xSD16")),
+    (100, lambda: direct_product(frobenius(5, 4), cyclic(5), name="F20xC5")),
+    (120, lambda: direct_product(symmetric(3), frobenius(5, 4), name="S3xF20")),
+    (120, lambda: direct_product(alternating(4), dihedral(5), name="A4xD5")),
+    (120, lambda: direct_product(symmetric(4), cyclic(5), name="S4xC5")),
+)
 
-    seen: dict[tuple, str] = {}
+
+def catalog_groups(max_order: int = 120) -> list[FiniteGroup]:
+    """The curated catalog, deduplicated and sorted by (order, name).
+
+    The families come first: cyclic, dihedral, dicyclic, then the abelian
+    types, which share no fingerprint with the non-abelian table rows.
+    """
+    entries = [cyclic(n) for n in range(1, max_order + 1)]
+    entries += [dihedral(n) for n in range(3, max_order // 2 + 1)]
+    entries += [dicyclic(n) for n in range(2, max_order // 4 + 1)]
+    entries += _abelian_types(max_order)
+    entries += [build() for order, build in _CATALOG_TABLE if order <= max_order]
+
+    seen: set[tuple] = set()
     unique: list[FiniteGroup] = []
     for g in entries:
-        if g.order > max_order:
-            continue
         fp = fingerprint(g)
-        if fp in seen:
-            continue
-        seen[fp] = g.name or ""
-        unique.append(g)
+        if fp not in seen:
+            seen.add(fp)
+            unique.append(g)
     unique.sort(key=lambda g: (g.order, g.name or ""))
     return unique
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

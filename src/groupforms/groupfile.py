@@ -96,7 +96,11 @@ def parse_group_text(text: str) -> FiniteGroup:
 
 
 def parse_group_file(path: Union[str, Path]) -> FiniteGroup:
-    return parse_group_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GroupFileError(f"group file is not UTF-8 text: {exc}") from None
+    return parse_group_text(text)
 
 
 def emit_group_text(G: FiniteGroup) -> str:
@@ -156,8 +160,10 @@ def cache_save(lat: _lattice.SubgroupLattice, path: Union[str, Path]) -> None:
 def cache_load(path: Union[str, Path], G: FiniteGroup) -> _lattice.SubgroupLattice:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
         raise CacheMismatchError(f"unreadable cache file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CacheMismatchError("cache payload is not a JSON object")
     if payload.get("format_version") != CACHE_FORMAT_VERSION:
         raise CacheMismatchError(
             f"cache format version {payload.get('format_version')} != {CACHE_FORMAT_VERSION}"

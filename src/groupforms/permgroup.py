@@ -108,13 +108,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return _gather(p)(q)
 
 
-def invert(p: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def is_permutation(p: Sequence[int]) -> bool:
     n = len(p)
     return sorted(p) == list(range(n))
@@ -599,9 +592,6 @@ class SubgroupRef:
 
     def is_whole(self) -> bool:
         return self.order == self.parent.order
-
-    def contains(self, other: "SubgroupRef") -> bool:
-        return other.members <= self.members
 
     def __contains__(self, idx: int) -> bool:
         return idx in self.members

@@ -15,11 +15,11 @@ is maximal when its only minimal overgroup is the group
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import lattice as _lattice
 from . import reports
-from .formations import Formation, residual
+from .formations import NILPOTENT, NILPOTENT_DERIVED, Formation, residual
 from .permgroup import (
     FiniteGroup,
     GroupError,
@@ -30,7 +30,6 @@ from .permgroup import (
     derived_subgroup,
     is_elementary_abelian,
     is_nilpotent,
-    is_prime,
     is_prime_power,
     is_primary_order,
     is_soluble,
@@ -42,7 +41,6 @@ from .permgroup import (
     sylow_subgroup,
     fitting,
 )
-from .formations import NILPOTENT, NILPOTENT_DERIVED
 from .subnormal import (
     WitnessChainError,
     f_subnormal_witness,
@@ -133,15 +131,10 @@ def carter_subgroups(G: GroupLike) -> list[SubgroupRef]:
 def is_ef_group(G: GroupLike, F: Formation) -> bool:
     """G outside F whose every non-trivial subgroup is F-subnormal or F-abnormal."""
     sub = _as_subgroup(G)
-    if F.contains(sub):
-        return False
-    for H in subgroup_class_reps(sub):
-        if H.order == 1:
-            continue
-        if is_f_subnormal(sub, H, F) or is_f_abnormal(sub, H, F):
-            continue
-        return False
-    return True
+    return not F.contains(sub) and all(
+        H.order == 1 or is_f_subnormal(sub, H, F) or is_f_abnormal(sub, H, F)
+        for H in subgroup_class_reps(sub)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +190,28 @@ def _not_applicable(theorem: str, sub: SubgroupRef, F: Formation, reason: str) -
 
 def _holds_for_all(
     verdict: TheoremVerdict,
-    statement: str,
     subgroups: Iterable[SubgroupRef],
-    holds: Callable[[SubgroupRef], bool],
-) -> bool:
-    """Whether ``holds`` is true of every subgroup, tried in order; the first
-    that fails is recorded as the statement's witness."""
+    tests: dict[str, Callable[[SubgroupRef], bool]],
+) -> dict[str, bool]:
+    """Whether each statement's test is true of every subgroup, tried in order
+    against the statements that still hold. A statement's first failing
+    subgroup is recorded as its witness, in the order the failures are found;
+    the scan stops once every statement has failed."""
+    holds = dict.fromkeys(tests, True)
     for H in subgroups:
-        if not holds(H):
-            verdict.witnesses.append({"statement": statement, "subgroup": reports.subgroup_witness(H)})
-            return False
-    return True
+        for statement, test in tests.items():
+            if holds[statement] and not test(H):
+                holds[statement] = False
+                verdict.witnesses.append(
+                    {"statement": statement, "subgroup": reports.subgroup_witness(H)}
+                )
+        if not any(holds.values()):
+            break
+    return holds
+
+
+# the hypotheses of Theorem 1, which Corollaries 1 and 2 inherit
+_THEOREM1_FLAGS = ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
 
 
 def _hypothesis_status(F: Formation, needed: Sequence[str]) -> str:
@@ -217,44 +221,43 @@ def _hypothesis_status(F: Formation, needed: Sequence[str]) -> str:
     return "empirical only: formation not flagged " + ", ".join(sorted(missing))
 
 
-def _find_cyclic_sylow_complement_witness(
-    G: GroupLike,
-    Gp: SubgroupRef,
-    F: Formation,
-) -> Optional[dict]:
-    """Theorem-1 statement (3) witness: least x with <x> a self-normalizing
-    Sylow subgroup complementing Gp and with Gp<x^p> in F."""
-    sub = _as_subgroup(G)
+def _cyclic_sylow_complements(
+    sub: SubgroupRef, D: SubgroupRef
+) -> Iterator[tuple[int, int, SubgroupRef]]:
+    """``(x, p, <x>)`` in ascending order of x, for each <x> that is a
+    self-normalizing (Carter) Sylow p-subgroup of ``sub`` complementing D."""
     parent = sub.parent
     orders = parent.element_orders()
     n = sub.order
     for x in sub.sorted_members:
         o = orders[x]
-        if o <= 1 or not is_prime_power(o):
+        if o <= 1 or D.order * o != n or not is_prime_power(o):
             continue
         p = prime_factorization(o)[0][0]
         if o != p_part(n, p):
             continue
-        P = SubgroupRef(parent, parent.closure([x]))
-        if P.order != o:
-            continue
-        if Gp.order * P.order != n or (Gp.members & P.members) != {parent.identity}:
-            continue
-        if not is_self_normalizing(sub, P):
-            continue
+        X = SubgroupRef(parent, parent.closure([x]))
+        if D.members & X.members == {parent.identity} and is_self_normalizing(sub, X):
+            yield x, p, X
+
+
+def _split_witness(sub: SubgroupRef, D: SubgroupRef, F: Formation) -> Optional[dict]:
+    """Theorem 1 (3) and Corollary 2 (3): the least x with <x> a
+    self-normalizing Sylow subgroup complementing D and D<x^p> in F."""
+    parent = sub.parent
+    for x, p, X in _cyclic_sylow_complements(sub, D):
         xp = x
         for _ in range(p - 1):
             xp = parent._table[xp][x]
-        part = SubgroupRef(parent, parent.join(Gp.members, [xp]))
-        if not F.contains(part):
-            continue
-        return {
-            "x_index": x,
-            "x_order": o,
-            "prime": p,
-            "complement_order": P.order,
-            "tail_order": part.order,
-        }
+        tail = SubgroupRef(parent, parent.join(D.members, [xp]))
+        if F.contains(tail):
+            return {
+                "x_index": x,
+                "x_order": X.order,
+                "prime": p,
+                "complement_order": X.order,
+                "tail_order": tail.order,
+            }
     return None
 
 
@@ -270,62 +273,41 @@ def check_theorem1(G: GroupLike, F: Formation) -> TheoremVerdict:
     the primary-subgroup details (``primary_skipped``) when a Sylow subgroup is.
     """
     sub = _as_subgroup(G)
-    flag_text = _hypothesis_status(
-        F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
-    )
+    flag_text = _hypothesis_status(F, _THEOREM1_FLAGS)
     if F.contains(sub):
         return _not_applicable("theorem1", sub, F, f"group lies in {F.name}")
     if not is_soluble(sub):
         return _not_applicable("theorem1", sub, F, "group is insoluble")
     verdict = TheoremVerdict("theorem1", _label(sub), sub.order, F.name, True, flag_text)
 
-    verdict.statements["S1"] = _holds_for_all(
-        verdict, "S1", primary_cyclic_class_reps(sub),
-        lambda C: is_f_subnormal(sub, C, F) or is_self_normalizing(sub, C),
-    )
+    verdict.statements.update(_holds_for_all(verdict, primary_cyclic_class_reps(sub), {
+        "S1": lambda C: is_f_subnormal(sub, C, F) or is_self_normalizing(sub, C),
+    }))
     if sub.order <= current_budgets().lattice:
-        verdict.statements["S2"] = _holds_for_all(
-            verdict, "S2", subgroup_class_reps(sub),
-            lambda H: is_abnormal(sub, H) or (is_f_subnormal(sub, H, F) and F.contains(H)),
-        )
+        verdict.statements.update(_holds_for_all(verdict, subgroup_class_reps(sub), {
+            "S2": lambda H: is_abnormal(sub, H) or (is_f_subnormal(sub, H, F) and F.contains(H)),
+        }))
     else:
         verdict.details["s2_skipped"] = "all-subgroup quantifier exceeds the lattice budget"
 
     d = derived_subgroup(sub)
-    nil_res = residual(NILPOTENT, sub)
-    s3 = d.members == nil_res.members
-    witness = None
-    if s3:
-        witness = _find_cyclic_sylow_complement_witness(sub, d, F)
-        s3 = witness is not None
-    verdict.statements["S3"] = s3
+    split = d.members == residual(NILPOTENT, sub).members
+    verdict.details["derived_equals_nilpotent_residual"] = split
+    witness = _split_witness(sub, d, F) if split else None
+    verdict.statements["S3"] = witness is not None
     if witness:
         verdict.details["s3_witness"] = witness
-    verdict.details["derived_equals_nilpotent_residual"] = d.members == nil_res.members
 
     try:
         primaries = primary_subgroup_class_reps(sub)
     except _lattice.LatticeBudgetError:
         verdict.details["primary_skipped"] = "Sylow-subgroup enumeration exceeds the lattice budget"
     else:
-        sn_or_selfnorm = True
-        sn_or_abnormal = True
-        for P in primaries:
-            fsn = is_f_subnormal(sub, P, F)
-            if sn_or_selfnorm and not (fsn or is_self_normalizing(sub, P)):
-                sn_or_selfnorm = False
-                verdict.witnesses.append(
-                    {"statement": "primary_sn_or_selfnormalizing", "subgroup": reports.subgroup_witness(P)}
-                )
-            if sn_or_abnormal and not (fsn or is_f_abnormal(sub, P, F)):
-                sn_or_abnormal = False
-                verdict.witnesses.append(
-                    {"statement": "primary_sn_or_abnormal", "subgroup": reports.subgroup_witness(P)}
-                )
-            if not sn_or_selfnorm and not sn_or_abnormal:
-                break
-        verdict.details["primary_sn_or_selfnormalizing"] = sn_or_selfnorm
-        verdict.details["primary_sn_or_abnormal"] = sn_or_abnormal
+        verdict.details.update(_holds_for_all(verdict, primaries, {
+            "primary_sn_or_selfnormalizing":
+                lambda P: is_f_subnormal(sub, P, F) or is_self_normalizing(sub, P),
+            "primary_sn_or_abnormal": lambda P: is_f_subnormal(sub, P, F) or is_f_abnormal(sub, P, F),
+        }))
     return verdict
 
 
@@ -335,64 +317,37 @@ def check_theorem2(G: GroupLike, F: Formation) -> TheoremVerdict:
     and G = G' x| <x>, G' elementary abelian p-group, <x> a maximal Carter
     subgroup of prime order q != p."""
     sub = _as_subgroup(G)
-    parent = sub.parent
-    flag_text = _hypothesis_status(
-        F, ("subgroup_closed", "saturated", "contains_nilpotents")
-    )
+    flag_text = _hypothesis_status(F, ("subgroup_closed", "saturated", "contains_nilpotents"))
     if F.contains(sub):
         return _not_applicable("theorem2", sub, F, f"group lies in {F.name}")
     verdict = TheoremVerdict("theorem2", _label(sub), sub.order, F.name, True, flag_text)
 
-    left = _holds_for_all(
-        verdict, "left", primary_cyclic_class_reps(sub),
-        lambda C: is_absolutely_f_subnormal(sub, C, F) or is_self_normalizing(sub, C),
-    )
+    left = _holds_for_all(verdict, primary_cyclic_class_reps(sub), {
+        "left": lambda C: is_absolutely_f_subnormal(sub, C, F) or is_self_normalizing(sub, C),
+    })["left"]
     verdict.statements["left"] = left
 
     if sub.order > current_budgets().lattice:
         verdict.details["right_skipped"] = "all-subgroup quantifier exceeds the lattice budget"
         verdict.details["left_side_soluble"] = is_soluble(sub) if left else None
         return verdict
-    right = not is_nilpotent(sub)
-    reason = None if right else "nilpotent"
-    if right:
-        for H in subgroup_class_reps(sub):
-            if H.order < sub.order and not is_primary_order(H.order):
-                right = False
-                reason = "non-primary proper subgroup"
-                verdict.witnesses.append(
-                    {"statement": "right", "subgroup": reports.subgroup_witness(H)}
-                )
-                break
-    if right:
-        d = derived_subgroup(sub)
-        right = False
+    if is_nilpotent(sub):
+        reason = "nilpotent"
+    elif not _holds_for_all(verdict, subgroup_class_reps(sub), {
+        "right": lambda H: H.order == sub.order or is_primary_order(H.order),
+    })["right"]:
+        reason = "non-primary proper subgroup"
+    else:
         reason = "no maximal prime-order Carter complement"
+        d = derived_subgroup(sub)
         if is_elementary_abelian(d) and d.order > 1:
             p = prime_factorization(d.order)[0][0]
-            orders = parent.element_orders()
-            for x in sub.sorted_members:
-                q = orders[x]
-                if not is_prime(q) or q == p:
-                    continue
-                if d.order * q != sub.order:
-                    continue
-                P = SubgroupRef(parent, parent.closure([x]))
-                if d.members & P.members != {parent.identity}:
-                    continue
-                if not is_self_normalizing(sub, P):
-                    continue
-                if not _lattice.is_maximal(sub, P):
-                    continue
-                right = True
-                reason = None
-                verdict.details["right_witness"] = {
-                    "p": p,
-                    "q": q,
-                    "derived_order": d.order,
-                }
-                break
-    verdict.statements["right"] = right
+            for x, q, X in _cyclic_sylow_complements(sub, d):
+                if X.order == q and q != p and _lattice.is_maximal(sub, X):
+                    reason = None
+                    verdict.details["right_witness"] = {"p": p, "q": q, "derived_order": d.order}
+                    break
+    verdict.statements["right"] = reason is None
     if reason:
         verdict.details["right_failure"] = reason
     verdict.details["left_side_soluble"] = is_soluble(sub) if left else None
@@ -403,9 +358,7 @@ def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Order-divisibility split under Theorem 1 statement (1): proper A is
     abnormal when |Carter| divides |A|, else F-subnormal and in F."""
     sub = _as_subgroup(G)
-    flag_text = _hypothesis_status(
-        F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
-    )
+    flag_text = _hypothesis_status(F, _THEOREM1_FLAGS)
     if F.contains(sub) or not is_soluble(sub):
         return _not_applicable("corollary1", sub, F, "needs a soluble group outside the formation")
     s1 = all(
@@ -446,25 +399,21 @@ def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Three-way equivalence: primary cyclics F-subnormal-or-F-abnormal,
     the E_F property, and the split shape with G' the F-residual."""
     sub = _as_subgroup(G)
-    flag_text = _hypothesis_status(
-        F, ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
-    )
+    flag_text = _hypothesis_status(F, _THEOREM1_FLAGS)
     if F.contains(sub) or not is_soluble(sub):
         return _not_applicable("corollary2", sub, F, "needs a soluble group outside the formation")
     verdict = TheoremVerdict("corollary2", _label(sub), sub.order, F.name, True, flag_text)
 
     verdict.statements["C1_primary_cyclic_sn_or_abn"] = _holds_for_all(
-        verdict, "C1", primary_cyclic_class_reps(sub),
-        lambda C: is_f_subnormal(sub, C, F) or is_f_abnormal(sub, C, F),
-    )
+        verdict, primary_cyclic_class_reps(sub), {
+            "C1": lambda C: is_f_subnormal(sub, C, F) or is_f_abnormal(sub, C, F),
+        },
+    )["C1"]
     verdict.statements["C2_ef_group"] = is_ef_group(sub, F)
-
     d = derived_subgroup(sub)
-    f_res = residual(F, sub)
-    c3 = d.members == f_res.members
-    if c3:
-        c3 = _find_cyclic_sylow_complement_witness(sub, d, F) is not None
-    verdict.statements["C3_split_shape"] = c3
+    verdict.statements["C3_split_shape"] = (
+        d.members == residual(F, sub).members and _split_witness(sub, d, F) is not None
+    )
     return verdict
 
 
@@ -473,8 +422,21 @@ def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
 
 
 def _violation(lemma: str, group: str, detail: dict) -> dict:
-    out = {"lemma": lemma, "group": group}
-    out.update(detail)
+    return {"lemma": lemma, "group": group, **detail}
+
+
+def _upward_violations(
+    lemma: str, label: str, sub: SubgroupRef, A: SubgroupRef, closed: Callable[[SubgroupRef], bool]
+) -> list[dict]:
+    """Lemmas 2.1 and 3.2: every B in [A, G] passes ``closed`` and is
+    self-normalizing. A is self-normalizing when the lemma holds, so each B
+    is its own N(A)-class and taking classes would save nothing."""
+    out = []
+    for B in _lattice.interval(sub, A):
+        if not closed(B):
+            out.append(_violation(lemma, label, {"A": A.order, "B": B.order, "kind": "abnormal"}))
+        if not is_self_normalizing(sub, B):
+            out.append(_violation(lemma, label, {"A": A.order, "B": B.order, "kind": "selfnorm"}))
     return out
 
 
@@ -579,13 +541,7 @@ def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
     for A in subgroup_class_reps(sub):
         if not is_f_abnormal(sub, A, F):
             continue
-        # every B in [A, G]: A is self-normalizing when the lemma holds, so
-        # each B is its own N(A)-class and taking classes would save nothing
-        for B in _lattice.interval(sub, A):
-            if not is_f_abnormal(sub, B, F):
-                violations.append(_violation("2.1", label, {"A": A.order, "B": B.order, "kind": "abnormal"}))
-            if not is_self_normalizing(sub, B):
-                violations.append(_violation("2.1", label, {"A": A.order, "B": B.order, "kind": "selfnorm"}))
+        violations += _upward_violations("2.1", label, sub, A, lambda B: is_f_abnormal(sub, B, F))
         if soluble and not is_abnormal(sub, A):
             violations.append(_violation("2.2", label, {"A": A.order}))
     return violations
@@ -606,11 +562,7 @@ def check_lemma3(G: GroupLike) -> list[dict]:
             continue
         if not is_self_normalizing(sub, A):
             violations.append(_violation("3.abn-selfnorm", label, {"A": A.order}))
-        for B in _lattice.interval(sub, A):
-            if not is_abnormal(sub, B):
-                violations.append(_violation("3.2", label, {"A": A.order, "B": B.order, "kind": "abnormal"}))
-            if not is_self_normalizing(sub, B):
-                violations.append(_violation("3.2", label, {"A": A.order, "B": B.order, "kind": "selfnorm"}))
+        violations += _upward_violations("3.2", label, sub, A, lambda B: is_abnormal(sub, B))
         for N in normals:
             if N.order == sub.order:
                 continue
@@ -716,49 +668,33 @@ def verify_paper_example(G: FiniteGroup) -> reports.VerdictReport:
         kind="example864", subject=reports.group_descriptor(G), formation=F.name
     )
 
+    def check(name: str, ok: bool, details: Optional[dict] = None, witnesses=None) -> None:
+        report.add(name, reports.PASS if ok else reports.FAIL, details, witnesses)
+
     syl3 = sylow_subgroup(G, 3)
-    ok = syl3.order == 27 and is_elementary_abelian(syl3)
-    report.add("sylow3-elementary-abelian-27", reports.PASS if ok else reports.FAIL,
-               {"order": syl3.order})
-    ok = is_f_subnormal(G, syl3, F)
-    report.add("sylow3-f-subnormal", reports.PASS if ok else reports.FAIL)
+    check("sylow3-elementary-abelian-27", syl3.order == 27 and is_elementary_abelian(syl3),
+          {"order": syl3.order})
+    check("sylow3-f-subnormal", is_f_subnormal(G, syl3, F))
 
     syl2 = sylow_subgroup(G, 2)
-    ok = syl2.order == 32 and is_self_normalizing(G, syl2)
-    report.add("sylow2-selfnormalizing-32", reports.PASS if ok else reports.FAIL,
-               {"order": syl2.order})
-    report.add("sylow2-not-f-subnormal",
-               reports.PASS if not is_f_subnormal(G, syl2, F) else reports.FAIL)
-    report.add("sylow2-not-f-abnormal",
-               reports.PASS if not is_f_abnormal(G, syl2, F) else reports.FAIL)
+    check("sylow2-selfnormalizing-32", syl2.order == 32 and is_self_normalizing(G, syl2),
+          {"order": syl2.order})
+    check("sylow2-not-f-subnormal", not is_f_subnormal(G, syl2, F))
+    check("sylow2-not-f-abnormal", not is_f_abnormal(G, syl2, F))
 
-    bad: list[SubgroupRef] = []
-    for s in _lattice.subgroup_sets(syl2):
-        if len(s) == syl2.order:
-            continue
-        ref = SubgroupRef(G, s)
-        if not is_f_subnormal(G, ref, F):
-            bad.append(ref)
-    report.add(
-        "sylow2-proper-subgroups-f-subnormal",
-        reports.PASS if not bad else reports.FAIL,
-        {"proper_subgroups": len(_lattice.subgroup_sets(syl2)) - 1, "not_subnormal": len(bad)},
-        [reports.subgroup_witness(b) for b in bad[:4]],
-    )
+    proper = [SubgroupRef(G, s) for s in _lattice.subgroup_sets(syl2) if len(s) < syl2.order]
+    bad = [ref for ref in proper if not is_f_subnormal(G, ref, F)]
+    check("sylow2-proper-subgroups-f-subnormal", not bad,
+          {"proper_subgroups": len(proper), "not_subnormal": len(bad)},
+          [reports.subgroup_witness(b) for b in bad[:4]])
 
     f_res = residual(F, G)
     fit = fitting(G)
-    report.add("f-residual-36", reports.PASS if f_res.order == 36 else reports.FAIL,
-               {"order": f_res.order})
-    report.add("f-residual-equals-fitting",
-               reports.PASS if f_res.members == fit.members else reports.FAIL,
-               {"fitting_order": fit.order})
+    check("f-residual-36", f_res.order == 36, {"order": f_res.order})
+    check("f-residual-equals-fitting", f_res.members == fit.members, {"fitting_order": fit.order})
     nil_res = residual(NILPOTENT, G)
-    report.add("nilpotent-residual-108", reports.PASS if nil_res.order == 108 else reports.FAIL,
-               {"order": nil_res.order})
+    check("nilpotent-residual-108", nil_res.order == 108, {"order": nil_res.order})
     d = derived_subgroup(G)
-    report.add("derived-216", reports.PASS if d.order == 216 else reports.FAIL,
-               {"order": d.order})
-    chain_ok = f_res.members < nil_res.members < d.members
-    report.add("residual-chain-strict", reports.PASS if chain_ok else reports.FAIL)
+    check("derived-216", d.order == 216, {"order": d.order})
+    check("residual-chain-strict", f_res.members < nil_res.members < d.members)
     return report

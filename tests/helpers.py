@@ -36,6 +36,14 @@ from groupforms.permgroup import (
 from groupforms.subnormal import _check_contained
 
 
+def invert(p: Sequence[int]) -> tuple[int, ...]:
+    """The inverse permutation, by writing each point at its image."""
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
 def table_by_compose(G: FiniteGroup) -> tuple[list[array], array]:
     """The multiplication table and inverses by n^2 lookups of composed tuples,
     with the inverse found by scanning each row for the identity."""

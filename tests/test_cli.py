@@ -232,6 +232,22 @@ def test_batch_check_error_isolation(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_undecodable_group_file_is_an_error_not_a_crash(tmp_path, capsys):
+    d = tmp_path / "bytes"
+    d.mkdir()
+    groupfile.write_group_file(catalog.build_named("S3"), d / "s3.pgrp")
+    bad = d / "bad.pgrp"
+    bad.write_bytes(b"pgrp v1\ndegree 3\n# \xff\n(1 2 3)\n")
+    code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1")
+    assert code == EXIT_ERROR
+    payload = json.loads(out)
+    assert [e["file"] for e in payload["errors"]] == ["bad.pgrp"]
+    assert [r["file"] for r in payload["runs"]] == ["s3.pgrp"]
+    assert payload["runs"][0]["report"]["summary"]["pass"] == 1
+    assert main(["analyze", "--group", str(bad), "--check", "theorem1"]) == EXIT_ERROR
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_batch_parallel_byte_identical(tmp_path, capsys):
     d = tmp_path / "par"
     d.mkdir()
@@ -255,6 +271,16 @@ def test_lattice_cache_flow(tmp_path, capsys):
     code3 = main(["lattice", "--group", "S4", "--cache", str(cache), "--budget-lattice", "5"])
     assert code3 == EXIT_ERROR
     assert "exceeds lattice budget 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1, 2]\n"], ids=["bytes", "list"])
+def test_lattice_recomputes_a_corrupt_cache(tmp_path, capsys, content):
+    cache = tmp_path / "s3.lattice.json"
+    cache.write_bytes(content)
+    code, out = run_cli(capsys, "lattice", "--group", "S3", "--cache", str(cache))
+    assert code == EXIT_OK
+    assert json.loads(out)["source"] == "computed"
+    assert json.loads(cache.read_text())["order"] == 6
 
 
 # sha256 of the ``lattice --cache`` files of insoluble groups, recorded while

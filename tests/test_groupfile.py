@@ -1,6 +1,9 @@
-"""Group file parsing/emission and the lattice cache."""
+"""Group file parsing/emission, the named-constructor grammar, the catalog
+and the lattice cache."""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -17,12 +20,65 @@ from groupforms.groupfile import (
     write_group_file,
     parse_group_file,
 )
+from groupforms.permgroup import GroupError
 
 
 def test_build_named_keeps_name_arguments_whole():
     g = catalog.build_named("direct(S4,elem_abelian:2,2)")
     assert g.order == 96
     assert catalog.build_named("direct(elem_abelian:2, 2,C3)").order == 12
+
+
+# (order, name) of every group the constructor grammar names, recorded
+# before the grammar was read off one name -> constructor table
+BUILD_NAMED = {
+    "C1": (1, "C1"), "C12": (12, "C12"), "S1": (1, "S1"), "S3": (6, "S3"),
+    "S4": (24, "S4"), "A3": (3, "A3"), "A4": (12, "A4"), "A5": (60, "A5"),
+    "D3": (6, "D3"), "D6": (12, "D6"), "Q8": (8, "Q8"), "Q12": (12, "Dic3"),
+    "cyclic:7": (7, "C7"), "dihedral:5": (10, "D5"), "dicyclic:3": (12, "Dic3"),
+    "symmetric:4": (24, "S4"), "alternating:5": (60, "A5"),
+    "elem_abelian:2,3": (8, "E2^3"), "sl23": (24, "SL(2,3)"),
+    "example864": (864, "example864"), "direct(S3,C2)": (12, None),
+    "semidirect(C7,C2,inversion)": (14, None),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BUILD_NAMED))
+def test_build_named_table(spec):
+    g = catalog.build_named(spec)
+    assert (g.order, g.name) == BUILD_NAMED[spec]
+
+
+@pytest.mark.parametrize(
+    "spec", ["Q6", "Q4", "C0", "X9", "cyclic:1,2", "elem_abelian:4,2", "semidirect(C3,C2,twist)"]
+)
+def test_build_named_rejects(spec):
+    with pytest.raises(GroupError):
+        catalog.build_named(spec)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:x", "elem_abelian:2,y", "dihedral:--4"])
+def test_build_named_rejects_non_numeric_arguments(spec):
+    with pytest.raises(GroupError, match="unrecognized group spec"):
+        catalog.build_named(spec)
+    with pytest.raises(GroupError, match="dihedral needs n >= 3"):
+        catalog.build_named("dihedral:-4")
+
+
+def test_catalog_table_rows_state_their_orders():
+    for order, build in catalog._CATALOG_TABLE:
+        assert build().order == order
+
+
+# sha256 over the group text of the catalog at its default bound, recorded
+# while its entries were still appended by a ladder of order checks
+CATALOG120_SHA256 = "4b2fa54e942c99f240fb3923972627c7c379e028518e04813c6bd6e9e3eff24a"
+
+
+def test_catalog120_text_unchanged(catalog120):
+    text = "".join(emit_group_text(g) for g in catalog120)
+    assert len(catalog120) == 344
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG120_SHA256
 
 
 def test_parse_simple():

@@ -11,6 +11,7 @@ from helpers import (
     frattini,
     generate,
     greedy_generators_from_scratch,
+    invert,
     maximal_subgroups,
     subgroup_generated,
     table_by_compose,
@@ -36,7 +37,6 @@ from groupforms.permgroup import (
     direct_product,
     fitting,
     identity_perm,
-    invert,
     inversion_action,
     is_abelian,
     is_elementary_abelian,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import inspect
+import json
 import re
 import sys
 
@@ -155,6 +157,55 @@ def test_corollary2_examples():
     assert v.equivalence
     v = structure.check_corollary2(catalog.frobenius(5, 4), NILPOTENT)
     assert v.equivalence  # all three false for F20
+
+
+# sha256 over the check results of theorems 1 and 2 and corollaries 1 and 2,
+# every built-in formation on the catalog <= 60, recorded before the
+# quantifiers and the cyclic-complement searches were folded into one each
+CHECKERS60_SHA256 = "2795b5613e1013907613e74b79ab856fdc3de1bd8dc9e9ec6fdde324b022b3f9"
+
+
+def test_checker_results_unchanged(catalog120):
+    checks = (
+        structure.check_theorem1,
+        structure.check_theorem2,
+        structure.check_corollary1,
+        structure.check_corollary2,
+    )
+    parts = [
+        json.dumps(check(g, BUILT_IN[name]).to_check_result().to_dict(), sort_keys=True)
+        for name in sorted(BUILT_IN)
+        for g in catalog120
+        if g.order <= 60
+        for check in checks
+    ]
+    assert len(parts) == 3440
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == CHECKERS60_SHA256
+
+
+def test_holds_for_all_records_witnesses_in_the_order_failures_are_found():
+    s3 = catalog.symmetric(3)
+    reps = structure.subgroup_class_reps(s3)
+    assert [H.order for H in reps] == [1, 2, 3, 6]
+    verdict = structure.TheoremVerdict("t", "S3", 6, "N", True, "flags satisfied")
+    tried = []
+
+    def test_of(statement, fails_at):
+        def test(H):
+            tried.append((statement, H.order))
+            return H.order != fails_at
+        return test
+
+    holds = structure._holds_for_all(
+        verdict, reps, {"first": test_of("first", 3), "second": test_of("second", 2)}
+    )
+    assert holds == {"first": False, "second": False}
+    assert [(w["statement"], w["subgroup"]["order"]) for w in verdict.witnesses] == [
+        ("second", 2),
+        ("first", 3),
+    ]
+    # a failed statement is not tried again, and the scan stops once all fail
+    assert tried == [("first", 1), ("second", 1), ("first", 2), ("second", 2), ("first", 3)]
 
 
 def test_lemma_suite_report_shape(small_groups):
