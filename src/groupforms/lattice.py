@@ -2,7 +2,9 @@
 intervals, and the full lattice of the ``lattice`` command.
 
 All subgroups of a group come from cyclic extension when it is soluble and
-from the interval [1, X] of minimal overgroups otherwise. ``subgroup_sets``,
+from the interval [1, X] of minimal overgroups otherwise. Cyclic extension
+works up to conjugacy: it extends one subgroup per class and adds the rest
+of each class by following its orbit. ``subgroup_sets``,
 ``class_reps`` and ``all_subgroups`` refuse a (sub)group above the lattice
 budget in force (``permgroup.Budgets``), even when the result is cached. The checkers take
 subgroups up to conjugacy through ``conjugacy_orbits``, which also gives the
@@ -16,8 +18,9 @@ conjugacy classes, ``all_subgroups``) serves only the ``lattice`` command
 and its cache. Chain predicates never need the lattice budget: everything
 above a fixed subgroup H, including the maximal subgroups of K that contain
 H, comes from minimal-overgroup and interval enumeration, which stays
-feasible well past it. The enumeration loops, ``_interval`` and each orbit
-of ``conjugacy_orbits`` check the deadline.
+feasible well past it. One orbit routine, ``_orbit``, serves both
+cyclic extension and ``conjugacy_orbits``. The deadline is checked once per
+subgroup extended, per step of ``_interval`` and per orbit followed.
 """
 
 from __future__ import annotations
@@ -35,10 +38,9 @@ from .permgroup import (
     _gather,
     check_deadline,
     current_budgets,
-    is_prime,
-    is_prime_power,
     is_soluble,
     memo,
+    prime_factorization,
 )
 
 
@@ -80,54 +82,79 @@ def _subgroup_sets(sub: SubgroupRef) -> list[frozenset[int]]:
 
 
 def _cyclic_extension(sub: SubgroupRef) -> list[frozenset[int]]:
-    """Neubueser's cyclic extension; complete for soluble groups only.
+    """Neubueser's cyclic extension up to conjugacy; complete for soluble
+    groups only.
 
-    Every non-trivial subgroup S of a soluble group has a normal subgroup U
-    of prime index p, so S = U u Ux u ... u Ux^(p-1) for any x in S outside
-    U, and x normalizes U. Walking up from the trivial subgroup in ascending
-    order, each U is extended by every x in N(U) whose coset xU has prime
-    order. The p-part of x lies in the same coset, so only elements of
-    prime-power order are tried. The elements of each extension are marked
-    covered for that U: any other x in it gives the same extension.
-    Generators are kept in a local dict rather than the ``gens`` and
-    ``normalizer`` memos, which would keep one entry per subgroup.
+    Every non-trivial subgroup T of a soluble group has a normal subgroup V
+    of prime index p, and T = <V, x> for any x in T outside V. The p-part of
+    x generates T/V as well, so x can be taken of order p^a with x^p in V.
+    Walking up from the trivial subgroup, each queued U is extended by every
+    such x: ``_prime_index_extensions`` tries only the x whose p-th power
+    lies in U. A new extension S brings its whole conjugacy orbit under
+    ``sub`` into the found set, and only S is queued. That is enough: by
+    induction V = U^g for a queued U, so the conjugate T^(g^-1) is an
+    extension of U, and T lies in its orbit. Generators are kept with the
+    queue rather than in the ``gens`` memo, which would keep one entry per
+    subgroup.
     """
     parent = sub.parent
     t = parent._table
-    inv = parent._inv
     orders = parent.element_orders()
-    candidates = [x for x in sub.sorted_members if is_prime_power(orders[x])]
+    roots: dict[int, list[int]] = {}  # y -> every x of order p^a with x^p = y
+    for x in sub.sorted_members:
+        factors = prime_factorization(orders[x])
+        if len(factors) == 1:
+            y = x
+            for _ in range(factors[0][0] - 1):
+                y = t[y][x]
+            roots.setdefault(y, []).append(x)
+    gens = parent.greedy_generators(sub.members)
+    maps = _conjugation_maps(parent, [g for g in gens if any(t[g][h] != t[h][g] for h in gens)])
     trivial = frozenset((parent.identity,))
-    gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    by_order: dict[int, list[frozenset[int]]] = {1: [trivial]}
-    for order in range(1, sub.order + 1):
-        for U in by_order.get(order, ()):
-            check_deadline()
-            u_gens = gens[U]
-            covered = set(U)
-            for x in candidates:
-                if x in covered:
-                    continue
-                row = t[inv[x]]
-                if not all(t[row[h]][x] in U for h in u_gens):
-                    continue  # x does not normalize U
-                k, y = 1, x
-                while y not in U:
-                    y = t[y][x]
-                    k += 1
-                if not is_prime(k):
-                    continue
-                S = set(U)
-                power = x
-                for _ in range(k - 1):
-                    S.update(t[u][power] for u in U)
-                    power = t[power][x]
-                S = frozenset(S)
-                covered |= S
-                if S not in gens:
-                    gens[S] = u_gens + (x,)
-                    by_order.setdefault(len(S), []).append(S)
-    return canonical(gens)
+    found = {trivial}
+    queue: list[tuple[frozenset[int], tuple[int, ...]]] = [(trivial, ())]
+    for U, u_gens in queue:  # the loop also visits the extensions it appends
+        check_deadline()
+        for S, x in _prime_index_extensions(parent, U, u_gens, roots):
+            if S not in found:  # found is a union of whole orbits
+                found |= _orbit(S, maps)
+                queue.append((S, u_gens + (x,)))
+    return canonical(found)
+
+
+def _prime_index_extensions(
+    parent: FiniteGroup,
+    U: frozenset[int],
+    u_gens: tuple[int, ...],
+    roots: dict[int, list[int]],
+) -> Iterator[tuple[frozenset[int], int]]:
+    """Each <U, x> with |<U, x> : U| prime, once, with its x.
+
+    For x of order p^a outside U that normalizes U (generated by ``u_gens``),
+    the index is prime exactly when x^p lies in U, so only ``roots[y]`` for
+    y in U are tried. Since x normalizes U, Ux^i = x^iU, and the extension is
+    the union of the left cosets x^iU for i < p, each one gather of a table
+    row. Any other element of an extension outside U gives the same
+    extension, so its elements are marked covered.
+    """
+    t = parent._table
+    inv = parent._inv
+    coset = _gather(sorted(U))
+    covered = set(U)
+    for y in U:
+        for x in roots.get(y, ()):
+            if x in covered:
+                continue
+            row = t[inv[x]]
+            if not all(t[row[h]][x] in U for h in u_gens):
+                continue  # x does not normalize U
+            S = set(U)
+            power = x
+            while power not in U:
+                S.update(coset(t[power]))
+                power = t[power][x]
+            covered |= S
+            yield frozenset(S), x
 
 
 @dataclass(frozen=True)
@@ -180,28 +207,47 @@ def conjugacy_orbits(
     that are not closed under conjugation still lose every conjugate, and an
     orbit may then hold sets that are not in ``sets``.
     """
-    t = parent._table
-    inv = parent._inv
-    maps = [
-        [t[t[inv[g]][x]][g] for x in range(parent.order)]
-        for g in parent.greedy_generators(under)
-    ]
+    maps = _conjugation_maps(parent, parent.greedy_generators(under))
     remaining = set(sets)
     for s in canonical(remaining):
-        if s not in remaining:
-            continue
-        check_deadline()
-        orbit = {s}
-        work = [s]
-        while work:
-            cur = work.pop()
-            for m in maps:
-                img = frozenset(map(m.__getitem__, cur))
-                if img not in orbit:
-                    orbit.add(img)
-                    work.append(img)
-        remaining -= orbit
-        yield s, orbit
+        if s in remaining:
+            orbit = _orbit(s, maps)
+            remaining -= orbit
+            yield s, orbit
+
+
+def _conjugation_maps(parent: FiniteGroup, gens: Iterable[int]) -> list[tuple[int, ...]]:
+    """For each g in ``gens``, x -> g^-1 x g over the parent's elements.
+
+    Row g^-1 of the table is a[x] = g^-1 x, and y g = (g^-1 y^-1)^-1, so
+    each map is three gathers of whole rows, done in C.
+    """
+    inv = parent._inv
+    inverted = _gather(inv)
+    maps = []
+    for g in gens:
+        a = parent._table[inv[g]]
+        right = _gather(inverted(a))(inv)  # right[y] = y g
+        maps.append(_gather(a)(right))
+    return maps
+
+
+def _orbit(s: frozenset[int], maps: list[tuple[int, ...]]) -> set[frozenset[int]]:
+    """The orbit of the set s under the group the conjugation maps generate.
+
+    Checks the deadline once per orbit.
+    """
+    check_deadline()
+    orbit = {s}
+    work = [s]
+    while work:
+        cur = work.pop()
+        for m in maps:
+            img = frozenset(map(m.__getitem__, cur))
+            if img not in orbit:
+                orbit.add(img)
+                work.append(img)
+    return orbit
 
 
 def orbit_reps_under(

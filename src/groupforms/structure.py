@@ -397,7 +397,11 @@ def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
 
 def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Three-way equivalence: primary cyclics F-subnormal-or-F-abnormal,
-    the E_F property, and the split shape with G' the F-residual."""
+    the E_F property, and the split shape with G' the F-residual.
+
+    The E_F property (C2) is skipped (``c2_skipped``) when G is above the
+    lattice budget.
+    """
     sub = _as_subgroup(G)
     flag_text = _hypothesis_status(F, _THEOREM1_FLAGS)
     if F.contains(sub) or not is_soluble(sub):
@@ -409,7 +413,10 @@ def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
             "C1": lambda C: is_f_subnormal(sub, C, F) or is_f_abnormal(sub, C, F),
         },
     )["C1"]
-    verdict.statements["C2_ef_group"] = is_ef_group(sub, F)
+    if sub.order <= current_budgets().lattice:
+        verdict.statements["C2_ef_group"] = is_ef_group(sub, F)
+    else:
+        verdict.details["c2_skipped"] = "all-subgroup quantifier exceeds the lattice budget"
     d = derived_subgroup(sub)
     verdict.statements["C3_split_shape"] = (
         d.members == residual(F, sub).members and _split_witness(sub, d, F) is not None

@@ -184,6 +184,20 @@ def test_analyze_example864_with_lattice_budget_1000(capsys):
     assert details["hypothesis"] == "empirical only: formation not flagged superradical"
 
 
+def test_analyze_example864_corollary2_skips_only_c2(capsys):
+    # above the default lattice budget only the E_F quantifier (C2) is
+    # skipped, as theorems 1 and 2 skip theirs; C1 and C3 are still decided
+    code, out = run_cli(
+        capsys, "analyze", "--group", "example864", "--formation", "NA", "--check", "corollary2",
+    )
+    assert code == EXIT_VIOLATION
+    result = json.loads(out)["checks"][0]
+    assert result["status"] == reports.FAIL
+    details = result["details"]
+    assert details["c2_skipped"] == "all-subgroup quantifier exceeds the lattice budget"
+    assert details["statements"] == {"C1_primary_cyclic_sn_or_abn": True, "C3_split_shape": False}
+
+
 def test_batch_directory(tmp_path, capsys):
     d = tmp_path / "groups"
     d.mkdir()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import pytest
 from helpers import (
     is_supersoluble,
@@ -77,6 +80,53 @@ def test_subgroup_sets_of_s4_x_d6_match_oracle():
     sets = lat.subgroup_sets(g)
     assert len(sets) == 1594
     assert sets == _from_bottom(g)
+
+
+def test_subgroup_sets_of_g864_sylow_subgroups_match_oracle(g864):
+    # conjugation maps over an 864-element parent, on the Sylow 2- and
+    # 3-subgroups and their normalizers (the Sylow 2-subgroup is its own)
+    checked = []
+    for p in (2, 3):
+        P = sylow_subgroup(g864, p)
+        for X in (P, normalizer(g864, P)):
+            assert lat.subgroup_sets(X) == _from_bottom(X), (p, X.order)
+            checked.append(X.order)
+    assert checked == [32, 32, 27, 216]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: catalog.symmetric(4),
+        catalog.special_linear_2_3,
+        lambda: direct_product(catalog.symmetric(3), catalog.cyclic_semidirect(8, 2, 3)),
+        lambda: catalog.build_named("direct(S4,elem_abelian:2,2)"),
+    ],
+    ids=["S4", "SL(2,3)", "S3xSD16", "S4xV4"],
+)
+def test_cyclic_extension_extends_one_subgroup_per_class(monkeypatch, build):
+    # the soluble route extends one subgroup per conjugacy class and checks
+    # the deadline once per extended subgroup and once per new orbit
+    G = build()  # a fresh group: nothing is cached yet
+    extended = []
+    deadlines = Counter()
+    real = lat._prime_index_extensions
+
+    def spy(parent, U, u_gens, roots):
+        extended.append(U)
+        return real(parent, U, u_gens, roots)
+
+    def deadline():
+        deadlines[sys._getframe(1).f_code.co_name] += 1
+
+    monkeypatch.setattr(lat, "_prime_index_extensions", spy)
+    monkeypatch.setattr(lat, "check_deadline", deadline)
+    lat.subgroup_sets(G)
+    monkeypatch.undo()
+    classes = len(lat.class_reps(G))
+    assert len(extended) == classes
+    assert len(lat.orbit_reps_under(G, extended, G.whole())) == classes  # pairwise non-conjugate
+    assert deadlines == {"_cyclic_extension": classes, "_orbit": classes - 1}
 
 
 def test_join_closure_matches_cyclic_extension(catalog120):
