@@ -21,6 +21,7 @@ from .permgroup import (
     GroupError,
     derived_subgroup,
     direct_product,
+    extend_generator_map,
     inversion_action,
     is_abelian,
     prime_factorization,
@@ -92,9 +93,7 @@ def elem_abelian(p: int, k: int) -> FiniteGroup:
         raise GroupError("elem_abelian needs a prime p")
     if k < 1:
         raise GroupError("elem_abelian needs k >= 1")
-    grp = cyclic(p)
-    for _ in range(k - 1):
-        grp = direct_product(grp, cyclic(p))
+    grp = abelian_type([p] * k)
     grp.name = f"E{p}^{k}"
     return grp
 
@@ -132,31 +131,6 @@ def frobenius(p: int, k: int) -> FiniteGroup:
     raise GroupError(f"no order-{k} unit modulo {p}")
 
 
-def _extend_generator_map(G: FiniteGroup, images: dict[int, int]) -> Optional[tuple[int, ...]]:
-    """Extend a generator assignment to a full endomorphism array, or None."""
-    out: dict[int, int] = {G.identity: G.identity}
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g, img_g in images.items():
-                xg = G.mul(x, g)
-                img = G.mul(out[x], img_g)
-                prev = out.get(xg)
-                if prev is None:
-                    out[xg] = img
-                    new.append(xg)
-                elif prev != img:
-                    return None
-        frontier = new
-    if len(out) != G.order:
-        return None
-    array = tuple(out[i] for i in range(G.order))
-    if sorted(array) != list(range(G.order)):
-        return None
-    return array
-
-
 def special_linear_2_3() -> FiniteGroup:
     """SL(2,3) as Q8 x| C3, where C3 acts by the automorphism i -> j, j -> k = ij.
 
@@ -166,9 +140,8 @@ def special_linear_2_3() -> FiniteGroup:
     q8 = dicyclic(2)
     c3 = cyclic(3)
     i, j = q8.generators
-    phi = _extend_generator_map(q8, {i: j, j: q8.mul(i, j)})
-    grp = semidirect_product(q8, c3, {c3.generators[0]: phi}, name="SL(2,3)")
-    return grp
+    phi = extend_generator_map(q8, {i: j, j: q8.mul(i, j)}, q8.identity, q8.mul)
+    return semidirect_product(q8, c3, {c3.generators[0]: phi}, name="SL(2,3)")
 
 
 def _vector_action(p: int, k: int, matrix: list[list[int]]) -> tuple[FiniteGroup, tuple[int, ...]]:

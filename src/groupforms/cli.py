@@ -1,8 +1,9 @@
 """Command-line interface: analyze, batch, lattice.
 
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 operational
-error (unparsable input, budget exceeded); 3 hypothesis violation (the
-requested theorem does not apply to the given group/formation).
+error (unparsable input, budget exceeded; the lattice budget only skips what
+it refuses, except in ``example864``); 3 hypothesis violation (the requested
+theorem does not apply to the given group/formation).
 
 Reports are deterministic: no timestamps, sorted keys, and batch output is
 assembled in a fixed order regardless of worker parallelism.

@@ -4,9 +4,10 @@ intervals, and the full lattice of the ``lattice`` command.
 All subgroups of a group come from cyclic extension when it is soluble and
 from the interval [1, X] of minimal overgroups otherwise. Cyclic extension
 works up to conjugacy: it extends one subgroup per class and adds the rest
-of each class by following its orbit. ``subgroup_sets``,
-``class_reps`` and ``all_subgroups`` refuse a (sub)group above the lattice
-budget in force (``permgroup.Budgets``), even when the result is cached. The checkers take
+of each class by following its orbit. ``subgroup_sets``, ``class_reps`` and
+``all_subgroups`` refuse a (sub)group above the lattice budget in force
+(``permgroup.Budgets``), even when the result is cached; no other module
+reads that budget. The checkers take
 subgroups up to conjugacy through ``conjugacy_orbits``, which also gives the
 element classes behind ``normal_subgroups``. The classes of all subgroups of
 G under an acting subgroup, ``class_reps``, are cached once per (G, acting

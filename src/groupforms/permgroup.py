@@ -23,7 +23,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class GroupError(ValueError):
@@ -938,6 +940,31 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: Optional[str] = None) -
     return got
 
 
+def extend_generator_map(
+    G: FiniteGroup, images: Mapping[int, T], identity: T, mul: Callable[[T, T], T]
+) -> tuple[T, ...]:
+    """The homomorphism from G sending each generator g in ``images`` to
+    ``images[g]``, as a tuple over G's element indices: x*g goes to
+    ``mul(image of x, images[g])`` along every edge of G's Cayley graph.
+    Raises ``GroupError`` when two words for one element get different
+    images (no homomorphism extends ``images``) or its keys do not generate G.
+    """
+    out = {G.identity: identity}
+    work = [G.identity]
+    for x in work:  # the loop also visits the elements it appends
+        for g, img_g in images.items():
+            xg = G.mul(x, g)
+            img = mul(out[x], img_g)
+            if xg not in out:
+                out[xg] = img
+                work.append(xg)
+            elif out[xg] != img:
+                raise GroupError("generator images do not extend to a homomorphism")
+    if len(out) != G.order:
+        raise GroupError("generator images do not cover the group")
+    return tuple(out[x] for x in range(G.order))
+
+
 def semidirect_product(
     A: FiniteGroup,
     B: FiniteGroup,
@@ -958,52 +985,22 @@ def semidirect_product(
         phi = tuple(action[b_gen])
         if sorted(phi) != list(range(A.order)):
             raise GroupError("action image is not a bijection on A")
-        if phi[A.identity] != A.identity:
-            raise GroupError("action image does not fix the identity")
-        for x in range(A.order):
-            for y in range(A.order):
-                if phi[A.mul(x, y)] != A.mul(phi[x], phi[y]):
-                    raise GroupError("action image is not an automorphism of A")
+        # a bijection is an automorphism when it is the homomorphism its
+        # values on A's generators define
+        if extend_generator_map(A, {a: phi[a] for a in A.generators}, A.identity, A.mul) != phi:
+            raise GroupError("action image is not an automorphism of A")
         gen_phi[b_gen] = phi
-    # extend along B's Cayley graph: phi(b*g) = phi(b) o phi(g);
-    # a conflict between two generator words means no homomorphism exists
-    auto_of: dict[int, tuple[int, ...]] = {B.identity: tuple(range(A.order))}
-    work = [B.identity]
-    while work:
-        b = work.pop()
-        phi_b = auto_of[b]
-        for g, phi_g in gen_phi.items():
-            bg = B.mul(b, g)
-            phi = tuple(phi_b[y] for y in phi_g)
-            prev = auto_of.get(bg)
-            if prev is None:
-                auto_of[bg] = phi
-                work.append(bg)
-            elif prev != phi:
-                raise GroupError("action does not define a homomorphism into Aut(A)")
-    if len(auto_of) != B.order:
-        raise GroupError("action extension failed to cover B")
+    # phi(b*g) = phi(b) o phi(g), the array of phi(g) gathered from phi(b)
+    auto_of = extend_generator_map(
+        B, gen_phi, tuple(range(A.order)), lambda phi_b, phi_g: _gather(phi_g)(phi_b)
+    )
 
     nA, nB = A.order, B.order
-    degree = nA * nB
-
-    def pair_point(a: int, b: int) -> int:
-        return a * nB + b
-
-    gen_perms = []
-    for a_gen in A.generators:
-        images = [0] * degree
-        for a in range(nA):
-            for b in range(nB):
-                images[pair_point(a, b)] = pair_point(A.mul(a, auto_of[b][a_gen]), b)
-        gen_perms.append(tuple(images))
-    for b_gen in B.generators:
-        images = [0] * degree
-        for a in range(nA):
-            for b in range(nB):
-                images[pair_point(a, b)] = pair_point(a, B.mul(b, b_gen))
-        gen_perms.append(tuple(images))
-    got = FiniteGroup.from_generators(gen_perms, degree, name=name)
+    pairs = [(a, b) for a in range(nA) for b in range(nB)]  # point a*nB + b is (a, b)
+    gen_perms = [
+        tuple(A.mul(a, auto_of[b][g]) * nB + b for a, b in pairs) for g in A.generators
+    ] + [tuple(a * nB + B.mul(b, g) for a, b in pairs) for g in B.generators]
+    got = FiniteGroup.from_generators(gen_perms, nA * nB, name=name)
     if got.order != nA * nB:
         raise GroupError("semidirect closure produced the wrong order")
     return got

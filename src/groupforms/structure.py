@@ -10,12 +10,15 @@ cached ``lattice.class_reps``, which also gives the N_G(H)-classes of
 Lemma 1(5)); Carter subgroups take whole conjugacy orbits, and a subgroup
 is maximal when its only minimal overgroup is the group
 (``lattice.is_maximal``). No checker builds a full subgroup lattice.
+
+A statement whose all-subgroup quantifier ``lattice`` refuses for the lattice
+budget is left out with a one-line reason (``_unless_over_budget``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import lattice as _lattice
 from . import reports
@@ -26,7 +29,6 @@ from .permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
-    current_budgets,
     derived_subgroup,
     is_elementary_abelian,
     is_nilpotent,
@@ -141,6 +143,10 @@ def is_ef_group(G: GroupLike, F: Formation) -> bool:
 # verdicts
 
 
+def _equivalent(values: list[bool]) -> bool:
+    return all(v == values[0] for v in values)
+
+
 @dataclass
 class TheoremVerdict:
     theorem: str
@@ -152,19 +158,20 @@ class TheoremVerdict:
     statements: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
+    rule: Callable[[list[bool]], bool] = _equivalent  # passes on the decided statements
 
     @property
     def equivalence(self) -> Optional[bool]:
         if not self.hypothesis_ok or not self.statements:
             return None
-        values = list(self.statements.values())
-        return all(v == values[0] for v in values)
+        return _equivalent(list(self.statements.values()))
 
     def to_check_result(self) -> reports.CheckResult:
-        if not self.hypothesis_ok:
+        values = list(self.statements.values())
+        if not self.hypothesis_ok or not values:
             status = reports.SKIP
         else:
-            status = reports.PASS if self.equivalence else reports.FAIL
+            status = reports.PASS if self.rule(values) else reports.FAIL
         details = {
             "group": self.group,
             "order": self.order,
@@ -186,6 +193,23 @@ def _not_applicable(theorem: str, sub: SubgroupRef, F: Formation, reason: str) -
     return TheoremVerdict(
         theorem, _label(sub), sub.order, F.name, False, f"hypothesis violated: {reason}"
     )
+
+
+T = TypeVar("T")
+_OVER_BUDGET = "all-subgroup quantifier exceeds the lattice budget"
+
+
+def _unless_over_budget(
+    details: dict, key: str, quantifier: Callable[[], T], reason: str = _OVER_BUDGET
+) -> Optional[T]:
+    """``quantifier()``, a statement over all subgroups; None, with ``reason``
+    recorded as ``details[key]``, when ``lattice`` refuses one of its
+    enumerations for the lattice budget."""
+    try:
+        return quantifier()
+    except _lattice.LatticeBudgetError:
+        details[key] = reason
+        return None
 
 
 def _holds_for_all(
@@ -212,6 +236,7 @@ def _holds_for_all(
 
 # the hypotheses of Theorem 1, which Corollaries 1 and 2 inherit
 _THEOREM1_FLAGS = ("subgroup_closed", "saturated", "superradical", "contains_nilpotents")
+_THEOREM2_FLAGS = ("subgroup_closed", "saturated", "contains_nilpotents")
 
 
 def _hypothesis_status(F: Formation, needed: Sequence[str]) -> str:
@@ -273,22 +298,21 @@ def check_theorem1(G: GroupLike, F: Formation) -> TheoremVerdict:
     the primary-subgroup details (``primary_skipped``) when a Sylow subgroup is.
     """
     sub = _as_subgroup(G)
-    flag_text = _hypothesis_status(F, _THEOREM1_FLAGS)
     if F.contains(sub):
         return _not_applicable("theorem1", sub, F, f"group lies in {F.name}")
     if not is_soluble(sub):
         return _not_applicable("theorem1", sub, F, "group is insoluble")
-    verdict = TheoremVerdict("theorem1", _label(sub), sub.order, F.name, True, flag_text)
+    verdict = TheoremVerdict("theorem1", _label(sub), sub.order, F.name, True,
+                             _hypothesis_status(F, _THEOREM1_FLAGS), rule=_equivalent)
 
     verdict.statements.update(_holds_for_all(verdict, primary_cyclic_class_reps(sub), {
         "S1": lambda C: is_f_subnormal(sub, C, F) or is_self_normalizing(sub, C),
     }))
-    if sub.order <= current_budgets().lattice:
-        verdict.statements.update(_holds_for_all(verdict, subgroup_class_reps(sub), {
+    verdict.statements.update(_unless_over_budget(verdict.details, "s2_skipped", lambda: (
+        _holds_for_all(verdict, subgroup_class_reps(sub), {
             "S2": lambda H: is_abnormal(sub, H) or (is_f_subnormal(sub, H, F) and F.contains(H)),
-        }))
-    else:
-        verdict.details["s2_skipped"] = "all-subgroup quantifier exceeds the lattice budget"
+        })
+    )) or {})
 
     d = derived_subgroup(sub)
     split = d.members == residual(NILPOTENT, sub).members
@@ -298,16 +322,13 @@ def check_theorem1(G: GroupLike, F: Formation) -> TheoremVerdict:
     if witness:
         verdict.details["s3_witness"] = witness
 
-    try:
-        primaries = primary_subgroup_class_reps(sub)
-    except _lattice.LatticeBudgetError:
-        verdict.details["primary_skipped"] = "Sylow-subgroup enumeration exceeds the lattice budget"
-    else:
-        verdict.details.update(_holds_for_all(verdict, primaries, {
+    verdict.details.update(_unless_over_budget(verdict.details, "primary_skipped", lambda: (
+        _holds_for_all(verdict, primary_subgroup_class_reps(sub), {
             "primary_sn_or_selfnormalizing":
                 lambda P: is_f_subnormal(sub, P, F) or is_self_normalizing(sub, P),
             "primary_sn_or_abnormal": lambda P: is_f_subnormal(sub, P, F) or is_f_abnormal(sub, P, F),
-        }))
+        })
+    ), "Sylow-subgroup enumeration exceeds the lattice budget") or {})
     return verdict
 
 
@@ -315,50 +336,56 @@ def check_theorem2(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Biconditional: primary cyclic subgroups absolutely F-subnormal or
     self-normalizing iff G is non-nilpotent with all proper subgroups primary
     and G = G' x| <x>, G' elementary abelian p-group, <x> a maximal Carter
-    subgroup of prime order q != p."""
+    subgroup of prime order q != p. The right side is skipped
+    (``right_skipped``) when G is above the lattice budget."""
     sub = _as_subgroup(G)
-    flag_text = _hypothesis_status(F, ("subgroup_closed", "saturated", "contains_nilpotents"))
     if F.contains(sub):
         return _not_applicable("theorem2", sub, F, f"group lies in {F.name}")
-    verdict = TheoremVerdict("theorem2", _label(sub), sub.order, F.name, True, flag_text)
+    verdict = TheoremVerdict("theorem2", _label(sub), sub.order, F.name, True,
+                             _hypothesis_status(F, _THEOREM2_FLAGS), rule=_equivalent)
 
     left = _holds_for_all(verdict, primary_cyclic_class_reps(sub), {
         "left": lambda C: is_absolutely_f_subnormal(sub, C, F) or is_self_normalizing(sub, C),
     })["left"]
     verdict.statements["left"] = left
-
-    if sub.order > current_budgets().lattice:
-        verdict.details["right_skipped"] = "all-subgroup quantifier exceeds the lattice budget"
-        verdict.details["left_side_soluble"] = is_soluble(sub) if left else None
-        return verdict
-    if is_nilpotent(sub):
-        reason = "nilpotent"
-    elif not _holds_for_all(verdict, subgroup_class_reps(sub), {
-        "right": lambda H: H.order == sub.order or is_primary_order(H.order),
-    })["right"]:
-        reason = "non-primary proper subgroup"
-    else:
-        reason = "no maximal prime-order Carter complement"
-        d = derived_subgroup(sub)
-        if is_elementary_abelian(d) and d.order > 1:
-            p = prime_factorization(d.order)[0][0]
-            for x, q, X in _cyclic_sylow_complements(sub, d):
-                if X.order == q and q != p and _lattice.is_maximal(sub, X):
-                    reason = None
-                    verdict.details["right_witness"] = {"p": p, "q": q, "derived_order": d.order}
-                    break
-    verdict.statements["right"] = reason is None
-    if reason:
-        verdict.details["right_failure"] = reason
+    failure = _unless_over_budget(
+        verdict.details, "right_skipped",
+        lambda: _theorem2_right_failure(sub, subgroup_class_reps(sub), verdict),
+    )
+    if failure is not None:
+        verdict.statements["right"] = not failure
+        if failure:
+            verdict.details["right_failure"] = failure
     verdict.details["left_side_soluble"] = is_soluble(sub) if left else None
     return verdict
 
 
+def _theorem2_right_failure(
+    sub: SubgroupRef, reps: list[SubgroupRef], verdict: TheoremVerdict
+) -> str:
+    """Why theorem 2's right side fails, given the subgroup class reps; "" when it holds."""
+    if is_nilpotent(sub):
+        return "nilpotent"
+    if not _holds_for_all(verdict, reps, {
+        "right": lambda H: H.order == sub.order or is_primary_order(H.order),
+    })["right"]:
+        return "non-primary proper subgroup"
+    d = derived_subgroup(sub)
+    if is_elementary_abelian(d) and d.order > 1:
+        p = prime_factorization(d.order)[0][0]
+        for x, q, X in _cyclic_sylow_complements(sub, d):
+            if X.order == q and q != p and _lattice.is_maximal(sub, X):
+                verdict.details["right_witness"] = {"p": p, "q": q, "derived_order": d.order}
+                return ""
+    return "no maximal prime-order Carter complement"
+
+
 def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
     """Order-divisibility split under Theorem 1 statement (1): proper A is
-    abnormal when |Carter| divides |A|, else F-subnormal and in F."""
+    abnormal when |Carter| divides |A|, else F-subnormal and in F; both must
+    hold. Nothing is decided (``carter_skipped``) when G is above the lattice
+    budget."""
     sub = _as_subgroup(G)
-    flag_text = _hypothesis_status(F, _THEOREM1_FLAGS)
     if F.contains(sub) or not is_soluble(sub):
         return _not_applicable("corollary1", sub, F, "needs a soluble group outside the formation")
     s1 = all(
@@ -367,31 +394,28 @@ def check_corollary1(G: GroupLike, F: Formation) -> TheoremVerdict:
     )
     if not s1:
         return _not_applicable("corollary1", sub, F, "Theorem 1 statement (1) fails")
-    carters = carter_subgroups(sub)
+    verdict = TheoremVerdict("corollary1", _label(sub), sub.order, F.name, True,
+                             _hypothesis_status(F, _THEOREM1_FLAGS), rule=all)
+    carters = _unless_over_budget(verdict.details, "carter_skipped", lambda: carter_subgroups(sub))
+    if carters is None:
+        return verdict
     if not carters:
         return _not_applicable("corollary1", sub, F, "no Carter subgroup found")
-    verdict = TheoremVerdict("corollary1", _label(sub), sub.order, F.name, True, flag_text)
     k = carters[0].order
     verdict.details["carter_order"] = k
-    divides_ok = True
-    other_ok = True
-    for A in subgroup_class_reps(sub):
+    verdict.statements = {"divisible_implies_abnormal": True, "otherwise_subnormal_in_F": True}
+    for A in subgroup_class_reps(sub):  # every failing A is a witness
         if A.order == sub.order:
             continue
         if A.order % k == 0:
-            if not is_abnormal(sub, A):
-                divides_ok = False
-                verdict.witnesses.append(
-                    {"statement": "divisible_implies_abnormal", "subgroup": reports.subgroup_witness(A)}
-                )
+            statement, ok = "divisible_implies_abnormal", is_abnormal(sub, A)
         else:
-            if not (is_f_subnormal(sub, A, F) and F.contains(A)):
-                other_ok = False
-                verdict.witnesses.append(
-                    {"statement": "otherwise_subnormal_in_F", "subgroup": reports.subgroup_witness(A)}
-                )
-    verdict.statements["divisible_implies_abnormal"] = divides_ok
-    verdict.statements["otherwise_subnormal_in_F"] = other_ok
+            statement, ok = "otherwise_subnormal_in_F", is_f_subnormal(sub, A, F) and F.contains(A)
+        if not ok:
+            verdict.statements[statement] = False
+            verdict.witnesses.append(
+                {"statement": statement, "subgroup": reports.subgroup_witness(A)}
+            )
     return verdict
 
 
@@ -403,20 +427,19 @@ def check_corollary2(G: GroupLike, F: Formation) -> TheoremVerdict:
     lattice budget.
     """
     sub = _as_subgroup(G)
-    flag_text = _hypothesis_status(F, _THEOREM1_FLAGS)
     if F.contains(sub) or not is_soluble(sub):
         return _not_applicable("corollary2", sub, F, "needs a soluble group outside the formation")
-    verdict = TheoremVerdict("corollary2", _label(sub), sub.order, F.name, True, flag_text)
+    verdict = TheoremVerdict("corollary2", _label(sub), sub.order, F.name, True,
+                             _hypothesis_status(F, _THEOREM1_FLAGS), rule=_equivalent)
 
     verdict.statements["C1_primary_cyclic_sn_or_abn"] = _holds_for_all(
         verdict, primary_cyclic_class_reps(sub), {
             "C1": lambda C: is_f_subnormal(sub, C, F) or is_f_abnormal(sub, C, F),
         },
     )["C1"]
-    if sub.order <= current_budgets().lattice:
-        verdict.statements["C2_ef_group"] = is_ef_group(sub, F)
-    else:
-        verdict.details["c2_skipped"] = "all-subgroup quantifier exceeds the lattice budget"
+    c2 = _unless_over_budget(verdict.details, "c2_skipped", lambda: is_ef_group(sub, F))
+    if c2 is not None:
+        verdict.statements["C2_ef_group"] = c2
     d = derived_subgroup(sub)
     verdict.statements["C3_split_shape"] = (
         d.members == residual(F, sub).members and _split_witness(sub, d, F) is not None
@@ -537,12 +560,12 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
     return violations
 
 
-def check_lemma2(G: GroupLike, F: Formation) -> list[dict]:
-    """F-abnormal subgroups: upward closure, self-normalization, abnormality."""
+def check_lemma2(G: GroupLike, F: Formation) -> Optional[list[dict]]:
+    """F-abnormal subgroups: upward closure, self-normalization, abnormality; None = gated."""
     sub = _as_subgroup(G)
     label = _label(sub)
     if not (F.subgroup_closed and _contains_all_prime_orders(F, sub)):
-        return []
+        return None
     violations = []
     soluble = is_soluble(sub)
     for A in subgroup_class_reps(sub):
@@ -642,21 +665,20 @@ def check_lemma_suite(
     F: Formation,
     lemmas: Sequence[str] = ("1", "2", "3", "4", "5", "6"),
 ) -> reports.VerdictReport:
+    """Each lemma on each group: ``skip`` when its hypothesis fails or the
+    lattice budget refuses its all-subgroup quantifier, else fail or pass."""
     report = reports.VerdictReport(kind="lemma-suite", formation=F.name)
     for G in groups:
-        label = G.name or f"order{G.order}"
         for lemma in lemmas:
-            result = _LEMMA_RUNNERS[lemma](G, F)
+            details = {"group": G.name or f"order{G.order}"}
+            result = _unless_over_budget(details, "reason", lambda: _LEMMA_RUNNERS[lemma](G, F))
             if result is None:
-                report.add(
-                    f"lemma{lemma}",
-                    reports.SKIP,
-                    {"group": label, "reason": "hypothesis flags not satisfied"},
-                )
+                details.setdefault("reason", "hypothesis flags not satisfied")
+                report.add(f"lemma{lemma}", reports.SKIP, details)
             elif result:
-                report.add(f"lemma{lemma}", reports.FAIL, {"group": label}, result)
+                report.add(f"lemma{lemma}", reports.FAIL, details, result)
             else:
-                report.add(f"lemma{lemma}", reports.PASS, {"group": label})
+                report.add(f"lemma{lemma}", reports.PASS, details)
     return report
 
 

@@ -121,14 +121,51 @@ def test_time_budget_covers_loading(capsys):
 
 
 def test_analyze_lemmas_honour_lattice_budget(capsys):
+    # a lemma whose all-subgroup quantifier is over the budget is skipped;
+    # lemmas 5 and 6 quantify over primary cyclic subgroups only
     code, out = run_cli(
         capsys, "analyze", "--group", "S4", "--check", "lemmas", "--budget-lattice", "5"
     )
-    assert code == EXIT_ERROR
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["checks"] == []
+    results = {c["check"]: c for c in payload["reports"][0]["checks"]}
+    for lemma in ("lemma1", "lemma2", "lemma3", "lemma4"):
+        assert results[lemma]["status"] == reports.SKIP
+        assert results[lemma]["details"]["reason"] == (
+            "all-subgroup quantifier exceeds the lattice budget"
+        )
+    assert results["lemma5"]["status"] == results["lemma6"]["status"] == reports.PASS
+
+
+def test_analyze_all_under_a_small_lattice_budget_has_no_error(capsys):
+    code, out = run_cli(
+        capsys, "analyze", "--group", "S4", "--check", "all", "--budget-lattice", "5"
+    )
+    payload = json.loads(out)
+    assert [c["check"] for c in payload["checks"]] == [
+        "theorem1", "theorem2", "corollary1", "corollary2"
+    ]
+    assert [r["kind"] for r in payload["reports"]] == ["lemma-suite"]
+    assert len(payload["reports"][0]["checks"]) == 6
+    # corollary 1 is skipped because theorem 1 statement (1) fails on S4
+    assert payload["summary"] == {"error": 0, "fail": 0, "pass": 5, "skip": 5}
+    assert code == EXIT_OK
+
+
+def test_analyze_example864_corollary1_skips_above_the_lattice_budget(capsys):
+    # statement (1) of theorem 1 holds, so the Carter subgroups are needed,
+    # and they come from the all-subgroup enumeration the budget refuses
+    code, out = run_cli(
+        capsys, "analyze", "--group", "example864", "--formation", "NA", "--check", "corollary1",
+    )
+    assert code == EXIT_HYPOTHESIS
     result = json.loads(out)["checks"][0]
-    assert result["check"] == "lemmas"
-    assert result["status"] == reports.ERROR
-    assert "exceeds lattice budget 5" in result["details"]["error"]
+    assert (result["check"], result["status"]) == ("corollary1", reports.SKIP)
+    details = result["details"]
+    assert details["carter_skipped"] == "all-subgroup quantifier exceeds the lattice budget"
+    assert details["hypothesis"] == "empirical only: formation not flagged superradical"
+    assert details["statements"] == {}
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -15,6 +17,7 @@ from helpers import (
     subgroup_sets_by_join_closure,
 )
 
+import groupforms
 from groupforms import catalog
 from groupforms import lattice as lat
 from groupforms.formations import NILPOTENT
@@ -152,6 +155,16 @@ def test_insoluble_subgroup_sets_match_join_closure(spec):
 def test_lattice_budget():
     with Budgets(lattice=4).in_force(), pytest.raises(LatticeBudgetError):
         lat.subgroup_sets(catalog.symmetric(3))
+
+
+def test_only_lattice_reads_the_lattice_budget():
+    # one module decides whether a group is over the lattice budget; the CLI
+    # only writes the budgets into its reports
+    src = Path(groupforms.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name not in ("lattice.py", "cli.py"):
+            assert not re.search(r"budgets\(\)\s*\.\s*lattice", path.read_text()), path.name
+    assert "current_budgets" not in (src / "structure.py").read_text()
 
 
 def test_lattice_budget_binds_on_cached_lattice():

@@ -12,7 +12,7 @@ import sys
 import pytest
 from helpers import conjugacy_class_reps, is_minimal_non_f, is_schmidt, maximal_subgroups
 
-from groupforms import catalog, structure
+from groupforms import catalog, reports, structure
 from groupforms import lattice as lat
 from groupforms.formations import (
     ABELIAN,
@@ -159,6 +159,28 @@ def test_corollary2_examples():
     assert v.equivalence  # all three false for F20
 
 
+def test_corollary1_passes_only_when_both_statements_hold(monkeypatch):
+    # no catalog group makes both statements false, so on S3 (Carter order 2)
+    # the order-2 subgroups are made non-abnormal and the trivial subgroup
+    # not F-subnormal: two false statements agree but the corollary fails
+    real = structure.is_f_subnormal
+    monkeypatch.setattr(structure, "is_abnormal", lambda G, H: False)
+    monkeypatch.setattr(structure, "is_f_subnormal", lambda G, H, F: H.order > 1 and real(G, H, F))
+    v = structure.check_corollary1(catalog.symmetric(3), NILPOTENT)
+    assert v.hypothesis_ok
+    assert v.statements == {"divisible_implies_abnormal": False, "otherwise_subnormal_in_F": False}
+    assert v.to_check_result().status == reports.FAIL
+
+
+def test_corollary1_skips_when_the_carter_subgroups_are_over_the_lattice_budget():
+    a4 = catalog.alternating(4)
+    with Budgets(lattice=5).in_force():
+        v = structure.check_corollary1(a4, NILPOTENT)
+    assert v.hypothesis_ok and v.statements == {}
+    assert v.details == {"carter_skipped": "all-subgroup quantifier exceeds the lattice budget"}
+    assert v.to_check_result().status == reports.SKIP
+
+
 # sha256 over the check results of theorems 1 and 2 and corollaries 1 and 2,
 # every built-in formation on the catalog <= 60, recorded before the
 # quantifiers and the cyclic-complement searches were folded into one each
@@ -281,6 +303,22 @@ def test_prime_order_gate_matches_cyclic_membership():
             want = F.contains(catalog.cyclic(p))
             assert structure._contains_all_prime_orders(F, G) == want, (F.name, p)
     assert not structure._contains_all_prime_orders(two_three, catalog.dihedral(5))
+
+
+def test_lemma2_unmet_hypothesis_is_a_skip():
+    # the {2,3} formation lacks C5, which lemma 2 assumes for D5
+    two_three = Formation(
+        name="{2,3}",
+        description="groups whose order has no prime divisor but 2 and 3",
+        membership=lambda sub: prime_divisors(sub) <= {2, 3},
+        subgroup_closed=True,
+    )
+    d5 = catalog.dihedral(5)
+    assert structure.check_lemma2(d5, two_three) is None
+    rep = structure.check_lemma_suite([d5], two_three, lemmas=("2",))
+    assert [(c.check, c.status, c.details) for c in rep.checks] == [
+        ("lemma2", reports.SKIP, {"group": "D5", "reason": "hypothesis flags not satisfied"})
+    ]
 
 
 def test_lemma_suite_takes_no_orbit_twice(monkeypatch):
