@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 operational
 error (unparsable input, budget exceeded; the lattice budget only skips what
-it refuses, except in ``example864``); 3 hypothesis violation (the requested
-theorem does not apply to the given group/formation).
+it refuses, except in ``example864``); 3 nothing was decided: every check
+skipped, for an unmet hypothesis (the requested theorem does not apply to the
+given group/formation) or for the lattice budget.
 
 Reports are deterministic: no timestamps, sorted keys, and batch output is
 assembled in a fixed order regardless of worker parallelism.

@@ -78,11 +78,15 @@ def primary_cyclic_subgroups(G: GroupLike) -> list[SubgroupRef]:
     sub = _as_subgroup(G)
     parent = sub.parent
     orders = parent.element_orders()
-    seen: dict[frozenset[int], None] = {}
+    found: list[frozenset[int]] = []
+    covered: set[int] = set()  # the generators of the subgroups found
     for x in sub.sorted_members:
-        if orders[x] > 1 and is_prime_power(orders[x]):
-            seen.setdefault(parent.closure([x]), None)
-    return [SubgroupRef(parent, s) for s in _lattice.canonical(seen)]
+        n = orders[x]
+        if n > 1 and x not in covered and is_prime_power(n):
+            C = parent.closure([x])
+            found.append(C)
+            covered.update(y for y in C if orders[y] == n)
+    return [SubgroupRef(parent, s) for s in _lattice.canonical(found)]
 
 
 def primary_cyclic_class_reps(G: GroupLike) -> list[SubgroupRef]:
@@ -143,7 +147,10 @@ def is_ef_group(G: GroupLike, F: Formation) -> bool:
 # verdicts
 
 
-def _equivalent(values: list[bool]) -> bool:
+def _equivalent(values: list[bool]) -> Optional[bool]:
+    """Whether the statements agree; None (nothing decided) for fewer than two."""
+    if len(values) < 2:
+        return None
     return all(v == values[0] for v in values)
 
 
@@ -158,20 +165,16 @@ class TheoremVerdict:
     statements: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
-    rule: Callable[[list[bool]], bool] = _equivalent  # passes on the decided statements
-
-    @property
-    def equivalence(self) -> Optional[bool]:
-        if not self.hypothesis_ok or not self.statements:
-            return None
-        return _equivalent(list(self.statements.values()))
+    # the verdict on the decided statements; None decides nothing (a skip)
+    rule: Callable[[list[bool]], Optional[bool]] = _equivalent
 
     def to_check_result(self) -> reports.CheckResult:
         values = list(self.statements.values())
-        if not self.hypothesis_ok or not values:
+        decided = self.rule(values) if self.hypothesis_ok and values else None
+        if decided is None:
             status = reports.SKIP
         else:
-            status = reports.PASS if self.rule(values) else reports.FAIL
+            status = reports.PASS if decided else reports.FAIL
         details = {
             "group": self.group,
             "order": self.order,

@@ -18,6 +18,11 @@ checked against (bottom-up breadth-first searches with the
 residual-containment step form and with membership of the built step
 quotient, and classical subnormality) are test oracles in
 ``tests/helpers.py``.
+
+H is F-abnormal when no step K < L of [H, G] has L^F <= K. A walk up from H,
+one ``minimal_overgroups`` list per subgroup reached, returns False at the
+first such step, so only an F-abnormal H has all of [H, G] walked. The test
+oracle builds the interval and decides each step by quotient membership.
 """
 
 from __future__ import annotations
@@ -144,7 +149,12 @@ def _qualifying_steps(K: SubgroupRef, H: SubgroupRef, F: Formation) -> list[Subg
 
 def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     """True iff every step K < L above H has quotient L/core_L(K) outside F,
-    that is L^F is not contained in K."""
+    that is L^F is not contained in K.
+
+    Walks up from H: each K reached gives its minimal overgroups L, the
+    first L with L^F <= K ends the walk with False, and each L not yet
+    reached is walked from in turn.
+    """
     amb = _as_subgroup(G)
     _check_contained(amb, H)
     if H.members == amb.members:
@@ -153,11 +163,18 @@ def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
 
 
 def _f_abnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
-    return not any(
-        residual(F, L).members <= K.members
-        for K in _lattice.interval(amb, H)
-        for L in _lattice.minimal_overgroups(amb, K)
-    )
+    seen = {H.members}
+    work = [H]
+    while work:
+        check_deadline()
+        K = work.pop()
+        for L in _lattice.minimal_overgroups(amb, K):
+            if residual(F, L).members <= K.members:
+                return False
+            if L.members not in seen:
+                seen.add(L.members)
+                work.append(L)
+    return True
 
 
 def is_absolutely_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:

@@ -36,6 +36,24 @@ from groupforms.permgroup import (
 from groupforms.subnormal import _check_contained
 
 
+CHECKER_STATEMENTS = {
+    "theorem1": ("S1", "S2", "S3"),
+    "theorem2": ("left", "right"),
+    "corollary1": ("divisible_implies_abnormal", "otherwise_subnormal_in_F"),
+    "corollary2": ("C1_primary_cyclic_sn_or_abn", "C2_ef_group", "C3_split_shape"),
+}
+
+
+def passes_deciding_all(verdict) -> bool:
+    """A checker verdict whose hypothesis holds, which decided every one of
+    its statements, and whose report status is pass."""
+    return (
+        verdict.hypothesis_ok
+        and sorted(verdict.statements) == sorted(CHECKER_STATEMENTS[verdict.theorem])
+        and verdict.to_check_result().status == reports.PASS
+    )
+
+
 def invert(p: Sequence[int]) -> tuple[int, ...]:
     """The inverse permutation, by writing each point at its image."""
     out = [0] * len(p)

@@ -20,6 +20,7 @@ from helpers import (
     is_f_subnormal_via_quotients,
     is_f_subnormal_via_residual,
     is_schmidt,
+    passes_deciding_all,
     residual_by_scan,
     subgroup_orbit,
     subgroup_refs,
@@ -112,7 +113,7 @@ def test_criterion_2_theorem1_equivalence(catalog120):
         count += 1
         v = structure.check_theorem1(g, NILPOTENT)
         assert v.hypothesis_ok, g.name
-        if not v.equivalence:
+        if not passes_deciding_all(v):
             counterexamples.append((g.name, v.statements))
     elapsed = time.monotonic() - start
     ok = not counterexamples and elapsed <= 300
@@ -136,7 +137,7 @@ def test_criterion_3_theorem2_biconditional(catalog120):
         count += 1
         v = structure.check_theorem2(g, NILPOTENT)
         assert v.hypothesis_ok, g.name
-        if not v.equivalence:
+        if not passes_deciding_all(v):
             counterexamples.append((g.name, v.statements))
         if v.statements["left"] and not v.details["left_side_soluble"]:
             insoluble_left.append(g.name)

@@ -148,8 +148,9 @@ def test_analyze_all_under_a_small_lattice_budget_has_no_error(capsys):
     ]
     assert [r["kind"] for r in payload["reports"]] == ["lemma-suite"]
     assert len(payload["reports"][0]["checks"]) == 6
-    # corollary 1 is skipped because theorem 1 statement (1) fails on S4
-    assert payload["summary"] == {"error": 0, "fail": 0, "pass": 5, "skip": 5}
+    # corollary 1 is skipped because theorem 1 statement (1) fails on S4, and
+    # theorem 2, with only its left side decided, decides nothing
+    assert payload["summary"] == {"error": 0, "fail": 0, "pass": 4, "skip": 6}
     assert code == EXIT_OK
 
 
@@ -427,8 +428,9 @@ EXAMPLE864_REPORTS = {
     ("N", "example864"): (
         EXIT_VIOLATION, "a374947a544bd26ccc4ce1da83168ed717b189a24e65c69aa7ae3abbb25cd246"
     ),
+    # theorem 2 decides only its left side above the budget: a skip
     ("NA", "theorem2"): (
-        EXIT_OK, "39805bb8a5a0c5c258cc39e9cf4401390aa876450912ae453d21b31f902abb6d"
+        EXIT_HYPOTHESIS, "08cea33a4128433ca7a2629a6e94f186b4a5dcada406087ed15f681c6c700e5b"
     ),
 }
 

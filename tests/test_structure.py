@@ -10,7 +10,13 @@ import re
 import sys
 
 import pytest
-from helpers import conjugacy_class_reps, is_minimal_non_f, is_schmidt, maximal_subgroups
+from helpers import (
+    conjugacy_class_reps,
+    is_minimal_non_f,
+    is_schmidt,
+    maximal_subgroups,
+    passes_deciding_all,
+)
 
 from groupforms import catalog, reports, structure
 from groupforms import lattice as lat
@@ -111,12 +117,12 @@ def test_ef_group_examples():
 def test_theorem1_examples():
     v = structure.check_theorem1(catalog.symmetric(3), NILPOTENT)
     assert v.statements == {"S1": True, "S2": True, "S3": True}
-    assert v.equivalence
+    assert passes_deciding_all(v)
     v = structure.check_theorem1(catalog.alternating(4), NILPOTENT)
     assert v.statements == {"S1": True, "S2": True, "S3": True}
     v = structure.check_theorem1(catalog.frobenius(5, 4), NILPOTENT)
     assert v.statements == {"S1": False, "S2": False, "S3": False}
-    assert v.equivalence  # all-false is still equivalent
+    assert passes_deciding_all(v)  # all-false is still equivalent
 
 
 def test_theorem1_hypothesis_gates():
@@ -136,15 +142,15 @@ def test_theorem2_examples():
     assert v.statements == {"left": True, "right": True}
     v = structure.check_theorem2(catalog.special_linear_2_3(), NILPOTENT)
     assert v.statements == {"left": False, "right": False}
-    assert v.equivalence
+    assert passes_deciding_all(v)
 
 
 def test_corollary1_examples():
     v = structure.check_corollary1(catalog.symmetric(3), NILPOTENT)
-    assert v.hypothesis_ok and v.equivalence
+    assert passes_deciding_all(v)
     assert v.details["carter_order"] == 2
     v = structure.check_corollary1(catalog.alternating(4), NILPOTENT)
-    assert v.hypothesis_ok and v.equivalence
+    assert passes_deciding_all(v)
     assert v.details["carter_order"] == 3
     v = structure.check_corollary1(catalog.cyclic(5), NILPOTENT)
     assert not v.hypothesis_ok
@@ -152,11 +158,11 @@ def test_corollary1_examples():
 
 def test_corollary2_examples():
     v = structure.check_corollary2(catalog.symmetric(3), NILPOTENT)
-    assert v.hypothesis_ok and v.equivalence
+    assert passes_deciding_all(v)
     v = structure.check_corollary2(catalog.alternating(4), NILPOTENT)
-    assert v.equivalence
+    assert passes_deciding_all(v)
     v = structure.check_corollary2(catalog.frobenius(5, 4), NILPOTENT)
-    assert v.equivalence  # all three false for F20
+    assert passes_deciding_all(v)  # all three false for F20
 
 
 def test_corollary1_passes_only_when_both_statements_hold(monkeypatch):

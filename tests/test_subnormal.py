@@ -66,6 +66,29 @@ def test_s3_classic_cases():
     assert not is_absolutely_f_subnormal(s3, c2, NILPOTENT)
 
 
+def test_f_abnormality_stops_at_the_first_qualifying_step(monkeypatch):
+    # the first minimal overgroup C2 of the trivial subgroup of S3 has
+    # C2^N = 1, so one minimal-overgroup list refutes F-abnormality
+    s3 = catalog.symmetric(3)
+    trivial = SubgroupRef(s3, frozenset((s3.identity,)))
+    computed, intervals = [], []
+    real_min_over, real_interval = lat._minimal_overgroups, lat.interval
+
+    def count_min_over(parent, H, top):
+        computed.append(H.order)
+        return real_min_over(parent, H, top)
+
+    def count_interval(*args):
+        intervals.append(args)
+        return real_interval(*args)
+
+    monkeypatch.setattr(lat, "_minimal_overgroups", count_min_over)
+    monkeypatch.setattr(lat, "interval", count_interval)
+    assert not is_f_abnormal(s3, trivial, NILPOTENT)
+    assert computed == [1]
+    assert intervals == []
+
+
 def test_a4_absolute_subnormality():
     a4 = catalog.alternating(4)
     c2 = _sub_of_order(a4, 2)
