@@ -4,7 +4,11 @@ Exit codes: 0 all checks passed; 1 at least one check failed; 2 operational
 error (unparsable input, budget exceeded; the lattice budget only skips what
 it refuses, except in ``example864``); 3 nothing was decided: every check
 skipped, for an unmet hypothesis (the requested theorem does not apply to the
-given group/formation) or for the lattice budget.
+given group/formation) or for the lattice budget. One rule maps status counts
+to the code: ``analyze`` applies it to its report's summary, ``batch`` to its
+aggregate over every file (a file that cannot be loaded or checked counts as
+an error), so a batch in which every check skipped exits 3 and an empty
+directory exits 0.
 
 Reports are deterministic: no timestamps, sorted keys, and batch output is
 assembled in a fixed order regardless of worker parallelism.
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
+from contextlib import suppress
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
@@ -44,7 +48,11 @@ EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 EXIT_HYPOTHESIS = 3
 
-CHECK_NAMES = ("theorem1", "theorem2", "corollary1", "corollary2", "lemmas", "example864", "all")
+ALL_CHECKS = ("theorem1", "theorem2", "corollary1", "corollary2", "lemmas")
+CHECK_NAMES = ALL_CHECKS + ("example864", "all")
+
+# what a run reports as an operational error (exit 2) instead of raising
+_OPERATIONAL = (GroupError, GroupBudgetError, OSError)
 
 
 def _budgets(args: argparse.Namespace) -> Budgets:
@@ -58,7 +66,7 @@ def _load_group(spec: str) -> FiniteGroup:
     return _catalog.build_named(spec)
 
 
-def _run_checks(group: FiniteGroup, formation_name: str, checks: list[str]) -> _reports.VerdictReport:
+def _run_checks(group: FiniteGroup, formation_name: str, check: str) -> _reports.VerdictReport:
     F = formation_by_name(formation_name)
     report = _reports.VerdictReport(
         kind="analyze",
@@ -66,33 +74,32 @@ def _run_checks(group: FiniteGroup, formation_name: str, checks: list[str]) -> _
         formation=F.name,
         budgets=dataclasses.asdict(current_budgets()),
     )
-    for check in checks:
+    for name in ALL_CHECKS if check == "all" else (check,):
         try:
             check_deadline()
-            if check in ("theorem1", "theorem2", "corollary1", "corollary2"):
-                verdict = getattr(_structure, f"check_{check}")(group, F)
-                report.checks.append(verdict.to_check_result())
-            elif check == "lemmas":
-                sub = _structure.check_lemma_suite([group], F)
-                report.subreports.append(sub)
-            elif check == "example864":
+            if name == "lemmas":
+                report.subreports.append(_structure.check_lemma_suite([group], F))
+            elif name == "example864":
                 report.subreports.append(_structure.verify_paper_example(group))
             else:
-                raise GroupError(f"unknown check {check!r}")
+                verdict = getattr(_structure, f"check_{name}")(group, F)
+                report.checks.append(verdict.to_check_result())
         except GroupBudgetError as exc:
-            report.add(check, _reports.ERROR, {"error": str(exc), "incomplete": True})
+            report.add(name, _reports.ERROR, {"error": str(exc), "incomplete": True})
             break
     return report
 
 
-def _expand_checks(check: str) -> list[str]:
-    if check == "all":
-        return ["theorem1", "theorem2", "corollary1", "corollary2", "lemmas"]
-    return [check]
+def _load_and_check(load, source: str, formation_name: str, check: str,
+                    budgets: Budgets) -> _reports.VerdictReport:
+    """Load a group and run the checks on it, with the budgets in force for both."""
+    with budgets.in_force():
+        return _run_checks(load(source), formation_name, check)
 
 
-def _exit_code_for(report: _reports.VerdictReport) -> int:
-    counts = report.summary()
+def _exit_code(counts: dict) -> int:
+    """The exit code of a run from its status counts (a report's summary, or
+    the batch aggregate)."""
     if counts[_reports.ERROR]:
         return EXIT_ERROR
     if counts[_reports.FAIL]:
@@ -102,41 +109,37 @@ def _exit_code_for(report: _reports.VerdictReport) -> int:
     return EXIT_OK
 
 
-def _emit(report: _reports.VerdictReport, out_path: Optional[str]) -> None:
-    text = report.to_json()
+def _error(exc: object) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_ERROR
+
+
+def _emit(text: str, out_path: Optional[str] = None) -> None:
     sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    with _budgets(args).in_force():
-        try:
-            group = _load_group(args.group)
-        except (GroupError, GroupBudgetError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        try:
-            report = _run_checks(group, args.formation, _expand_checks(args.check))
-        except GroupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    _emit(report, args.report)
-    return _exit_code_for(report)
+    try:
+        report = _load_and_check(_load_group, args.group, args.formation, args.check,
+                                 _budgets(args))
+    except _OPERATIONAL as exc:
+        return _error(exc)
+    _emit(report.to_json(), args.report)
+    return _exit_code(report.summary())
 
 
 def _batch_worker(task: tuple) -> dict:
     path, formation_name, check, budgets = task
     try:
-        with budgets.in_force():
-            group = _groupfile.parse_group_file(path)
-            report = _run_checks(group, formation_name, _expand_checks(check))
-    except (GroupError, GroupBudgetError, OSError) as exc:
+        report = _load_and_check(_groupfile.parse_group_file, path, formation_name, check, budgets)
+    except _OPERATIONAL as exc:
         return {"file": Path(path).name, "error": str(exc)}
     return {
         "file": Path(path).name,
-        "order": group.order,
-        "name": group.name,
+        "order": report.subject["order"],
+        "name": report.subject["name"],
         "report": report.to_dict(),
     }
 
@@ -145,8 +148,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     budgets = _budgets(args)
     directory = Path(args.dir)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(f"{directory} is not a directory")
     files = sorted(p for p in directory.iterdir() if p.suffix == ".pgrp")
     tasks = [(str(p), args.formation, args.check, budgets) for p in files]
     if args.jobs > 1 and len(tasks) > 1:
@@ -161,29 +163,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     err_results.sort(key=lambda r: r["file"])
     aggregate = {"pass": 0, "fail": 0, "skip": 0, "error": len(err_results)}
     for r in ok_results:
-        for key in ("pass", "fail", "skip", "error"):
-            aggregate[key] = aggregate[key] + r["report"]["summary"][key]
-    out = {
-        "schema_version": _reports.SCHEMA_VERSION,
-        "tool": _reports.TOOL_NAME,
-        "tool_version": _reports.TOOL_VERSION,
-        "kind": "batch",
-        "budgets": dataclasses.asdict(budgets),
-        "formation": args.formation,
-        "check": args.check,
-        "runs": ok_results,
-        "errors": err_results,
-        "aggregate": aggregate,
-    }
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
-    if aggregate["error"]:
-        return EXIT_ERROR
-    if aggregate["fail"]:
-        return EXIT_VIOLATION
-    return EXIT_OK
+        for status, n in r["report"]["summary"].items():
+            aggregate[status] += n
+    out = _reports.envelope("batch", dataclasses.asdict(budgets), args.formation)
+    out.update(check=args.check, runs=ok_results, errors=err_results, aggregate=aggregate)
+    _emit(_reports.dumps(out), args.report)
+    return _exit_code(aggregate)
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
@@ -193,26 +178,22 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         try:
             group = _load_group(args.group)
             if cache_path and cache_path.exists():
-                try:
+                with suppress(_groupfile.CacheMismatchError):
                     loaded = _groupfile.cache_load(cache_path, group)  # seeds the memo
-                except _groupfile.CacheMismatchError:
-                    pass
             lat = _lattice.all_subgroups(group)  # checks the budget on a cache hit too
-        except (GroupError, GroupBudgetError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        except _OPERATIONAL as exc:
+            return _error(exc)
     source = "cache" if lat is loaded else "computed"
     if cache_path and lat is not loaded:
         _groupfile.cache_save(lat, cache_path)
-    summary = {
+    _emit(_reports.dumps({
         "group": group.name,
         "order": group.order,
         "subgroups": len(lat.nodes),
         "maximal_edges": len(lat.edges),
         "conjugacy_classes": len(lat.conjugacy_classes),
         "source": source,
-    }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    }))
     return EXIT_OK
 
 

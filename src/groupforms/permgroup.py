@@ -17,6 +17,7 @@ limit, and the long search loops call ``check_deadline``. Outside any
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from array import array
 from contextlib import contextmanager
@@ -141,55 +142,30 @@ def perm_to_cycle_text(p: Sequence[int]) -> str:
     return "".join("(" + " ".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
 
 
+# one cycle: its points, separated by spaces, commas or tabs
+_CYCLE = re.compile(r"\(([\d ,\t]*)\)")
+
+
 def perm_from_cycle_text(text: str, degree: int) -> tuple[int, ...]:
-    """Parse 1-based cycle notation into an image tuple of the given degree."""
-    images = list(range(degree))
+    """Parse 1-based cycle notation into an image tuple of the given degree.
+
+    The text is a run of cycles ``(...)`` with nothing but spaces, commas or
+    tabs between them; the empty text and ``()`` are the identity."""
     body = text.strip()
-    if body in ("", "()"):
-        return tuple(images)
-    if not body.startswith("("):
+    if (body and not body.startswith("(")) or _CYCLE.sub("", body).strip(" ,\t"):
         raise GroupError(f"bad cycle notation: {text!r}")
-    depth_open = False
-    current: list[int] = []
-    token = ""
+    images = list(range(degree))
     touched: set[int] = set()
-
-    def flush_token() -> None:
-        nonlocal token
-        if token:
-            current.append(int(token))
-            token = ""
-
-    for ch in body:
-        if ch == "(":
-            if depth_open:
-                raise GroupError(f"nested '(' in cycle notation: {text!r}")
-            depth_open = True
-            current = []
-        elif ch == ")":
-            if not depth_open:
-                raise GroupError(f"unbalanced ')' in cycle notation: {text!r}")
-            flush_token()
-            depth_open = False
-            pts = [x - 1 for x in current]
-            for x in pts:
-                if not 0 <= x < degree:
-                    raise GroupError(f"point {x + 1} out of range for degree {degree}")
-                if x in touched:
-                    raise GroupError(f"point {x + 1} repeated in {text!r}")
-                touched.add(x)
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                images[a] = b
-        elif ch in " ,\t":
-            flush_token()
-        elif ch.isdigit():
-            if not depth_open:
-                raise GroupError(f"point outside a cycle in cycle notation: {text!r}")
-            token += ch
-        else:
-            raise GroupError(f"unexpected character {ch!r} in cycle notation: {text!r}")
-    if depth_open:
-        raise GroupError(f"unterminated cycle in {text!r}")
+    for cycle in _CYCLE.findall(body):
+        pts = [int(x) - 1 for x in cycle.replace(",", " ").split()]
+        for x in pts:
+            if not 0 <= x < degree:
+                raise GroupError(f"point {x + 1} out of range for degree {degree}")
+            if x in touched:
+                raise GroupError(f"point {x + 1} repeated in {text!r}")
+            touched.add(x)
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            images[a] = b
     return tuple(images)
 
 
@@ -445,14 +421,6 @@ class FiniteGroup:
         t = self._table
         gi = self._inv[g]
         return frozenset(t[t[gi][x]][g] for x in members)
-
-    def subgroup(self, members: Iterable[int]) -> "SubgroupRef":
-        ms = frozenset(members)
-        if not ms <= self._whole:
-            raise GroupError("member indices outside the group")
-        if self.closure(self.greedy_generators(ms) or [self._identity]) != ms:
-            raise GroupError("member set is not closed (not a subgroup)")
-        return SubgroupRef(self, ms)
 
     def as_subgroup(self) -> "SubgroupRef":
         return self._whole_ref

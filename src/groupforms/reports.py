@@ -17,6 +17,8 @@ Schema (version 1), keys always emitted in sorted order:
       "summary": {"pass": n, "fail": n, "skip": n, "error": n}
     }
 
+``envelope`` writes the first six keys for every kind; a ``batch`` report
+has ``check``, ``runs``, ``errors`` and ``aggregate`` in place of the rest.
 Reports never embed timestamps or unordered containers, so repeated runs are
 byte-identical.
 """
@@ -24,7 +26,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .permgroup import FiniteGroup, SubgroupRef, perm_to_cycle_text
@@ -39,6 +41,24 @@ SKIP = "skip"
 ERROR = "error"
 
 _STATUS_ORDER = (PASS, FAIL, SKIP, ERROR)
+
+
+def dumps(payload: dict) -> str:
+    """The one JSON form of every CLI output: sorted keys, indent 2, and a
+    trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def envelope(kind: str, budgets: dict, formation: Optional[str]) -> dict:
+    """The keys every report starts from; each kind adds its own."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": TOOL_NAME,
+        "tool_version": TOOL_VERSION,
+        "kind": kind,
+        "budgets": budgets,
+        "formation": formation,
+    }
 
 
 def subgroup_witness(H: SubgroupRef) -> dict:
@@ -67,12 +87,7 @@ class CheckResult:
     witnesses: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "details": self.details,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -84,10 +99,8 @@ class VerdictReport:
     checks: list[CheckResult] = field(default_factory=list)
     subreports: list["VerdictReport"] = field(default_factory=list)
 
-    def add(self, check: str, status: str, details: Optional[dict] = None, witnesses=None) -> CheckResult:
-        result = CheckResult(check, status, details or {}, witnesses or [])
-        self.checks.append(result)
-        return result
+    def add(self, check: str, status: str, details: Optional[dict] = None, witnesses=None) -> None:
+        self.checks.append(CheckResult(check, status, details or {}, witnesses or []))
 
     def summary(self) -> dict:
         counts = {s: 0 for s in _STATUS_ORDER}
@@ -99,20 +112,15 @@ class VerdictReport:
         return counts
 
     def to_dict(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": TOOL_NAME,
-            "tool_version": TOOL_VERSION,
-            "kind": self.kind,
-            "budgets": self.budgets,
-            "subject": self.subject,
-            "formation": self.formation,
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary(),
-        }
+        out = envelope(self.kind, self.budgets, self.formation)
+        out.update(
+            subject=self.subject,
+            checks=[c.to_dict() for c in self.checks],
+            summary=self.summary(),
+        )
         if self.subreports:
             out["reports"] = [sub.to_dict() for sub in self.subreports]
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
+    def to_json(self) -> str:
+        return dumps(self.to_dict())

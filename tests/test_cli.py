@@ -19,6 +19,14 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _group_dir(tmp_path, *names):
+    d = tmp_path / "groups"
+    d.mkdir()
+    for name in names:
+        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    return d
+
+
 def test_analyze_theorem1_pass(capsys):
     code, out = run_cli(capsys, "analyze", "--group", "S3", "--formation", "N", "--check", "theorem1")
     assert code == EXIT_OK
@@ -78,10 +86,7 @@ def test_analyze_honours_max_order_budget(capsys, spec):
 
 
 def test_batch_isolates_a_file_over_the_max_order_budget(tmp_path, capsys):
-    d = tmp_path / "sizes"
-    d.mkdir()
-    for name in ("S3", "S4"):
-        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    d = _group_dir(tmp_path, "S3", "S4")
     code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1",
                         "--budget-max-order", "10")
     assert code == EXIT_ERROR
@@ -237,10 +242,7 @@ def test_analyze_example864_corollary2_skips_only_c2(capsys):
 
 
 def test_batch_directory(tmp_path, capsys):
-    d = tmp_path / "groups"
-    d.mkdir()
-    for name in ("S3", "A4", "D5"):
-        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    d = _group_dir(tmp_path, "S3", "A4", "D5")
     code, out = run_cli(
         capsys, "batch", "--dir", str(d), "--formation", "N", "--check", "theorem1",
     )
@@ -251,17 +253,35 @@ def test_batch_directory(tmp_path, capsys):
 
 
 def test_batch_empty_directory(tmp_path, capsys):
-    d = tmp_path / "empty"
-    d.mkdir()
+    d = _group_dir(tmp_path)
     code, out = run_cli(capsys, "batch", "--dir", str(d))
     assert code == EXIT_OK
     assert json.loads(out)["runs"] == []
 
 
+@pytest.mark.parametrize("names, aggregate, expected", [
+    # theorem 1 does not apply to a nilpotent group: nothing is decided
+    (("C3", "C4"), {"pass": 0, "fail": 0, "skip": 2, "error": 0}, EXIT_HYPOTHESIS),
+    (("S3", "C6"), {"pass": 1, "fail": 0, "skip": 1, "error": 0}, EXIT_OK),
+], ids=["all-skip", "pass-and-skip"])
+def test_batch_exit_code_follows_its_aggregate(tmp_path, capsys, names, aggregate, expected):
+    d = _group_dir(tmp_path, *names)
+    code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1")
+    assert json.loads(out)["aggregate"] == aggregate
+    assert code == expected
+
+
+def test_batch_report_file(tmp_path, capsys):
+    d = _group_dir(tmp_path, "S3", "A4")
+    out_path = tmp_path / "batch.json"
+    code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem2",
+                        "--report", str(out_path))
+    assert code == EXIT_OK
+    assert out_path.read_text(encoding="utf-8") == out
+
+
 def test_batch_error_isolation(tmp_path, capsys):
-    d = tmp_path / "mixed"
-    d.mkdir()
-    groupfile.write_group_file(catalog.build_named("S3"), d / "s3.pgrp")
+    d = _group_dir(tmp_path, "S3")
     (d / "broken.pgrp").write_text("pgrp v1\ndegree 3\norder 99\n(1 2 3)\n")
     code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1")
     assert code == EXIT_ERROR
@@ -272,9 +292,7 @@ def test_batch_error_isolation(tmp_path, capsys):
 
 
 def test_batch_check_error_isolation(tmp_path, capsys):
-    d = tmp_path / "wrong-order"
-    d.mkdir()
-    groupfile.write_group_file(catalog.build_named("S3"), d / "s3.pgrp")
+    d = _group_dir(tmp_path, "S3")
     code = main(["batch", "--dir", str(d), "--check", "example864", "--formation", "NA"])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
@@ -285,9 +303,7 @@ def test_batch_check_error_isolation(tmp_path, capsys):
 
 
 def test_undecodable_group_file_is_an_error_not_a_crash(tmp_path, capsys):
-    d = tmp_path / "bytes"
-    d.mkdir()
-    groupfile.write_group_file(catalog.build_named("S3"), d / "s3.pgrp")
+    d = _group_dir(tmp_path, "S3")
     bad = d / "bad.pgrp"
     bad.write_bytes(b"pgrp v1\ndegree 3\n# \xff\n(1 2 3)\n")
     code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1")
@@ -301,10 +317,7 @@ def test_undecodable_group_file_is_an_error_not_a_crash(tmp_path, capsys):
 
 
 def test_batch_parallel_byte_identical(tmp_path, capsys):
-    d = tmp_path / "par"
-    d.mkdir()
-    for name in ("S3", "A4", "C6", "D4", "Q8", "S4"):
-        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    d = _group_dir(tmp_path, "S3", "A4", "C6", "D4", "Q8", "S4")
     code1, seq = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1", "--jobs", "1")
     code2, par = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1", "--jobs", "3")
     assert seq == par
@@ -391,10 +404,7 @@ LEMMAS_BATCH_SHA256 = {
 
 @pytest.mark.parametrize("formation", sorted(LEMMAS_BATCH_SHA256))
 def test_batch_lemmas_report_unchanged(tmp_path, capsys, formation):
-    d = tmp_path / "lemmas"
-    d.mkdir()
-    for name in ("S3", "A4", "D4", "S4", "sl23", "D6"):
-        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    d = _group_dir(tmp_path, "S3", "A4", "D4", "S4", "sl23", "D6")
     code, out = run_cli(
         capsys, "batch", "--dir", str(d), "--check", "lemmas", "--formation", formation,
     )
@@ -465,10 +475,7 @@ def test_batch_starts_no_more_workers_than_files(tmp_path, capsys, monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(cli, "Pool", RecordingPool)
-    d = tmp_path / "two"
-    d.mkdir()
-    for name in ("S3", "C6"):
-        groupfile.write_group_file(catalog.build_named(name), d / f"{name.lower()}.pgrp")
+    d = _group_dir(tmp_path, "S3", "C6")
     code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1", "--jobs", "8")
     assert code == EXIT_OK
     assert asked == [2]

@@ -58,7 +58,7 @@ def test_membership_trivial_group():
 def test_membership_invariant_under_quotient_realization():
     # same abstract group, different degree
     s3 = catalog.symmetric(3)
-    triv = s3.subgroup([s3.identity])
+    triv = SubgroupRef(s3, frozenset([s3.identity]))
     realized = quotient(s3, triv).image
     assert realized.degree != s3.degree
     for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE):

@@ -111,6 +111,13 @@ def test_cycle_parse_errors():
     with pytest.raises(GroupError):
         perm_from_cycle_text("(1 2)(1)", 4)
     assert perm_from_cycle_text("(3)", 4) == identity_perm(4)
+    # a non-empty text starts with a cycle, and only spaces, commas and tabs
+    # stand between cycles; a superscript digit is no point
+    for text in (",", " ,(1 2)", "((1 2))", "(1 2)x", "(1\u00b2)"):
+        with pytest.raises(GroupError):
+            perm_from_cycle_text(text, 4)
+    assert perm_from_cycle_text("(1 2),(3 4)", 4) == (1, 0, 3, 2)
+    assert perm_from_cycle_text("(1 2)()", 4) == (1, 0, 2, 3)
 
 
 # -- multiplication tables ----------------------------------------------------
