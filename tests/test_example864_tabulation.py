@@ -24,6 +24,7 @@ the example builds its group.
 from __future__ import annotations
 
 import pytest
+from helpers import invert
 
 from groupforms import lattice as lat
 from groupforms.formations import NILPOTENT, NILPOTENT_DERIVED, residual
@@ -41,14 +42,6 @@ from groupforms.subnormal import is_f_subnormal, is_self_normalizing
 
 # (S3 wr C2) x S4 on the points of K
 N_GENERATORS = ("(1 2 3)", "(1 2)", "(1 4)(2 5)(3 6)", "(7 8 9 10)", "(7 8)")
-S3_BLOCKS = ({0, 1, 2}, {3, 4, 5})
-
-
-def _invert(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 @pytest.fixture(scope="module")
@@ -58,18 +51,13 @@ def k_and_n(g864):
     return FiniteGroup.from_generators(k_gens, 10), k_gens, N
 
 
-def _swapping_involutions(N):
-    e = identity_perm(N.degree)
-    return [n for n in N.elements if compose(n, n) == e and n[0] in S3_BLOCKS[1]]
-
-
 def test_n_gives_every_automorphism_of_k(k_and_n):
     K, k_gens, N = k_and_n
     assert (K.order, N.order) == (432, 1728)
     # N normalizes K, and no element of N but 1 centralizes it
     images = set()
     for n in N.elements:
-        conj = tuple(compose(compose(_invert(n), k), n) for k in k_gens)
+        conj = tuple(compose(compose(invert(n), k), n) for k in k_gens)
         assert all(c in K._index for c in conj)
         images.add(conj)
     centralizer = [n for n in N.elements if all(compose(n, k) == compose(k, n) for k in k_gens)]
@@ -78,8 +66,9 @@ def test_n_gives_every_automorphism_of_k(k_and_n):
 
 
 def test_no_matching_action_makes_every_proper_sylow2_subgroup_na_subnormal(k_and_n, g864):
-    K, k_gens, N = k_and_n
-    sigmas = _swapping_involutions(N)
+    _, k_gens, N = k_and_n
+    # the involutions that move the first S3 block (points 1-3) onto the second
+    sigmas = [n for n in N.elements if compose(n, n) == identity_perm(10) and n[0] in (3, 4, 5)]
     assert len(sigmas) == 60
     assert g864.elements[g864.generators[6]] in sigmas
     matches, others = [], set()
