@@ -63,7 +63,12 @@ def _load_group(spec: str) -> FiniteGroup:
     path = Path(spec)
     if path.exists():
         return _groupfile.parse_group_file(path)
-    return _catalog.build_named(spec)
+    try:
+        return _catalog.build_named(spec)
+    except GroupError as exc:
+        raise GroupError(
+            f"{spec!r} is neither an existing file nor a constructor expression ({exc})"
+        ) from exc
 
 
 def _run_checks(group: FiniteGroup, formation_name: str, check: str) -> _reports.VerdictReport:

@@ -1,9 +1,9 @@
 """Formations as membership predicates with declared closure flags.
 
 Saturation, superradicality and subgroup closure are trusted metadata, never
-computed. ``subgroup_closed`` is also read by the F-subnormality search
-(``subnormal``), which answers True at once when K^F <= H, so a wrong flag
-changes verdicts, not only which checkers run. A formation may carry a
+computed. ``subgroup_closed`` also selects the F-subnormality descent
+(``subnormal``), which assumes the paper's Lemma 1(4) and 1(5), so a wrong
+flag changes verdicts, not only which checkers run. A formation may carry a
 closed-form residual (a term of a standard series); the others fall back to
 a scan of the normal subgroups. On both paths the residual operation checks
 that the quotient lies in the formation and raises
@@ -60,7 +60,7 @@ class Formation:
     least such subgroup.
 
     The closure flags are trusted, never computed. ``subgroup_closed`` gates
-    checkers and lets the F-subnormality search stop at K^F <= H, so a
+    checkers and selects the F-subnormality descent through <H, K^F>, so a
     formation wrongly flagged subgroup-closed gets wrong verdicts.
 
     Cached verdicts are keyed by the formation object itself (``eq=False``:

@@ -14,12 +14,11 @@ G under an acting subgroup, ``class_reps``, are cached once per (G, acting
 subgroup) in the ``class_reps`` memo namespace. Every list of member sets is
 in the order of ``canonical``. There is one maximality test, ``is_maximal``: M
 is maximal in K when K is its only minimal overgroup inside K. It serves the
-chain search and the checkers. The full lattice (maximality edges and
-conjugacy classes, ``all_subgroups``) serves only the ``lattice`` command
-and its cache. Chain predicates never need the lattice budget: everything
-above a fixed subgroup H, including the maximal subgroups of K that contain
-H, comes from minimal-overgroup and interval enumeration, which stays
-feasible well past it. One orbit routine, ``_orbit``, serves both
+checkers. The full lattice (maximality edges and conjugacy classes,
+``all_subgroups``) serves only the ``lattice`` command and its cache. Chain
+predicates never need the lattice budget: what they take above a fixed
+subgroup H comes from minimal-overgroup and interval enumeration, which
+stays feasible well past it. One orbit routine, ``_orbit``, serves both
 cyclic extension and ``conjugacy_orbits``. The deadline is checked once per
 subgroup extended, per step of ``_interval`` and per orbit followed.
 """
@@ -376,11 +375,9 @@ def is_maximal(K: SubgroupRef, M: SubgroupRef) -> bool:
 
 
 def maximal_subgroups_containing(K: SubgroupRef, J: SubgroupRef) -> list[SubgroupRef]:
-    """Maximal subgroups M of K with J <= M, in canonical order.
-
-    ``_interval`` already holds every minimal overgroup inside K of each
-    member of [J, K], so each ``is_maximal`` test is a cache hit.
-    """
+    """Maximal subgroups M of K with J <= M, in canonical order; after
+    ``interval`` each ``is_maximal`` test is a cache hit. Nothing in the
+    package calls it; the benchmark's tracer still times it."""
     if not J.members <= K.members:
         return []
     return [M for M in interval(K, J) if is_maximal(K, M)]

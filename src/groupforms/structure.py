@@ -531,14 +531,16 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
                     _violation("1.3", label, {"N": N.order, "H": H.order})
                 )
     if F.subgroup_closed:
-        # (4) everything above the residual, each L by a certified chain: the
-        # search itself settles these verdicts by this very lemma
+        # (4) everything above the residual, each L by a certified chain (step
+        # quotients built and tested): for a flagged F the descent behind
+        # is_f_subnormal assumes (4) and (5), so its verdicts cannot check them
         res = residual(F, sub)
         for L in _lattice.interval(sub, res):
             if not _has_certified_chain(sub, L, F):
                 violations.append(_violation("1.4", label, {"L": L.order}))
         # (5) intersections into arbitrary subgroups, each verdict decided
-        # once per (K, H & K)
+        # once per (K, H & K); the descent assumes (5), so the independent
+        # evidence for it is criterion 5's oracle routes, not this check
         met: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
         for H in fsn_reps:
             norm_h = normalizer(sub, H).members

@@ -4,19 +4,22 @@ F-subnormal, abnormal, self-normalizing.
 A subgroup H is F-subnormal in G when some chain of maximal-subgroup steps
 H = H_0 < H_1 < ... < H_n = G has every step quotient H_i / core(H_{i-1})
 inside F. For a formation that step condition holds iff H_i^F <= H_{i-1}
-(the residual is normal in H_i), and every step of both chain predicates is
-decided in that form. The search walks the chain graph top-down: any
-qualifying step below K must contain <H, K^F>, which keeps the search inside
-F-quotient-sized intervals even at order 864. For a formation flagged
-``subgroup_closed`` the search stops at once, True, when K^F <= H: every L
-in [H, K] then has L^F <= K^F <= H (Lemma 1(4)), so every maximal chain from
-H to K qualifies. The flag is trusted, so a formation wrongly flagged gets
-wrong verdicts. It memoises one boolean verdict per (K, H, F);
-``f_subnormal_witness`` reads the depth-first chain back off those verdicts
-and certifies each step on its quotient image. The independent routes it is
-checked against (bottom-up breadth-first searches with the
-residual-containment step form and with membership of the built step
-quotient, and classical subnormality) are test oracles in
+(the residual is normal in H_i), the form in which ``_steps_up`` decides
+every step of both chain predicates.
+
+For F flagged ``subgroup_closed``, H is F-subnormal in K iff H = K, or
+J = <H, K^F> is proper in K and H is F-subnormal in J. By the paper's
+Lemma 1: the top step M of a qualifying chain from H to K contains J, and
+H is F-subnormal in M, so in J by 1(5); conversely J >= K^F is F-subnormal
+in K by 1(4), and 1(1) joins the two. The descent takes one join and one
+residual per step and enumerates no subgroup; K^F <= H is the case J = H.
+The flag is trusted, so a formation wrongly flagged gets wrong verdicts.
+Without it the search recurses over the qualifying steps up from H. One
+verdict is memoised per (K, H, F). ``f_subnormal_witness`` walks up from H
+by the first step whose top is F-subnormal and certifies each step on its
+quotient image. The independent routes (bottom-up breadth-first searches
+with the residual-containment step form and with membership of the built
+step quotient, and classical subnormality) are test oracles in
 ``tests/helpers.py``.
 
 H is F-abnormal when no step K < L of [H, G] has L^F <= K. A walk up from H,
@@ -28,7 +31,7 @@ oracle builds the interval and decides each step by quotient membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import lattice as _lattice
 from .formations import Formation, quotient_in, residual
@@ -80,42 +83,36 @@ def is_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
 
 
 def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[ChainWitness]:
-    """The chain the top-down search finds, or None when H is not F-subnormal.
+    """A qualifying chain from H up to the ambient group, or None when H is
+    not F-subnormal.
 
-    Walking down from the ambient group, each step takes the first qualifying
-    maximal subgroup whose cached verdict is True: the depth-first choice.
-    Each step is then certified on its quotient image, apart from the search.
-    Raises ``WitnessChainError`` when a True verdict has no qualifying step
-    below some K, as a formation wrongly flagged ``subgroup_closed`` can bring
-    about.
+    Walking up from H, each step takes the first qualifying step K < L (in
+    the order of ``minimal_overgroups``) whose L is F-subnormal in the
+    ambient group, by its cached verdict. Each step is then certified on its
+    quotient image, apart from the verdicts. Raises ``WitnessChainError``
+    when a True verdict has no such step above some K, as a formation
+    wrongly flagged ``subgroup_closed`` can bring about.
     """
     if not is_f_subnormal(G, H, F):
         return None
-    K = _as_subgroup(G)
+    amb = _as_subgroup(G)
+    K = H
     chain = [K]
-    while K.members != H.members:
-        step = next((M for M in _qualifying_steps(K, H, F) if _fsn(M, H, F)), None)
+    while K.members != amb.members:
+        step = next((L for L in _steps_up(amb, K, F) if _fsn(amb, L, F)), None)
         if step is None:
             raise WitnessChainError(
-                f"{F.name}: no qualifying step continues the chain below {K!r} towards {H!r}"
+                f"{F.name}: no qualifying step continues the chain above {K!r} inside {amb!r}"
             )
         K = step
         chain.append(K)
-    chain.reverse()
-    steps = []
-    for lower, upper in zip(chain, chain[1:]):
-        c = core(upper, lower)
-        hom_ok = quotient_in(F, upper, c)
-        steps.append(
-            StepCertificate(
-                lower=lower,
-                upper=upper,
-                core_order=c.order,
-                quotient_order=upper.order // c.order,
-                quotient_in_formation=hom_ok,
-            )
-        )
-    return ChainWitness(subgroups=tuple(chain), steps=tuple(steps))
+    steps = tuple(_certify(lower, upper, F) for lower, upper in zip(chain, chain[1:]))
+    return ChainWitness(subgroups=tuple(chain), steps=steps)
+
+
+def _certify(lower: SubgroupRef, upper: SubgroupRef, F: Formation) -> StepCertificate:
+    c = core(upper, lower)
+    return StepCertificate(lower, upper, c.order, upper.order // c.order, quotient_in(F, upper, c))
 
 
 def _fsn(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
@@ -124,27 +121,24 @@ def _fsn(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
 
 
 def _fsn_search(K: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
-    """True at once when K == H, or when F is subgroup-closed and K^F <= H
-    (Lemma 1(4)); otherwise whether some qualifying step below K leads to H."""
+    """True at once when K == H. For a subgroup-closed F, whether
+    J = <H, K^F> is proper in K with H F-subnormal in J (the descent);
+    otherwise whether some qualifying step up from H is F-subnormal in K."""
     check_deadline()
     if K.members == H.members:
         return True
-    if F.subgroup_closed and residual(F, K).members <= H.members:
-        return True
-    return any(_fsn(M, H, F) for M in _qualifying_steps(K, H, F))
+    if F.subgroup_closed:
+        J = K.parent.join(H.members, residual(F, K).members)
+        return J != K.members and _fsn(SubgroupRef(K.parent, J), H, F)
+    return any(_fsn(K, L, F) for L in _steps_up(K, H, F))
 
 
-def _qualifying_steps(K: SubgroupRef, H: SubgroupRef, F: Formation) -> list[SubgroupRef]:
-    """Maximal M < K with H <= M and K/core_K(M) in F, in canonical order.
-
-    These are the maximal subgroups of K that contain <H, K^F>; when that
-    join is K itself there is none.
-    """
-    parent = K.parent
-    join = parent.join(H.members, residual(F, K).members)
-    if join == K.members:
-        return []
-    return _lattice.maximal_subgroups_containing(K, SubgroupRef(parent, join))
+def _steps_up(amb: SubgroupRef, K: SubgroupRef, F: Formation) -> Iterator[SubgroupRef]:
+    """Each minimal overgroup L of K in amb with L^F <= K, lazily, in the
+    order of ``minimal_overgroups``."""
+    for L in _lattice.minimal_overgroups(amb, K):
+        if residual(F, L).members <= K.members:
+            yield L
 
 
 def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
@@ -168,9 +162,9 @@ def _f_abnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
     while work:
         check_deadline()
         K = work.pop()
+        if next(_steps_up(amb, K, F), None) is not None:
+            return False
         for L in _lattice.minimal_overgroups(amb, K):
-            if residual(F, L).members <= K.members:
-                return False
             if L.members not in seen:
                 seen.add(L.members)
                 work.append(L)

@@ -85,6 +85,15 @@ def test_analyze_honours_max_order_budget(capsys, spec):
     assert "max-order budget (100)" in capsys.readouterr().err
 
 
+def test_missing_group_file_is_not_reported_as_a_bad_expression(tmp_path, capsys):
+    missing = tmp_path / "missing.pgrp"
+    code = main(["analyze", "--group", str(missing), "--check", "theorem1"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"{str(missing)!r} is neither an existing file nor a constructor expression" in err
+    assert "Traceback" not in err
+
+
 def test_batch_isolates_a_file_over_the_max_order_budget(tmp_path, capsys):
     d = _group_dir(tmp_path, "S3", "S4")
     code, out = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1",

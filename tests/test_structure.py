@@ -68,8 +68,8 @@ def test_carter_subgroups_match_brute_filter(catalog120):
 
 
 def test_maximal_class_reps_match_full_lattice(catalog120):
-    # the maximality test of lemma 4, theorem 2 and the chain search against
-    # the maximal subgroups read off the full lattice, filtered to class reps
+    # the maximality test of lemma 4 and theorem 2 against the maximal
+    # subgroups read off the full lattice, filtered to class reps
     for g in catalog120:
         if g.order > 60:
             continue

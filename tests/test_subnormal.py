@@ -89,6 +89,28 @@ def test_f_abnormality_stops_at_the_first_qualifying_step(monkeypatch):
     assert intervals == []
 
 
+def test_f_subnormality_by_descent_enumerates_nothing(monkeypatch):
+    # for a subgroup-closed F each descent step is one join and one residual,
+    # so the worked example's NA verdicts on a fresh order-864 group compute
+    # no minimal overgroups, intervals or maximal subgroups
+    g = catalog.load_example864()
+    syl2, syl3 = sylow_subgroup(g, 2), sylow_subgroup(g, 3)
+    proper = [SubgroupRef(g, s) for s in lat.subgroup_sets(syl2) if len(s) < syl2.order]
+    calls = []
+    for name in ("_minimal_overgroups", "interval", "maximal_subgroups_containing"):
+        real = getattr(lat, name)
+
+        def count(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(lat, name, count)
+    verdicts = [is_f_subnormal(g, H, NILPOTENT_DERIVED) for H in proper]
+    assert (len(proper), verdicts.count(False)) == (105, 12)
+    assert is_f_subnormal(g, syl3, NILPOTENT_DERIVED)
+    assert calls == []
+
+
 def test_a4_absolute_subnormality():
     a4 = catalog.alternating(4)
     c2 = _sub_of_order(a4, 2)
@@ -107,15 +129,18 @@ def test_witness_chain_structure():
 
 
 def test_witness_uses_cached_failure(monkeypatch):
-    # <C3, S4^N> = A4 is proper, so deciding C3 needs a search below S4
+    # <C3, S4^N> = A4 is proper, so deciding C3 descends to A4, where
+    # <C3, A4^N> = A4 ends the descent with False
+    from groupforms import subnormal
+
     s4 = catalog.symmetric(4)
     c3 = _sub_of_order(s4, 3)
     assert not is_f_subnormal(s4, c3, NILPOTENT)
 
-    def no_search(*args):
-        raise AssertionError("a cached failure must not be searched again")
+    def no_walk(*args):
+        raise AssertionError("a cached failure must not be walked")
 
-    monkeypatch.setattr(lat, "maximal_subgroups_containing", no_search)
+    monkeypatch.setattr(subnormal, "_steps_up", no_walk)
     assert f_subnormal_witness(s4, c3, NILPOTENT) is None
 
 
@@ -282,22 +307,23 @@ def test_lemma1_4_holds_by_the_quotient_oracle(catalog120):
 
 
 def test_unflagged_copies_search_and_agree(catalog120, monkeypatch):
-    # the same formations without the subgroup_closed flag take the full chain
-    # search (memos are keyed by formation identity, so nothing is shared) and
-    # must give the same verdicts and the same witness chains
+    # the same formations without the subgroup_closed flag take the upward
+    # step recursion instead of the descent (memos are keyed by formation
+    # identity, so nothing is shared) and must give the same verdicts and the
+    # same witness chains
     from groupforms import subnormal
     from groupforms.structure import subgroup_class_reps
 
     built_in = (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE)
     copies = {F: dataclasses.replace(F, subgroup_closed=False) for F in built_in}
     searched = []
-    real_steps = subnormal._qualifying_steps
+    real_steps = subnormal._steps_up
 
-    def spy(K, H, F):
+    def spy(amb, K, F):
         searched.append(F)
-        return real_steps(K, H, F)
+        return real_steps(amb, K, F)
 
-    monkeypatch.setattr(subnormal, "_qualifying_steps", spy)
+    monkeypatch.setattr(subnormal, "_steps_up", spy)
 
     def chain(w):
         if w is None:
@@ -317,7 +343,7 @@ def test_unflagged_copies_search_and_agree(catalog120, monkeypatch):
                 ), key
 
     # above the residual the flagged formation decides without a step, the
-    # copy by the search
+    # copy by the steps up
     s4 = catalog.symmetric(4)
     a4 = residual(NILPOTENT, s4)
     assert a4.order == 12
@@ -330,22 +356,25 @@ def test_unflagged_copies_search_and_agree(catalog120, monkeypatch):
 
 def test_witness_without_a_qualifying_step_raises(monkeypatch):
     # a True verdict with no step to continue the chain (reachable through a
-    # wrongly flagged formation) raises a GroupError naming K and H, and
-    # lemma 1(4) reports every such L as a violation
+    # wrongly flagged formation) raises a GroupError naming the stuck
+    # subgroup and the ambient, and lemma 1(4) reports every such L as a
+    # violation
     from groupforms import subnormal
     from groupforms.permgroup import GroupError
     from groupforms.structure import check_lemma1
 
     s4 = catalog.symmetric(4)
-    real_steps = subnormal._qualifying_steps
+    real_steps = subnormal._steps_up
     monkeypatch.setattr(
         subnormal,
-        "_qualifying_steps",
-        lambda K, H, F: [] if K.parent is s4 else real_steps(K, H, F),
+        "_steps_up",
+        lambda amb, K, F: iter(()) if K.parent is s4 else real_steps(amb, K, F),
     )
     a4 = residual(NILPOTENT, s4)
     assert is_f_subnormal(s4, a4, NILPOTENT)
-    with pytest.raises(GroupError, match="order 24.*towards <SubgroupRef order 12"):
+    with pytest.raises(
+        GroupError, match="above <SubgroupRef order 12.*inside <SubgroupRef order 24"
+    ):
         f_subnormal_witness(s4, a4, NILPOTENT)
     lemma4 = [v for v in check_lemma1(s4, NILPOTENT) if v["lemma"] == "1.4"]
     assert lemma4 == [{"lemma": "1.4", "group": "S4", "L": 12}]
