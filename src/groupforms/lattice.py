@@ -15,12 +15,20 @@ subgroup) in the ``class_reps`` memo namespace. Every list of member sets is
 in the order of ``canonical``. There is one maximality test, ``is_maximal``: M
 is maximal in K when K is its only minimal overgroup inside K. It serves the
 checkers. The full lattice (maximality edges and conjugacy classes,
-``all_subgroups``) serves only the ``lattice`` command and its cache. Chain
-predicates never need the lattice budget: what they take above a fixed
-subgroup H comes from minimal-overgroup and interval enumeration, which
-stays feasible well past it. One orbit routine, ``_orbit``, serves both
-cyclic extension and ``conjugacy_orbits``. The deadline is checked once per
-subgroup extended, per step of ``_interval`` and per orbit followed.
+``all_subgroups``) serves only the ``lattice`` command and its cache.
+
+One route rule serves the subgroups of a proper subgroup, intervals and
+minimal overgroups. When the parent group is within the lattice budget, each
+is a filter of the parent's one cached ``subgroup_sets`` list (``_parent_list``),
+which keeps canonical order and shares the parent's member sets. Above it,
+a proper subgroup is enumerated on its own, an interval is walked up by
+minimal overgroups (``_interval_by_bfs``) and the minimal overgroups of H
+take one join per left coset of H. So chain predicates never need the
+lattice budget: above it they use the routes that stay feasible well past
+it. One orbit routine, ``_orbit``, serves both cyclic extension and
+``conjugacy_orbits``. The deadline is checked once per subgroup extended,
+per step of ``_interval_by_bfs``, per orbit followed and per minimal-overgroup
+list read off the parent's list.
 """
 
 from __future__ import annotations
@@ -56,10 +64,12 @@ def canonical(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
 def subgroup_sets(G: GroupLike) -> list[frozenset[int]]:
     """All subgroups of the (sub)group as member sets, canonically sorted.
 
-    Two routes, chosen by ``is_soluble``; both return the same list. A
-    soluble group is enumerated by cyclic extension (``_cyclic_extension``),
-    an insoluble one as the interval [1, X] of iterated minimal overgroups
-    (``interval``), which reaches perfect subgroups too.
+    A proper subgroup of a parent within the lattice budget reads its sets
+    off the parent's list. Otherwise there are two routes, chosen by
+    ``is_soluble``; both return the same list. A soluble group is enumerated
+    by cyclic extension (``_cyclic_extension``), an insoluble one as the
+    interval [1, X] of iterated minimal overgroups (``_interval_by_bfs``),
+    which reaches perfect subgroups too.
     """
     sub = _as_subgroup(G)
     _check_lattice_size(sub)
@@ -74,11 +84,28 @@ def _check_lattice_size(sub: SubgroupRef) -> None:
         )
 
 
+def _parent_list(parent: FiniteGroup) -> Optional[list[frozenset[int]]]:
+    """The parent's own subgroup list when the parent is within the lattice
+    budget in force, else None, and the caller takes its route that reads
+    no list."""
+    if parent.order > current_budgets().lattice:
+        return None
+    return subgroup_sets(parent)
+
+
 def _subgroup_sets(sub: SubgroupRef) -> list[frozenset[int]]:
+    if sub.order < sub.parent.order:
+        whole = _parent_list(sub.parent)
+        if whole is not None:
+            return [s for s in whole if s <= sub.members]
+    return _enumerate(sub)
+
+
+def _enumerate(sub: SubgroupRef) -> list[frozenset[int]]:
+    """The subgroups of ``sub`` from its own elements, not from a list."""
     if is_soluble(sub):
         return _cyclic_extension(sub)
-    trivial = SubgroupRef(sub.parent, frozenset((sub.parent.identity,)))
-    return [r.members for r in interval(sub, trivial)]
+    return _interval_by_bfs(sub, frozenset((sub.parent.identity,)))
 
 
 def _cyclic_extension(sub: SubgroupRef) -> list[frozenset[int]]:
@@ -311,11 +338,7 @@ def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
 
 
 def minimal_overgroups(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
-    """All K <= G with H maximal in K.
-
-    Minimal elements of {<H, g> : g in G outside H}; <H, x> is the same for
-    every x in gH, so one join per left coset of H suffices.
-    """
+    """All K <= G with H maximal in K, in canonical order."""
     sub = _as_subgroup(G)
     top = sub.members
     if not H.members <= top:
@@ -326,6 +349,21 @@ def minimal_overgroups(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
 def _minimal_overgroups(
     parent: FiniteGroup, H: SubgroupRef, top: frozenset[int]
 ) -> list[SubgroupRef]:
+    """The minimal sets s with H < s <= top of the parent's list; checks the
+    deadline once per call."""
+    whole = _parent_list(parent)
+    if whole is None:
+        return _minimal_overgroups_by_joins(parent, H, top)
+    check_deadline()
+    h = H.members
+    return [SubgroupRef(parent, s) for s in _minimal(s for s in whole if h < s <= top)]
+
+
+def _minimal_overgroups_by_joins(
+    parent: FiniteGroup, H: SubgroupRef, top: frozenset[int]
+) -> list[SubgroupRef]:
+    """Minimal elements of {<H, g> : g in top outside H}; <H, x> is the
+    same for every x in gH, so one join per left coset of H suffices."""
     candidates: dict[frozenset[int], None] = {}
     covered: set[int] = set(H.members)
     t = parent._table
@@ -336,17 +374,22 @@ def _minimal_overgroups(
         # H and g lie in the subgroup top, so their join does too
         candidates.setdefault(parent.join(H.members, [g], coset), None)
         covered.update(coset(t[g]))
-    # in ascending order every candidate comes after the ones it contains,
-    # and a candidate that is not minimal contains a minimal one
+    return [SubgroupRef(parent, s) for s in _minimal(canonical(candidates))]
+
+
+def _minimal(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """The minimal members of ``sets``, given in canonical order: there every
+    set comes after the ones it contains, and a set that is not minimal
+    contains a minimal one, so a set that contains no kept set is minimal."""
     mins: list[frozenset[int]] = []
-    for s in canonical(candidates):
+    for s in sets:
         if not any(m < s for m in mins):
             mins.append(s)
-    return [SubgroupRef(parent, s) for s in mins]
+    return mins
 
 
 def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
-    """All subgroups L with H <= L <= G, via iterated minimal overgroups."""
+    """All subgroups L with H <= L <= G, in canonical order."""
     sub = _as_subgroup(G)
     parent = sub.parent
     if not H.members <= sub.members:
@@ -355,17 +398,34 @@ def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
 
 
 def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
+    whole = _parent_list(sub.parent)
+    if whole is None:
+        sets = _interval_by_bfs(sub, H.members)
+    else:
+        h, top = H.members, sub.members
+        sets = [s for s in whole if h <= s <= top]
+    return [SubgroupRef(sub.parent, s) for s in sets]
+
+
+def _interval_by_bfs(sub: SubgroupRef, bottom: frozenset[int]) -> list[frozenset[int]]:
+    """[bottom, sub] by iterated minimal overgroups, each list taken by joins
+    (``_minimal_overgroups_by_joins``, cached in ``min_over``). It never
+    reads the parent's list, which the whole-group enumeration of an
+    insoluble group builds through it."""
     parent = sub.parent
-    found = {H.members}
-    work = [H.members]
+    top = sub.members
+    found = {bottom}
+    work = [bottom]
     while work:
         check_deadline()
         cur = work.pop()
-        for over in minimal_overgroups(sub, SubgroupRef(parent, cur)):
+        ref = SubgroupRef(parent, cur)
+        key = (cur, top)
+        for over in memo(parent, "min_over", key, _minimal_overgroups_by_joins, parent, ref, top):
             if over.members not in found:
                 found.add(over.members)
                 work.append(over.members)
-    return [SubgroupRef(parent, s) for s in canonical(found)]
+    return canonical(found)
 
 
 def is_maximal(K: SubgroupRef, M: SubgroupRef) -> bool:
@@ -375,9 +435,8 @@ def is_maximal(K: SubgroupRef, M: SubgroupRef) -> bool:
 
 
 def maximal_subgroups_containing(K: SubgroupRef, J: SubgroupRef) -> list[SubgroupRef]:
-    """Maximal subgroups M of K with J <= M, in canonical order; after
-    ``interval`` each ``is_maximal`` test is a cache hit. Nothing in the
-    package calls it; the benchmark's tracer still times it."""
+    """Maximal subgroups M of K with J <= M, in canonical order. Nothing in
+    the package calls it; the benchmark's tracer still times it."""
     if not J.members <= K.members:
         return []
     return [M for M in interval(K, J) if is_maximal(K, M)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from groupforms import lattice as lat
@@ -336,6 +337,38 @@ def minimal_overgroups_by_scan(G: FiniteGroup, H: SubgroupRef) -> list[frozenset
         (s for s in joins if not any(other < s for other in joins)),
         key=lambda s: (len(s), tuple(sorted(s))),
     )
+
+
+def interval_by_joins(X: GroupLike, H: SubgroupRef) -> list[frozenset[int]]:
+    """The interval [H, X] in canonical order, walked up from H: each K
+    reached gives <K, g> for one g per double coset KxK of a generator x of
+    <g> in X, since <K, kxk'> = <K, x> = <K, g>. Every L in [H, X] is H
+    joined with its elements one at a time, so the walk reaches all of
+    them. It reads no subgroup list and no minimal-overgroup cache."""
+    sub = _as_subgroup(X)
+    G = sub.parent
+    t = G._table
+    orders = G.element_orders()
+    found = {H.members}
+    work = [H.members]
+    while work:
+        K = work.pop()
+        coset = _gather(sorted(K))
+        covered = set(K)
+        for g in sub.sorted_members:
+            if g in covered:
+                continue
+            x = g
+            for i in range(1, orders[g]):
+                if gcd(i, orders[g]) == 1:
+                    for k in K:
+                        covered.update(coset(t[t[k][x]]))  # the left coset kxK
+                x = t[x][g]
+            L = G.join(K, [g], coset)
+            if L not in found:
+                found.add(L)
+                work.append(L)
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def conjugacy_class_reps(lat: SubgroupLattice) -> list[SubgroupRef]:

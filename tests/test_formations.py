@@ -317,6 +317,55 @@ def test_nilpotent_derived_flag_choices():
     assert not ABELIAN.saturated
 
 
+def _product_witnesses(G, F):
+    """Each (A, B) with A a subgroup class rep of G, B a subgroup of G, both
+    F-subgroups that are F-subnormal in G, and G = AB, that is
+    |A||B| = |G||A ∩ B|; none when G is in F."""
+    from groupforms.subnormal import is_f_subnormal
+
+    if F.contains(G):
+        return
+    good = [
+        s for s in lat.subgroup_sets(G)
+        if F.contains(SubgroupRef(G, s)) and is_f_subnormal(G, SubgroupRef(G, s), F)
+    ]
+    good_set = set(good)
+    for A in lat.class_reps(G):
+        if A in good_set:
+            for B in good:
+                if len(A) * len(B) == G.order * len(A & B):
+                    yield SubgroupRef(G, A), SubgroupRef(G, B)
+
+
+def test_superradical_flags_against_product_witnesses(catalog120):
+    """F is superradical (Semenchuk's definition, the one the ``superradical``
+    flag stands for) when F is subgroup-closed and every group G = AB, with
+    A and B F-subnormal F-subgroups of G, lies in F. So a G outside F that is such
+    a product witnesses that F is not superradical. Over the catalog <= 120,
+    N (flagged superradical) has no witness; A and NA (not flagged) have 14
+    and 4 witness groups, the first being D4 = C2·C4 and S4 = C2·A4. U and
+    Sol have none up to 120, which says nothing either way."""
+
+    def exponent(X):
+        return max(X.parent.element_orders()[x] for x in X.members)
+
+    found = {}
+    for F in (NILPOTENT, ABELIAN, NILPOTENT_DERIVED):
+        groups = []
+        for g in catalog120:
+            # (|A|, |B|, exponent of B) for each witness pair
+            shapes = {(A.order, B.order, exponent(B)) for A, B in _product_witnesses(g, F)}
+            if shapes:
+                groups.append((g.name, shapes))
+        found[F.name] = (F.superradical, len(groups), groups[0] if groups else None)
+    assert found["N"] == (True, 0, None)
+    assert found["A"][:2] == (False, 14) and found["NA"][:2] == (False, 4)
+    # C4 is the cyclic group of order 4, A4 the only group of order 12 and exponent 3
+    (name_a, shapes_a), (name_na, shapes_na) = found["A"][2], found["NA"][2]
+    assert name_a == "D4" and (2, 4, 4) in shapes_a
+    assert name_na == "S4" and (2, 12, 3) in shapes_na
+
+
 def test_lemma4_gate_reason_for_abelian():
     # all maximal subgroups of Q8 are A-subnormal yet Q8 is not abelian:
     # the saturation hypothesis is essential, which is why lemma 4 gates on it

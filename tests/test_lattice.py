@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    interval_by_joins,
     is_supersoluble,
     maximal_subgroups,
     minimal_overgroups_by_scan,
@@ -36,13 +37,13 @@ from groupforms.subnormal import is_f_subnormal
 
 
 def _from_bottom(X):
-    """Oracle: the interval [1, X], built from minimal overgroups only, in the
-    same canonical order. It is independent of cyclic extension, the soluble
-    route of ``subgroup_sets``; the insoluble route is this interval itself,
-    checked against the join closure of the cyclic subgroups instead."""
+    """Oracle: the interval [1, X] by joins (``interval_by_joins``), in the
+    same canonical order. It reads no subgroup list, so it is independent of
+    cyclic extension (the soluble route of ``subgroup_sets``) and of the
+    parent's list that a proper subgroup reads its sets off; the insoluble
+    route is checked against the join closure of the cyclic subgroups too."""
     X = _as_subgroup(X)
-    trivial = SubgroupRef(X.parent, frozenset((X.parent.identity,)))
-    return [r.members for r in lat.interval(X, trivial)]
+    return interval_by_joins(X, SubgroupRef(X.parent, frozenset((X.parent.identity,))))
 
 
 def test_all_subgroups_counts():
@@ -283,10 +284,11 @@ def test_interval():
 
 
 def test_interval_from_bottom_matches_all_subgroups(small_groups):
+    # the minimal-overgroup walk from 1 against the enumeration; ``interval``
+    # itself reads the list within the budget, so the walk is called directly
     for g in small_groups[:15]:
-        triv = SubgroupRef(g, frozenset((g.identity,)))
-        via_interval = {r.members for r in lat.interval(g, triv)}
-        assert via_interval == set(lat.subgroup_sets(g))
+        via_walk = set(lat._interval_by_bfs(g.as_subgroup(), frozenset((g.identity,))))
+        assert via_walk == set(lat.subgroup_sets(g))
 
 
 def test_edges_have_no_intermediate(catalog120):
@@ -379,3 +381,54 @@ def test_orbit_reps_match_subgroup_orbit_oracle(catalog120):
             assert cold_then_warm(norm_h) == [want, want]
             calls += 2
     assert calls == 4_548
+
+
+def _assert_routes_agree(X, H):
+    # each list route against the route that never reads the parent's list:
+    # cyclic extension or the minimal-overgroup walk, the walk, and joins
+    # (the walk caches H's minimal overgroups by joins in ``min_over``)
+    parent, top = X.parent, X.members
+    if H.order < parent.order:  # the parent's own list is the enumeration
+        assert lat._subgroup_sets(H) == lat._enumerate(H)
+    assert [L.members for L in lat._interval(X, H)] == lat._interval_by_bfs(X, H.members)
+    by_joins = parent._op_cache["min_over"][(H.members, top)]
+    assert lat._minimal_overgroups(parent, H, top) == by_joins
+
+
+def test_list_routes_match_the_routes_above_the_budget(g864):
+    # within the lattice budget subgroup_sets, interval and minimal_overgroups
+    # read the parent's one subgroup list; above it they enumerate, walk and
+    # join. Both give the same lists on every catalog group of order <= 60
+    # and each quotient image, for each of its subgroup class reps H
+    checked = 0
+    for g in catalog.catalog_groups(60):  # fresh groups: no cache is shared
+        images = [quotient(g, N).image.as_subgroup() for N in lat.normal_subgroups(g)]
+        for X in [g.as_subgroup()] + images:
+            assert lat._parent_list(X.parent) is not None  # the list routes are taken
+            for H in lat.class_reps(X):
+                _assert_routes_agree(X, SubgroupRef(X.parent, H))
+                checked += 1
+    assert checked == 18_742
+    with Budgets(lattice=1000).in_force():
+        X = g864.as_subgroup()
+        assert lat._parent_list(g864) is not None
+        for p in (2, 3):
+            _assert_routes_agree(X, sylow_subgroup(g864, p))
+
+
+def test_time_budget_binds_in_the_edge_loop_of_all_subgroups(monkeypatch):
+    # with the subgroup list cached, all_subgroups reads each node's minimal
+    # overgroups off it, and each read checks the deadline
+    G = catalog.symmetric(4)  # cold: nothing is cached yet
+    nodes = len(lat.subgroup_sets(G))
+    with Budgets(time=0).in_force(), pytest.raises(GroupBudgetError, match="time budget") as info:
+        lat.all_subgroups(G)
+    assert info.traceback[-2].name == "_minimal_overgroups"
+    deadlines = Counter()
+
+    def deadline():
+        deadlines[sys._getframe(1).f_code.co_name] += 1
+
+    monkeypatch.setattr(lat, "check_deadline", deadline)
+    lat.all_subgroups(G)
+    assert deadlines["_minimal_overgroups"] == nodes == 30
