@@ -9,7 +9,8 @@ of each class by following its orbit. ``subgroup_sets``, ``class_reps`` and
 (``permgroup.Budgets``), even when the result is cached; no other module
 reads that budget. The checkers take
 subgroups up to conjugacy through ``conjugacy_orbits``, which also gives the
-element classes behind ``normal_subgroups``. The classes of all subgroups of
+element classes behind the normal-closure route of ``normal_subgroups``. The
+classes of all subgroups of
 G under an acting subgroup, ``class_reps``, are cached once per (G, acting
 subgroup) in the ``class_reps`` memo namespace. Every list of member sets is
 in the order of ``canonical``. There is one maximality test, ``is_maximal``: M
@@ -23,17 +24,22 @@ is a filter of the parent's one cached ``subgroup_sets`` list (``_parent_list``)
 which keeps canonical order and shares the parent's member sets. Above it,
 a proper subgroup is enumerated on its own, an interval is walked up by
 minimal overgroups (``_interval_by_bfs``) and the minimal overgroups of H
-take one join per left coset of H. So chain predicates never need the
-lattice budget: above it they use the routes that stay feasible well past
-it. One orbit routine, ``_orbit``, serves both cyclic extension and
-``conjugacy_orbits``. The deadline is checked once per subgroup extended,
-per step of ``_interval_by_bfs``, per orbit followed and per minimal-overgroup
-list read off the parent's list.
+take one join per double coset HxH of the generators x of each <g>. So chain
+predicates never need the lattice budget: above it they use the routes that
+stay feasible well past it. Normal subgroups follow the same rule when the
+parent is also soluble: they are the sets of the subgroup's list that its
+conjugation maps fix. An insoluble parent keeps the normal-closure route,
+since its list costs far more than its normal subgroups. One orbit routine,
+``_orbit``, serves both cyclic extension and ``conjugacy_orbits``. The
+deadline is checked once per subgroup extended, per step of
+``_interval_by_bfs``, per orbit followed, and per minimal-overgroup or
+normal-subgroup list read off the parent's list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .permgroup import (
@@ -302,18 +308,42 @@ def _class_reps(sub: SubgroupRef, under: frozenset[int]) -> list[frozenset[int]]
 
 
 def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
-    """All normal subgroups, as products of normal closures of conjugacy classes.
+    """All normal subgroups, in canonical order.
 
-    A conjugacy class spans a normal subgroup C, and for N normal <N, class> =
-    NC = <N, gens(C)>. So each distinct C is taken once, and every normal
-    subgroup is reached from 1 by joining with the greedy generators of the C
-    not below it (Hulpke, "Computing normal subgroups", ISSAC 1998).
+    When the parent group is soluble and within the lattice budget, they are
+    the members of the subgroup's own ``subgroup_sets`` list that every
+    conjugation map of its generators fixes; that list is a filter of the
+    parent's cached one. Otherwise they are products of normal closures of
+    conjugacy classes (``_normal_subgroups_by_closures``): building an
+    insoluble parent's list only for its normal subgroups costs far more.
     """
     sub = _as_subgroup(G)
     return memo(sub.parent, "normals", sub.members, _normal_subgroups, sub)
 
 
 def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
+    """Checks the deadline once per call on the list route."""
+    parent = sub.parent
+    if is_soluble(parent) and _parent_list(parent) is not None:
+        check_deadline()
+        maps = _conjugation_maps(parent, parent.greedy_generators(sub.members))
+        sets = [
+            s for s in subgroup_sets(sub)
+            if all(s.issuperset(map(m.__getitem__, s)) for m in maps)
+        ]
+    else:
+        sets = _normal_subgroups_by_closures(sub)
+    return [SubgroupRef(parent, s) for s in sets]
+
+
+def _normal_subgroups_by_closures(sub: SubgroupRef) -> list[frozenset[int]]:
+    """The normal subgroups from the normal closures of the conjugacy classes.
+
+    A conjugacy class spans a normal subgroup C, and for N normal <N, class> =
+    NC = <N, gens(C)>. So each distinct C is taken once, and every normal
+    subgroup is reached from 1 by joining with the greedy generators of the C
+    not below it (Hulpke, "Computing normal subgroups", ISSAC 1998).
+    """
     parent = sub.parent
     trivial = frozenset((parent.identity,))
     singletons = [frozenset((x,)) for x in sub.members if x != parent.identity]
@@ -334,7 +364,7 @@ def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
             if bigger not in found:
                 found.add(bigger)
                 work.append(bigger)
-    return [SubgroupRef(parent, s) for s in canonical(found)]
+    return canonical(found)
 
 
 def minimal_overgroups(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
@@ -362,18 +392,30 @@ def _minimal_overgroups(
 def _minimal_overgroups_by_joins(
     parent: FiniteGroup, H: SubgroupRef, top: frozenset[int]
 ) -> list[SubgroupRef]:
-    """Minimal elements of {<H, g> : g in top outside H}; <H, x> is the
-    same for every x in gH, so one join per left coset of H suffices."""
+    """Minimal elements of {<H, g> : g in top outside H}. <H, hxh'> = <H, x>
+    = <H, g> for h, h' in H and every generator x = g^i of <g>, so after the
+    join for g every left coset of H in those double cosets HxH is covered,
+    and no join is made twice. Covered elements form whole double cosets."""
     candidates: dict[frozenset[int], None] = {}
-    covered: set[int] = set(H.members)
+    h = H.members
+    covered: set[int] = set(h)
     t = parent._table
+    orders = parent.element_orders()
     coset = _gather(H.sorted_members)
     for g in sorted(top):
         if g in covered:
             continue
         # H and g lie in the subgroup top, so their join does too
-        candidates.setdefault(parent.join(H.members, [g], coset), None)
-        covered.update(coset(t[g]))
+        candidates.setdefault(parent.join(h, [g], coset), None)
+        n = orders[g]
+        x = g
+        for i in range(1, n):
+            if x not in covered and gcd(i, n) == 1:
+                for k in h:
+                    y = t[k][x]
+                    if y not in covered:
+                        covered.update(coset(t[y]))  # the left coset yH
+            x = t[x][g]
     return [SubgroupRef(parent, s) for s in _minimal(canonical(candidates))]
 
 

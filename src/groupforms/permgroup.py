@@ -611,13 +611,6 @@ class GroupHom:
     def map_subgroup(self, H: SubgroupRef) -> SubgroupRef:
         return SubgroupRef(self.image, self.map_members(H.members))
 
-    def preimage_members(self, image_members: Iterable[int]) -> frozenset[int]:
-        wanted = set(image_members)
-        return frozenset(x for x, y in self.element_map.items() if y in wanted)
-
-    def preimage_subgroup(self, H: SubgroupRef) -> SubgroupRef:
-        return SubgroupRef(self.source.parent, self.preimage_members(H.members))
-
 
 # ---------------------------------------------------------------------------
 # classical operations

@@ -502,18 +502,20 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
                 violations.append(
                     _violation("1.1", label, {"H": H.order, "K": K.order})
                 )
-    # (2) lifting from quotients
+    # (2) lifting from quotients: by the correspondence theorem the G-classes
+    # of subgroups K >= N are the classes of subgroups of G/N, so K/N runs
+    # over one subgroup per class of G/N without listing G/N's subgroups
     for N in normals:
         if N.order == 1 or N.order == sub.order:
             continue
         hom = quotient(sub, N)
-        for Kbar in subgroup_class_reps(hom.image):
-            if is_f_subnormal(hom.image, Kbar, F):
-                K = hom.preimage_subgroup(Kbar)
-                if not is_f_subnormal(sub, K, F):
-                    violations.append(
-                        _violation("1.2", label, {"N": N.order, "K": K.order})
-                    )
+        for K in reps:
+            if not N.members <= K.members:
+                continue
+            if is_f_subnormal(hom.image, hom.map_subgroup(K), F) and not is_f_subnormal(sub, K, F):
+                violations.append(
+                    _violation("1.2", label, {"N": N.order, "K": K.order})
+                )
     # (3) pushing to quotients, each verdict decided once per (image, HN/N):
     # quotients with the same coset action share their image
     pushed: dict[tuple[FiniteGroup, frozenset[int]], bool] = {}

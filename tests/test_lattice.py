@@ -28,6 +28,7 @@ from groupforms.permgroup import (
     SubgroupRef,
     _as_subgroup,
     direct_product,
+    is_soluble,
     normalizer,
     quotient,
     sylow_subgroup,
@@ -234,6 +235,31 @@ def test_normal_subgroups_match_normalizer_oracle(catalog120, g864):
     with Budgets(lattice=1000).in_force():
         X = g864.as_subgroup()
         assert [N.members for N in lat.normal_subgroups(X)] == _normal_by_normalizer(X)
+
+
+def test_normal_subgroup_routes_agree():
+    # the list route (the subgroup list fixed by every conjugation map) and
+    # the normal-closure route give the same list on every catalog group of
+    # order <= 60, each quotient image and each subgroup class rep
+    checked = by_list = 0
+    for g in catalog.catalog_groups(60):  # fresh groups: no cache is shared
+        images = [quotient(g, N).image.as_subgroup() for N in lat.normal_subgroups(g)]
+        reps = [SubgroupRef(g, H) for H in lat.class_reps(g)]
+        for X in [g.as_subgroup()] + images + reps:
+            want = lat._normal_subgroups_by_closures(X)
+            assert [N.members for N in lat.normal_subgroups(X)] == want, g.name
+            checked += 1
+            by_list += is_soluble(X.parent) and lat._parent_list(X.parent) is not None
+    assert (checked, by_list) == (4_796, 4_785)
+
+
+def test_time_budget_binds_in_the_normal_subgroup_list_route():
+    G = catalog.symmetric(4)  # cold: nothing is cached yet
+    lat.subgroup_sets(G)
+    with Budgets(time=0).in_force(), pytest.raises(GroupBudgetError, match="time budget") as info:
+        lat.normal_subgroups(G)
+    assert info.traceback[-2].name == "_normal_subgroups"
+    assert [N.order for N in lat.normal_subgroups(G)] == [1, 4, 12, 24]
 
 
 def test_maximal_subgroups():

@@ -398,6 +398,25 @@ def test_lemma1_decides_each_quotient_and_meet_once(monkeypatch, small_groups, F
     assert all(counted.values()), counted
 
 
+@pytest.mark.parametrize("F", [ABELIAN, NILPOTENT, NILPOTENT_DERIVED], ids=lambda F: F.name)
+def test_lemma1_enumerates_no_quotient_image(monkeypatch, F):
+    # lemma 1(2) reads the subgroups K >= N off the group's own class reps,
+    # so only the checked group itself is ever enumerated: every proper
+    # subgroup's list is a filter of its list, and no image is listed
+    real = lat._enumerate
+    enumerated = []
+
+    def spy(sub):
+        enumerated.append(sub)
+        return real(sub)
+
+    monkeypatch.setattr(lat, "_enumerate", spy)
+    for g in catalog.catalog_groups(32):  # fresh groups: no cache is shared
+        enumerated.clear()
+        assert structure.check_lemma1(g, F) == []
+        assert [(sub.parent, sub.members) for sub in enumerated] == [(g, g.whole())], g.name
+
+
 def test_lemma1_quotients_are_homomorphisms(monkeypatch, small_groups):
     # every quotient lemma 1 builds, shared image or not, is a surjective
     # homomorphism onto its image with exactly its kernel sent to 1

@@ -2,12 +2,14 @@
 generators, against the invariants computed from the full element tables.
 
 Normal closures and Sylow subgroups are grown by coset-wise joins
-(``FiniteGroup.join``); their orders are compared here too."""
+(``FiniteGroup.join``); their orders are compared here too, and so is the
+number of element conjugacy classes that ``lattice.conjugacy_orbits`` finds."""
 
 from __future__ import annotations
 
 import pytest
 
+from groupforms.lattice import conjugacy_orbits
 from groupforms.permgroup import (
     derived_series,
     is_nilpotent,
@@ -44,6 +46,9 @@ def _assert_agrees_with_sympy(G, sympy_sylow):
     ], G.name
     assert is_soluble(G) == P.is_solvable, G.name
     assert is_nilpotent(G) == P.is_nilpotent, G.name
+    singletons = [frozenset((x,)) for x in G.whole()]
+    classes = conjugacy_orbits(G, singletons, G.whole())
+    assert sum(1 for _ in classes) == len(P.conjugacy_classes()), G.name
     for x in G.generators:
         assert normal_closure(G, [x]).order == P.normal_closure(_sympy_perm(G, x)).order(), G.name
     for p in sorted(prime_divisors(G)):
