@@ -1,14 +1,14 @@
 """Command-line interface: analyze, batch, lattice.
 
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 operational
-error (unparsable input, budget exceeded; the lattice budget only skips what
-it refuses, except in ``example864``); 3 nothing was decided: every check
-skipped, for an unmet hypothesis (the requested theorem does not apply to the
-given group/formation) or for the lattice budget. One rule maps status counts
-to the code: ``analyze`` applies it to its report's summary, ``batch`` to its
-aggregate over every file (a file that cannot be loaded or checked counts as
-an error), so a batch in which every check skipped exits 3 and an empty
-directory exits 0.
+error (unparsable input, unwritable output, budget exceeded; the lattice
+budget only skips what it refuses, except in ``example864``); 3 nothing was
+decided: every check skipped, for an unmet hypothesis (the requested theorem
+does not apply to the given group/formation) or for the lattice budget. One
+rule maps status counts to the code: ``analyze`` applies it to its report's
+summary, ``batch`` to its aggregate over every file (a file that cannot be
+loaded or checked counts as an error), so a batch in which every check
+skipped exits 3 and an empty directory exits 0.
 
 Reports are deterministic: no timestamps, sorted keys, and batch output is
 assembled in a fixed order regardless of worker parallelism.
@@ -119,10 +119,16 @@ def _error(exc: object) -> int:
     return EXIT_ERROR
 
 
-def _emit(text: str, out_path: Optional[str] = None) -> None:
-    sys.stdout.write(text)
+def _emit(text: str, out_path: Optional[str], code: int) -> int:
+    """Write the report file, if asked, then stdout, and return ``code``; a
+    failed write prints no report and is an operational error."""
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _error(exc)
+    sys.stdout.write(text)
+    return code
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -131,8 +137,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                                  _budgets(args))
     except _OPERATIONAL as exc:
         return _error(exc)
-    _emit(report.to_json(), args.report)
-    return _exit_code(report.summary())
+    return _emit(report.to_json(), args.report, _exit_code(report.summary()))
 
 
 def _batch_worker(task: tuple) -> dict:
@@ -172,8 +177,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             aggregate[status] += n
     out = _reports.envelope("batch", dataclasses.asdict(budgets), args.formation)
     out.update(check=args.check, runs=ok_results, errors=err_results, aggregate=aggregate)
-    _emit(_reports.dumps(out), args.report)
-    return _exit_code(aggregate)
+    return _emit(_reports.dumps(out), args.report, _exit_code(aggregate))
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
@@ -186,20 +190,19 @@ def cmd_lattice(args: argparse.Namespace) -> int:
                 with suppress(_groupfile.CacheMismatchError):
                     loaded = _groupfile.cache_load(cache_path, group)  # seeds the memo
             lat = _lattice.all_subgroups(group)  # checks the budget on a cache hit too
+            if cache_path and lat is not loaded:
+                _groupfile.cache_save(lat, cache_path)
         except _OPERATIONAL as exc:
             return _error(exc)
     source = "cache" if lat is loaded else "computed"
-    if cache_path and lat is not loaded:
-        _groupfile.cache_save(lat, cache_path)
-    _emit(_reports.dumps({
+    return _emit(_reports.dumps({
         "group": group.name,
         "order": group.order,
         "subgroups": len(lat.nodes),
         "maximal_edges": len(lat.edges),
         "conjugacy_classes": len(lat.conjugacy_classes),
         "source": source,
-    }))
-    return EXIT_OK
+    }), None, EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,28 +3,26 @@
 Saturation, superradicality and subgroup closure are trusted metadata, never
 computed. ``subgroup_closed`` also selects the F-subnormality descent
 (``subnormal``), which assumes the paper's Lemma 1(4) and 1(5), so a wrong
-flag changes verdicts, not only which checkers run. A formation may carry a
-closed-form residual (a term of a standard series); the others fall back to
-a scan of the normal subgroups. On both paths the residual operation checks
-that the quotient lies in the formation and raises
-``FormationVerificationError`` when it does not. The residual operation does
+flag changes verdicts, not only which checkers run. Every formation names
+its residual in closed form (a term of a standard series, or U's chief-series
+walk), and the residual operation checks that the quotient lies in the
+formation and raises ``FormationVerificationError`` when it does not. It does
 not check that a closed form is minimal; the tests compare every closed form
-with the scan and guard against one that is too large.
+with a normal-subgroup scan and guard against one that is too large.
 
 ``quotient_in`` decides whether K/N lies in F one way: F's membership
 predicate on the quotient image. It keeps no cache of its own: ``quotient``
 caches the image per (K, N) and ``Formation.contains`` the verdict per
 (image, F). The chain predicates test their steps by residual containment
-instead (``subnormal``), so only the residual scan, the residual
-postconditions and the chain witnesses build quotient images. U membership
-walks a chief series of the group's normal subgroups, so it builds no
-subgroup lattice.
+instead (``subnormal``), so only the residual postconditions and the chain
+witnesses build quotient images. U membership and U's residual walk chief
+series of a group's normal subgroups, so neither builds a subgroup lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import lattice as _lattice
 from .permgroup import (
@@ -52,12 +50,13 @@ class FormationVerificationError(GroupError):
 class Formation:
     """A named isomorphism-invariant group class with declared closure flags.
 
-    ``closed_residual``, when given, maps a subgroup K to K^F directly; without
-    it the residual is found by scanning K's normal subgroups. A closed form
+    ``closed_residual`` maps a subgroup K to K^F directly; it is required. It
     yields only the residual, but every chain step is decided by containment
     of that residual, so one that returns too large a subgroup changes
     F-subnormality verdicts; nothing in the program checks that it is the
-    least such subgroup.
+    least such subgroup. Keep ``membership`` independent of it: the residual
+    postcondition reads membership, so it only has force while membership
+    does not call the closed form.
 
     The closure flags are trusted, never computed. ``subgroup_closed`` gates
     checkers and selects the F-subnormality descent through <H, K^F>, so a
@@ -71,11 +70,11 @@ class Formation:
     name: str
     description: str
     membership: Callable[[SubgroupRef], bool]
+    closed_residual: Callable[[SubgroupRef], SubgroupRef]
     subgroup_closed: bool = False
     saturated: bool = False
     superradical: bool = False
     contains_nilpotents: bool = False
-    closed_residual: Optional[Callable[[SubgroupRef], SubgroupRef]] = None
 
     def contains(self, G: GroupLike) -> bool:
         sub = _as_subgroup(G)
@@ -104,6 +103,28 @@ def _member_supersoluble(sub: SubgroupRef) -> bool:
                 return False
             current = M.members
     return True
+
+
+def _supersoluble_residual(sub: SubgroupRef) -> SubgroupRef:
+    """K^U read off K's own normal subgroups, from the top down.
+
+    For N normal in K, let M be the first normal subgroup strictly above N in
+    ``normal_subgroups``' ascending order: a chief term of K over N. Then K/N
+    is supersoluble iff |M : N| is prime and K/M is supersoluble
+    (Doerk-Hawkes, ch. IV, with Jordan-Hoelder). K/K qualifies, so one pass
+    downwards decides every N. The qualifying set is closed under
+    intersection, so its least member is K^U.
+    """
+    normals = _lattice.normal_subgroups(sub)
+    qualifying = {sub.members}
+    least = sub
+    for i in range(len(normals) - 2, -1, -1):
+        N = normals[i].members
+        M = next(X.members for X in normals[i + 1:] if N < X.members)
+        if M in qualifying and is_prime(len(M) // len(N)):
+            qualifying.add(N)
+            least = normals[i]
+    return least
 
 
 def _member_nilpotent_derived(sub: SubgroupRef) -> bool:
@@ -153,6 +174,7 @@ SUPERSOLUBLE = Formation(
     saturated=True,
     superradical=False,
     contains_nilpotents=True,
+    closed_residual=_supersoluble_residual,
 )
 
 NILPOTENT_DERIVED = Formation(
@@ -197,53 +219,23 @@ def quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
 
 
 def residual(F: Formation, G: GroupLike) -> SubgroupRef:
-    """Smallest normal subgroup with quotient in F, postcondition verified.
-
-    See ``_residual`` for the two routes; the result is cached per (G, F).
-    """
+    """Smallest normal subgroup with quotient in F (``_residual``), cached per (G, F)."""
     sub = _as_subgroup(G)
     return memo(sub.parent, "residual", (sub.members, F), _residual, F, sub)
 
 
 def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
-    """F's closed form when it has one, else the normal-subgroup scan.
+    """F's closed form, checked by ``quotient_in`` on the image G/R.
 
-    The scan walks normal subgroups in ascending order; anything above a known
-    member of the family is a member by quotient closure (trusted formation
-    metadata), so only the genuinely new candidates build quotients, and the
-    ascending order guarantees nothing smaller qualifies. On both routes a
-    final ``quotient_in`` check that G/R lies in F, on the quotient image,
-    rejects predicates that are not formation-closed and closed forms that
-    return too small a subgroup. A closed form that returns too large a
-    subgroup passes this check; the tests that compare it with the scan catch
-    it.
+    It rejects a closed form that returns too small a subgroup, and a
+    predicate that is not intersection-stable when the closed form is the
+    intersection of the qualifying kernels (the tests' scan). A closed form
+    that returns too large a subgroup passes; the tests that compare it with
+    the scan catch it.
     """
-    if F.closed_residual is not None:
-        R = F.closed_residual(sub)
-        if not quotient_in(F, sub, R):
-            raise FormationVerificationError(
-                f"{F.name}: the closed-form residual does not have its quotient in the class"
-            )
-        return R
-    normals = _lattice.normal_subgroups(sub)
-    passes: list[SubgroupRef] = []
-    for N in normals:  # ascending (order, members)
-        if any(P.members <= N.members for P in passes):
-            continue
-        if quotient_in(F, sub, N):
-            passes.append(N)
-    if not passes:
-        raise FormationVerificationError(
-            f"{F.name}: no normal subgroup has quotient in the class "
-            "(the trivial quotient should always qualify)"
-        )
-    members = sub.members
-    for P in passes:
-        members = members & P.members
-    R = SubgroupRef(sub.parent, members)
+    R = F.closed_residual(sub)
     if not quotient_in(F, sub, R):
         raise FormationVerificationError(
-            f"{F.name} is not intersection-stable on this group: "
-            "the intersection of qualifying kernels does not qualify"
+            f"{F.name}: the closed-form residual does not have its quotient in the class"
         )
     return R

@@ -64,7 +64,7 @@ def parse_group_text(text: str) -> FiniteGroup:
         raise GroupFileError("missing 'degree' line", lineno)
     lineno, degree_line = body[1]
     parts = degree_line.split()
-    if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdecimal():
         raise GroupFileError("expected 'degree N'", lineno)
     degree = int(parts[1])
     if degree < 1:

@@ -191,7 +191,7 @@ def test_criterion_5_oracle_equivalences(catalog120):
             residual_bad.append((g.name, "A"))
         if residual(NILPOTENT, g).members != lower_central_series(g)[-1].members:
             residual_bad.append((g.name, "N"))
-        # production (closed form for all but U) against the generic scan
+        # production (a closed form for every formation) against the generic scan
         for F in FOUR_FORMATIONS + (SOLUBLE,):
             if residual(F, g).members != residual_by_scan(F, g).members:
                 residual_bad.append((g.name, F.name, "scan"))

@@ -325,6 +325,36 @@ def test_undecodable_group_file_is_an_error_not_a_crash(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_batch_isolates_a_non_decimal_degree(tmp_path, capsys):
+    d = _group_dir(tmp_path, "S3")
+    (d / "bad.pgrp").write_text("pgrp v1\ndegree \u00b2\n(1 2)\n", encoding="utf-8")
+    code = main(["batch", "--dir", str(d), "--check", "theorem1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    payload = json.loads(captured.out)
+    assert [e["file"] for e in payload["errors"]] == ["bad.pgrp"]
+    assert [r["file"] for r in payload["runs"]] == ["s3.pgrp"]
+    assert payload["runs"][0]["report"]["summary"]["pass"] == 1
+    assert payload["aggregate"]["error"] == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "batch", "lattice"])
+def test_unwritable_output_path_is_an_operational_error(tmp_path, capsys, command):
+    target = str(tmp_path / "nodir" / "out.json")
+    argv = {
+        "analyze": ["analyze", "--group", "S3", "--check", "theorem1", "--report", target],
+        "batch": ["batch", "--dir", str(_group_dir(tmp_path, "S3")), "--check", "theorem1",
+                  "--report", target],
+        "lattice": ["lattice", "--group", "S3", "--cache", target],
+    }[command]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""  # a failed write prints no report
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_batch_parallel_byte_identical(tmp_path, capsys):
     d = _group_dir(tmp_path, "S3", "A4", "C6", "D4", "Q8", "S4")
     code1, seq = run_cli(capsys, "batch", "--dir", str(d), "--check", "theorem1", "--jobs", "1")

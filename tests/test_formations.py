@@ -28,6 +28,7 @@ from groupforms.formations import (
     residual,
 )
 from groupforms.permgroup import (
+    Budgets,
     GroupError,
     SubgroupRef,
     derived_subgroup,
@@ -93,35 +94,53 @@ def test_residual_membership_iff_trivial(small_groups):
 def test_residual_postcondition_verified():
     # "cyclic" is quotient-closed but not subdirect-closed: on V4 the
     # qualifying kernels intersect to the trivial group whose quotient V4
-    # is not cyclic, so the residual op must refuse.
+    # is not cyclic, so the residual op, given that intersection as its
+    # closed form, must refuse.
     def membership(sub):
         parent = sub.parent
         orders = parent.element_orders()
         return any(orders[x] == sub.order for x in sub.members) or sub.order == 1
 
-    cyclic_class = Formation(name="Cyc", description="cyclic groups", membership=membership)
+    cyclic_class = Formation(
+        name="Cyc",
+        description="cyclic groups",
+        membership=membership,
+        closed_residual=lambda sub: residual_by_scan(cyclic_class, sub),
+    )
     v4 = catalog.elem_abelian(2, 2)
     with pytest.raises(FormationVerificationError):
         residual(cyclic_class, v4)
 
 
 def test_closed_form_residuals_match_scan(catalog120):
-    # every subgroup of every catalog group <= 48: the closed form (A, N, NA,
-    # Sol) names the same subgroup as the generic normal-subgroup scan
-    closed = (ABELIAN, NILPOTENT, NILPOTENT_DERIVED, SOLUBLE)
-    assert all(F.closed_residual is not None for F in closed)
+    # every subgroup of every catalog group <= 48: the closed form of each
+    # built-in formation names the same subgroup as the generic
+    # normal-subgroup scan
     pairs = 0
     bad = []
     for g in catalog120:
         if g.order > 48:
             continue
         for H in subgroup_refs(g):
-            for F in closed:
+            for F in BUILT_IN.values():
                 pairs += 1
                 if residual(F, H).members != residual_by_scan(F, H).members:
                     bad.append((g.name, H.order, F.name))
     assert not bad, bad
-    assert pairs == 11_536
+    assert pairs == 14_420
+
+
+def test_supersoluble_residual_matches_scan_on_example864(g864):
+    # U's chief-series walk at order 864: every subgroup class rep, the group
+    # itself included, enumerated under the larger lattice budget
+    with Budgets(lattice=1000).in_force():
+        reps = [SubgroupRef(g864, s) for s in lat.class_reps(g864)]
+        bad = [
+            H.order for H in reps
+            if residual(SUPERSOLUBLE, H).members != residual_by_scan(SUPERSOLUBLE, H).members
+        ]
+    assert len(reps) == 212
+    assert not bad, bad
 
 
 def test_residual_postcondition_verified_on_closed_form():
@@ -252,6 +271,7 @@ def test_verify_formation_closure_flags_broken_predicate(small_groups):
         name="BrokenEven",
         description="order is even or trivial",
         membership=lambda sub: sub.order == 1 or sub.order % 2 == 0,
+        closed_residual=lambda sub: residual_by_scan(broken, sub),
         subgroup_closed=False,
     )
     report = verify_formation_closure(broken, small_groups)
@@ -296,7 +316,12 @@ def test_formations_sharing_a_name_do_not_share_verdicts():
     s3 = catalog.symmetric(3)
     c2 = next(SubgroupRef(s3, s) for s in lat.subgroup_sets(s3) if len(s) == 2)
     trivial = SubgroupRef(s3, frozenset((s3.identity,)))
-    everything = Formation(name="A", description="x", membership=lambda s: True)
+    everything = Formation(
+        name="A",
+        description="x",
+        membership=lambda s: True,
+        closed_residual=lambda s: residual_by_scan(everything, s),
+    )
     assert not ABELIAN.contains(s3)
     assert not quotient_in(ABELIAN, s3.as_subgroup(), trivial)
     assert residual(ABELIAN, s3).order == 3

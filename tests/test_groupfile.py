@@ -136,6 +136,10 @@ def test_degree_violation():
         parse_group_text("pgrp v1\ndegree 0\n")
     with pytest.raises(GroupFileError):
         parse_group_text("pgrp v2\ndegree 3\n")
+    # "²" is a digit to str.isdigit() but not to int()
+    with pytest.raises(GroupFileError, match="expected 'degree N'") as err:
+        parse_group_text("pgrp v1\ndegree \u00b2\n(1 2)\n")
+    assert err.value.line == 2
 
 
 def test_budget_guard():

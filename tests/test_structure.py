@@ -16,6 +16,7 @@ from helpers import (
     is_schmidt,
     maximal_subgroups,
     passes_deciding_all,
+    residual_by_scan,
 )
 
 from groupforms import catalog, reports, structure
@@ -301,6 +302,7 @@ def test_prime_order_gate_matches_cyclic_membership():
         name="{2,3}",
         description="groups whose order has no prime divisor but 2 and 3",
         membership=lambda sub: prime_divisors(sub) <= {2, 3},
+        closed_residual=lambda sub: residual_by_scan(two_three, sub),
         subgroup_closed=True,
     )
     for F in (*BUILT_IN.values(), two_three):
@@ -317,6 +319,7 @@ def test_lemma2_unmet_hypothesis_is_a_skip():
         name="{2,3}",
         description="groups whose order has no prime divisor but 2 and 3",
         membership=lambda sub: prime_divisors(sub) <= {2, 3},
+        closed_residual=lambda sub: residual_by_scan(two_three, sub),
         subgroup_closed=True,
     )
     d5 = catalog.dihedral(5)
