@@ -2,45 +2,33 @@
 intervals, and the full lattice of the ``lattice`` command.
 
 All subgroups of a group come from cyclic extension when it is soluble and
-from the interval [1, X] of minimal overgroups otherwise. Cyclic extension
-works up to conjugacy: it extends one subgroup per class and adds the rest
-of each class by following its orbit. ``subgroup_sets``, ``class_reps`` and
-``all_subgroups`` refuse a (sub)group above the lattice budget in force
-(``permgroup.Budgets``), even when the result is cached; no other module
-reads that budget. The checkers take
-subgroups up to conjugacy through ``conjugacy_orbits``, which also gives the
-element classes behind the normal-closure route of ``normal_subgroups``. The
-classes of all subgroups of
-G under an acting subgroup, ``class_reps``, are cached once per (G, acting
-subgroup) in the ``class_reps`` memo namespace. Every list of member sets is
-in the order of ``canonical``. There is one maximality test, ``is_maximal``: M
-is maximal in K when K is its only minimal overgroup inside K. It serves the
-checkers. The full lattice (maximality edges and conjugacy classes,
-``all_subgroups``) serves only the ``lattice`` command and its cache.
+from the interval [1, X] of minimal overgroups otherwise, in the order of
+``canonical``. ``subgroup_sets``, ``class_reps`` (cached per group and acting
+subgroup) and ``all_subgroups`` refuse a (sub)group above the lattice budget
+in force (``permgroup.Budgets``), even when cached; no other module reads
+that budget. ``is_maximal`` is the one maximality test, and the full lattice
+(``all_subgroups``) serves only the ``lattice`` command and its cache.
 
-One route rule serves the subgroups of a proper subgroup, intervals and
-minimal overgroups. When the parent group is within the lattice budget, each
-is a filter of the parent's one cached ``subgroup_sets`` list (``_parent_list``),
-which keeps canonical order and shares the parent's member sets. Above it,
-a proper subgroup is enumerated on its own, an interval is walked up by
-minimal overgroups (``_interval_by_bfs``) and the minimal overgroups of H
-take one join per double coset HxH of the generators x of each <g>. So chain
-predicates never need the lattice budget: above it they use the routes that
-stay feasible well past it. Normal subgroups follow the same rule when the
-parent is also soluble: they are the sets of the subgroup's list that its
-conjugation maps fix. An insoluble parent keeps the normal-closure route,
-since its list costs far more than its normal subgroups. One orbit routine,
-``_orbit``, serves both cyclic extension and ``conjugacy_orbits``. The
-deadline is checked once per subgroup extended, per step of
-``_interval_by_bfs``, per orbit followed, and per minimal-overgroup or
-normal-subgroup list read off the parent's list.
+One route rule serves what is read off a group's subgroups. Within the
+lattice budget, a proper subgroup's subgroups, intervals and minimal
+overgroups are filters of the parent's one cached list (``_parent_list``),
+and conjugation permutes the list's positions (``_IndexAction``): orbits are
+integer orbits, and the normal subgroups of a soluble parent's subgroups are
+the positions their generators fix. Above it, a proper subgroup is
+enumerated on its own, an interval is walked up by minimal overgroups
+(``_interval_by_bfs``), minimal overgroups take one join per double coset,
+and orbits follow member sets (``_orbit``), as cyclic extension always does.
+An insoluble parent's normal subgroups are products of normal closures of
+element classes, since its list costs far more. The deadline is checked once
+per subgroup extended, per walk step, per orbit followed, and per
+minimal-overgroup or normal-subgroup list read off the parent's list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .permgroup import (
     FiniteGroup,
@@ -230,23 +218,94 @@ def _all_subgroups(sub: SubgroupRef) -> SubgroupLattice:
 
 
 def conjugacy_orbits(
-    parent: FiniteGroup, sets: Iterable[frozenset[int]], under: frozenset[int]
-) -> Iterator[tuple[frozenset[int], set[frozenset[int]]]]:
+    parent: FiniteGroup, sets: Collection[frozenset[int]], under: frozenset[int]
+) -> Iterator[tuple[frozenset[int], Collection[frozenset[int]]]]:
     """Each orbit of the subgroup sets under conjugation by ``under``, with
     its canonically least member of ``sets``, in canonical order of those.
 
-    Each generator of ``under`` becomes one conjugation map over the parent's
-    elements, built once per call. Each orbit is followed in full, so sets
-    that are not closed under conjugation still lose every conjugate, and an
-    orbit may then hold sets that are not in ``sets``.
+    Orbits are followed in full, as positions of the list of a parent within
+    the lattice budget (``_IndexAction``) when every set is on it, else as
+    member sets; so sets not closed under conjugation still lose every
+    conjugate, and an orbit may then hold sets that are not in ``sets``.
     """
-    maps = _conjugation_maps(parent, parent.greedy_generators(under))
+    gens = parent.greedy_generators(under)
+    action = _index_action(parent)
+    starts = action and [action.index.get(s) for s in sets]
+    if starts and None not in starts:
+        perms = [action.perm(g) for g in gens]
+        for orbit in _point_orbits(starts, perms, len(action.sets)):
+            yield action.sets[orbit[0]], [action.sets[i] for i in orbit]
+        return
+    maps = _conjugation_maps(parent, gens)
     remaining = set(sets)
     for s in canonical(remaining):
         if s in remaining:
             orbit = _orbit(s, maps)
             remaining -= orbit
             yield s, orbit
+
+
+def _point_orbits(starts: Iterable[int], perms: list, size: int) -> Iterator[list[int]]:
+    """The orbits under ``perms``, permutations of range(size), of the least
+    start each has not yet covered, that start first; checks the deadline
+    once per orbit."""
+    seen = bytearray(size)
+    for i in sorted(starts):
+        if not seen[i]:
+            check_deadline()
+            seen[i] = 1
+            orbit = [i]
+            for j in orbit:  # the loop also visits the points it appends
+                for p in perms:
+                    k = p[j]
+                    if not seen[k]:
+                        seen[k] = 1
+                        orbit.append(k)
+            yield orbit
+
+
+def _index_action(parent: FiniteGroup) -> Optional["_IndexAction"]:
+    """The parent's ``_IndexAction`` within the lattice budget in force, else None."""
+    whole = _parent_list(parent)
+    return whole and memo(parent, "lattice_index", None, _IndexAction, parent, whole)
+
+
+class _IndexAction:
+    """Conjugation as permutations of the positions of the parent's subgroup
+    list (Holt, Eick and O'Brien, Handbook of CGT, 2005, ch. 4). The parent's
+    greedy generators map the list by hashing conjugate sets. Any other
+    element gets its permutation when it acts, along a spanning tree of the
+    Cayley graph as in ``extend_generator_map``: sets[i]^(x*g) =
+    (sets[i]^x)^g, one gather per tree edge."""
+
+    def __init__(self, parent: FiniteGroup, sets: list[frozenset[int]]):
+        self.sets = sets
+        self.index = {s: i for i, s in enumerate(sets)}
+        self._table, self._gens = parent._table, parent.greedy_generators(parent.whole())
+        self._perms = {parent.identity: tuple(range(len(sets)))}
+        for g, m in zip(self._gens, _conjugation_maps(parent, self._gens)):
+            self._perms[g] = tuple(self.index[frozenset(map(m.__getitem__, s))] for s in sets)
+        self._step: dict[int, tuple[int, int]] = {}  # x*g -> (x, g), on first use
+
+    def perm(self, x: int) -> tuple[int, ...]:
+        """i -> the position of sets[i]^x; kept for x and the tree path to it."""
+        if not self._step and x not in self._perms:
+            step, reached = {}, list(self._perms)  # the identity and the generators
+            for y in reached:  # breadth first: the loop also visits what it appends
+                for g in self._gens:
+                    z = self._table[y][g]
+                    if z not in self._perms and z not in step:
+                        step[z] = (y, g)
+                        reached.append(z)
+            self._step = step  # whole, for a concurrent reader
+        path = []
+        while x not in self._perms:
+            path.append(x)
+            x = self._step[x][0]
+        p = self._perms[x]
+        for y in reversed(path):
+            p = self._perms[y] = _gather(p)(self._perms[self._step[y][1]])
+        return p
 
 
 def _conjugation_maps(parent: FiniteGroup, gens: Iterable[int]) -> list[tuple[int, ...]]:
@@ -284,7 +343,7 @@ def _orbit(s: frozenset[int], maps: list[tuple[int, ...]]) -> set[frozenset[int]
 
 
 def orbit_reps_under(
-    parent: FiniteGroup, sets: Iterable[frozenset[int]], under: frozenset[int]
+    parent: FiniteGroup, sets: Collection[frozenset[int]], under: frozenset[int]
 ) -> list[frozenset[int]]:
     """Orbit representatives (canonically least) of subgroup sets under conjugation."""
     return [rep for rep, _ in conjugacy_orbits(parent, sets, under)]
@@ -308,15 +367,12 @@ def _class_reps(sub: SubgroupRef, under: frozenset[int]) -> list[frozenset[int]]
 
 
 def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
-    """All normal subgroups, in canonical order.
-
-    When the parent group is soluble and within the lattice budget, they are
-    the members of the subgroup's own ``subgroup_sets`` list that every
-    conjugation map of its generators fixes; that list is a filter of the
-    parent's cached one. Otherwise they are products of normal closures of
-    conjugacy classes (``_normal_subgroups_by_closures``): building an
-    insoluble parent's list only for its normal subgroups costs far more.
-    """
+    """All normal subgroups, in canonical order: for a soluble parent within
+    the lattice budget, the sets of the subgroup's own list (a filter of the
+    parent's) whose positions its generators' permutations fix; otherwise
+    products of normal closures of element classes
+    (``_normal_subgroups_by_closures``), since an insoluble parent's list
+    costs far more than its normal subgroups."""
     sub = _as_subgroup(G)
     return memo(sub.parent, "normals", sub.members, _normal_subgroups, sub)
 
@@ -324,13 +380,12 @@ def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
 def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
     """Checks the deadline once per call on the list route."""
     parent = sub.parent
-    if is_soluble(parent) and _parent_list(parent) is not None:
+    action = _index_action(parent) if is_soluble(parent) else None
+    if action is not None:
         check_deadline()
-        maps = _conjugation_maps(parent, parent.greedy_generators(sub.members))
-        sets = [
-            s for s in subgroup_sets(sub)
-            if all(s.issuperset(map(m.__getitem__, s)) for m in maps)
-        ]
+        perms = [action.perm(g) for g in parent.greedy_generators(sub.members)]
+        positions = map(action.index.__getitem__, subgroup_sets(sub))
+        sets = [action.sets[i] for i in positions if all(p[i] == i for p in perms)]
     else:
         sets = _normal_subgroups_by_closures(sub)
     return [SubgroupRef(parent, s) for s in sets]
@@ -346,10 +401,9 @@ def _normal_subgroups_by_closures(sub: SubgroupRef) -> list[frozenset[int]]:
     """
     parent = sub.parent
     trivial = frozenset((parent.identity,))
-    singletons = [frozenset((x,)) for x in sub.members if x != parent.identity]
+    maps = _conjugation_maps(parent, parent.greedy_generators(sub.members))
     closures = canonical({
-        parent.closure(x for (x,) in orbit)
-        for _, orbit in conjugacy_orbits(parent, singletons, sub.members)
+        parent.closure(orbit) for orbit in _point_orbits(sub.members - trivial, maps, parent.order)
     })
     spans = [(C, parent.greedy_generators(C)) for C in closures]
     found = {trivial}

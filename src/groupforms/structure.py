@@ -7,9 +7,10 @@ declared flags and label the verdict empirical when a flag is missing.
 
 Subgroups are taken up to conjugacy (``subgroup_class_reps``, over the
 cached ``lattice.class_reps``, which also gives the N_G(H)-classes of
-Lemma 1(5)); Carter subgroups take whole conjugacy orbits, and a subgroup
-is maximal when its only minimal overgroup is the group
-(``lattice.is_maximal``). No checker builds a full subgroup lattice.
+Lemma 1(5), by integer orbits of list positions within the lattice budget
+and member-set orbits above it); Carter subgroups take whole conjugacy
+orbits, and a subgroup is maximal when its only minimal overgroup is the
+group (``lattice.is_maximal``). No checker builds a full subgroup lattice.
 
 A statement whose all-subgroup quantifier ``lattice`` refuses for the lattice
 budget is left out with a one-line reason (``_unless_over_budget``).
@@ -18,6 +19,8 @@ budget is left out with a one-line reason (``_unless_over_budget``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import lattice as _lattice
@@ -483,8 +486,24 @@ def _has_certified_chain(G: SubgroupRef, L: SubgroupRef, F: Formation) -> bool:
     return witness is not None and all(step.quotient_in_formation for step in witness.steps)
 
 
+def _bitsets(sets: list[frozenset[int]], order: int) -> tuple[Callable, Callable]:
+    """For a subgroup list ``sets`` of a group on range(order): ``above(s)``,
+    bit i set when sets[i] contains s (the AND over s of each element's
+    bitset of the sets containing it), and ``mask(s)``, bit x set for x in s."""
+    containing = [0] * order
+    for i, s in enumerate(sets):
+        for x in s:
+            containing[x] |= 1 << i
+    return (
+        lambda s: reduce(and_, map(containing.__getitem__, s)),
+        lambda s: reduce(or_, map((1).__lshift__, s), 0),
+    )
+
+
 def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
-    """Properties (1)-(6) of F-subnormal subgroups."""
+    """Properties (1)-(6) of F-subnormal subgroups. (3) and (5) build no set
+    per pair: (N, H) is keyed by the position of HN, read off ``_bitsets``,
+    and (H, K) by K and the member bitset of H & K."""
     sub = _as_subgroup(G)
     parent = sub.parent
     label = _label(sub)
@@ -516,19 +535,28 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
                 violations.append(
                     _violation("1.2", label, {"N": N.order, "K": K.order})
                 )
-    # (3) pushing to quotients, each verdict decided once per (image, HN/N):
+    # (3) pushing to quotients: H maps to HN/N, and HN is the least set above
+    # H and N; each verdict is decided once per (image, HN/N), since
     # quotients with the same coset action share their image
+    sets = _lattice.subgroup_sets(sub)
+    above, mask = _bitsets(sets, parent.order)
+    above_fsn = [above(H.members) for H in fsn_reps]
     pushed: dict[tuple[FiniteGroup, frozenset[int]], bool] = {}
     for N in normals:
         if N.order == sub.order:
             continue
         hom = quotient(sub, N)
-        image = hom.image
-        for H in fsn_reps:
-            key = (image, hom.map_members(H.members))
-            if key not in pushed:
-                pushed[key] = is_f_subnormal(image, SubgroupRef(image, key[1]), F)
-            if not pushed[key]:
+        above_n = above(N.members)
+        by_product: dict[int, bool] = {}  # HN's position -> the verdict on HN/N
+        for H, above_h in zip(fsn_reps, above_fsn):
+            both = above_h & above_n
+            j = (both & -both).bit_length() - 1
+            if j not in by_product:
+                key = (hom.image, hom.map_members(sets[j]))
+                if key not in pushed:
+                    pushed[key] = is_f_subnormal(hom.image, SubgroupRef(*key), F)
+                by_product[j] = pushed[key]
+            if not by_product[j]:
                 violations.append(
                     _violation("1.3", label, {"N": N.order, "H": H.order})
                 )
@@ -543,14 +571,16 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
         # (5) intersections into arbitrary subgroups, each verdict decided
         # once per (K, H & K); the descent assumes (5), so the independent
         # evidence for it is criterion 5's oracle routes, not this check
-        met: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
+        masks = dict(zip(sets, map(mask, sets)))
+        met: dict[tuple[frozenset[int], int], bool] = {}
         for H in fsn_reps:
             norm_h = normalizer(sub, H).members
+            mask_h = masks[H.members]
             for K_set in _lattice.class_reps(sub, norm_h):
-                key = (K_set, H.members & K_set)
+                key = (K_set, mask_h & masks[K_set])
                 if key not in met:
-                    K, meet = SubgroupRef(parent, K_set), SubgroupRef(parent, key[1])
-                    met[key] = is_f_subnormal(K, meet, F)
+                    meet = SubgroupRef(parent, H.members & K_set)
+                    met[key] = is_f_subnormal(SubgroupRef(parent, K_set), meet, F)
                 if not met[key]:
                     violations.append(
                         _violation("1.5", label, {"H": H.order, "K": len(K_set)})

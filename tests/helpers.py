@@ -32,9 +32,11 @@ from groupforms.permgroup import (
     core,
     is_prime,
     normal_closure,
+    normalizer,
     quotient,
 )
-from groupforms.subnormal import _check_contained
+from groupforms.structure import subgroup_class_reps
+from groupforms.subnormal import _check_contained, is_f_subnormal
 
 
 CHECKER_STATEMENTS = {
@@ -288,6 +290,65 @@ def orbit_reps_by_subgroup_orbit(
         for img in subgroup_orbit(parent, s, under):
             remaining.discard(img)
     return reps
+
+
+def orbit_reps_by_conjugate_perms(
+    parent: FiniteGroup,
+    sets: Sequence[frozenset[int]],
+    under: frozenset[int],
+    perms: dict[int, list[int]],
+) -> list[frozenset[int]]:
+    """Orbit representatives oracle for a conjugation-closed list ``sets`` in
+    canonical order: each greedy generator g of ``under`` permutes the
+    positions by ``conjugate_set``, computed directly rather than composed
+    along the Cayley graph and kept in ``perms`` for the next call, and each
+    orbit is followed one position at a time."""
+    index = {s: i for i, s in enumerate(sets)}
+    gens = parent.greedy_generators(under)
+    for g in gens:
+        if g not in perms:
+            perms[g] = [index[parent.conjugate_set(s, g)] for s in sets]
+    seen: set[int] = set()
+    reps = []
+    for i, s in enumerate(sets):
+        if i in seen:
+            continue
+        reps.append(s)
+        seen.add(i)
+        work = [i]
+        while work:
+            j = work.pop()
+            for g in gens:
+                k = perms[g][j]
+                if k not in seen:
+                    seen.add(k)
+                    work.append(k)
+    return reps
+
+
+def lemma1_pushed_and_met_violations(G: FiniteGroup, F: Formation, decide) -> list[dict]:
+    """Lemma 1(3) and (5) as plain double loops, with ``decide(ambient,
+    members)`` for F-subnormality: every (N, H) maps H into G/N by
+    ``map_members`` and every (H, K) meets by set intersection, with no
+    verdict shared between pairs. The entries are those of
+    ``structure.check_lemma1``, in its order."""
+    sub = G.as_subgroup()
+    label = G.name or f"order{G.order}"
+    fsn = [H for H in subgroup_class_reps(sub) if is_f_subnormal(sub, H, F)]
+    out = []
+    for N in lat.normal_subgroups(sub):
+        if N.order == sub.order:
+            continue
+        hom = quotient(sub, N)
+        for H in fsn:
+            if not decide(hom.image.as_subgroup(), hom.map_members(H.members)):
+                out.append({"lemma": "1.3", "group": label, "N": N.order, "H": H.order})
+    if F.subgroup_closed:
+        for H in fsn:
+            for K in lat.class_reps(sub, normalizer(sub, H).members):
+                if not decide(SubgroupRef(G, K), H.members & K):
+                    out.append({"lemma": "1.5", "group": label, "H": H.order, "K": len(K)})
+    return out
 
 
 # ---------------------------------------------------------------------------

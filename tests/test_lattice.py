@@ -13,6 +13,7 @@ from helpers import (
     is_supersoluble,
     maximal_subgroups,
     minimal_overgroups_by_scan,
+    orbit_reps_by_conjugate_perms,
     orbit_reps_by_subgroup_orbit,
     subgroup_generated,
     subgroup_sets_by_join_closure,
@@ -30,6 +31,7 @@ from groupforms.permgroup import (
     direct_product,
     is_soluble,
     normalizer,
+    prime_divisors,
     quotient,
     sylow_subgroup,
 )
@@ -197,14 +199,36 @@ def test_lattice_budget_binds_on_cached_lattice():
         lambda G: is_f_subnormal(G, sylow_subgroup(G, 3), NILPOTENT),
         lambda G: lat.normal_subgroups(G),
         lambda G: lat.orbit_reps_under(G, [frozenset((x,)) for x in G.whole()], G.whole()),
+        lambda G: lat.class_reps(G),
     ],
-    ids=["subgroup_sets", "interval", "is_f_subnormal", "normal_subgroups", "orbit_reps_under"],
+    ids=[
+        "subgroup_sets", "interval", "is_f_subnormal", "normal_subgroups", "orbit_reps_under",
+        "class_reps",
+    ],
 )
 def test_time_budget_binds_inside_searches(search):
     G = catalog.symmetric(4)  # cold: nothing is cached yet
     with Budgets(time=0).in_force(), pytest.raises(GroupBudgetError, match="time budget"):
         search(G)
     search(G)  # no deadline outside the block, and the abort cached nothing
+
+
+def test_time_budget_binds_once_per_orbit_on_the_index_route(monkeypatch):
+    # with the subgroup list cached, class_reps follows integer orbits of
+    # list positions and checks the deadline once per orbit
+    G = catalog.symmetric(4)  # cold: nothing is cached yet
+    lat.subgroup_sets(G)
+    with Budgets(time=0).in_force(), pytest.raises(GroupBudgetError, match="time budget") as info:
+        lat.class_reps(G)
+    assert info.traceback[-2].name == "_point_orbits"
+    deadlines = Counter()
+
+    def deadline():
+        deadlines[sys._getframe(1).f_code.co_name] += 1
+
+    monkeypatch.setattr(lat, "check_deadline", deadline)
+    assert len(lat.class_reps(G)) == deadlines["_point_orbits"] == 11
+    assert deadlines["_orbit"] == 0
 
 
 def test_normal_subgroups():
@@ -371,7 +395,7 @@ def test_maximal_subgroups_containing_matches_full_lattice(catalog120):
 
 
 def test_orbit_reps_match_subgroup_orbit_oracle(catalog120):
-    # element-map conjugation gives the same reps as one subgroup_orbit per
+    # orbits of list positions give the same reps as one subgroup_orbit per
     # rep: whole-group class reps (cached ``class_reps``, cold and warm), the
     # Sylow-based primary reps (input sets not closed under conjugation) and
     # lemma 1.5's N(H)-orbit reps, cached and uncached
@@ -458,3 +482,59 @@ def test_time_budget_binds_in_the_edge_loop_of_all_subgroups(monkeypatch):
     monkeypatch.setattr(lat, "check_deadline", deadline)
     lat.all_subgroups(G)
     assert deadlines["_minimal_overgroups"] == nodes == 30
+
+
+def _reps_by_set_orbits(parent, sets, under):
+    # the route above the lattice budget: orbits of member sets
+    with Budgets(lattice=parent.order - 1).in_force():
+        return lat.orbit_reps_under(parent, sets, under)
+
+
+def test_index_routes_match_the_set_orbit_routes():
+    # within the lattice budget, class_reps and orbit_reps_under follow
+    # integer orbits of list positions (``_IndexAction``). The route above
+    # the budget, orbits of member sets, gives the same lists on every
+    # catalog group of order <= 60 and each quotient image: the classes
+    # under G, under each N_G(H) and of each class rep H, and the
+    # Sylow-based primary reps (input sets not closed under conjugation).
+    # The normal-subgroup list route, the positions the generators'
+    # permutations fix, is checked on the same groups by
+    # test_normal_subgroup_routes_agree
+    checked = 0
+    for g in catalog.catalog_groups(60):  # fresh groups: no cache is shared
+        images = {id(q.image): q.image for q in (quotient(g, N) for N in lat.normal_subgroups(g))}
+        for X in [g, *images.values()]:
+            assert lat._index_action(X) is not None
+            whole, sets = X.whole(), lat.subgroup_sets(X)
+            reps = lat.class_reps(X)
+            assert reps == _reps_by_set_orbits(X, sets, whole), X
+            primary = [
+                s for p in sorted(prime_divisors(X))
+                for s in lat.subgroup_sets(sylow_subgroup(X, p)) if len(s) > 1
+            ]
+            assert lat.orbit_reps_under(X, primary, whole) == _reps_by_set_orbits(X, primary, whole)
+            for H in reps:
+                ref = SubgroupRef(X, H)
+                norm = normalizer(X, ref).members
+                assert lat.class_reps(X, norm) == _reps_by_set_orbits(X, sets, norm)
+                own = lat.subgroup_sets(ref)
+                assert lat.class_reps(ref) == _reps_by_set_orbits(X, own, H)
+                checked += 1
+    assert checked == 8_954
+
+
+def test_index_route_gives_the_normalizer_classes_of_g864(g864):
+    # at lattice budget 1000 the N_G(H)-classes of all 3,024 subgroups of
+    # g864 for all 212 class reps H, against position permutations computed
+    # by conjugate_set; five of them against orbits of member sets too
+    with Budgets(lattice=1000).in_force():
+        sets = lat.subgroup_sets(g864)
+        reps = lat.class_reps(g864)
+        assert (len(sets), len(reps)) == (3_024, 212)
+        perms: dict = {}
+        for n, H in enumerate(reps):
+            norm = normalizer(g864, SubgroupRef(g864, H)).members
+            got = lat.class_reps(g864, norm)
+            assert got == orbit_reps_by_conjugate_perms(g864, sets, norm, perms)
+            if n % 50 == 0:
+                assert got == _reps_by_set_orbits(g864, sets, norm)

@@ -8,12 +8,14 @@ import inspect
 import json
 import re
 import sys
+from itertools import chain
 
 import pytest
 from helpers import (
     conjugacy_class_reps,
     is_minimal_non_f,
     is_schmidt,
+    lemma1_pushed_and_met_violations,
     maximal_subgroups,
     passes_deciding_all,
     residual_by_scan,
@@ -30,7 +32,16 @@ from groupforms.formations import (
     Formation,
 )
 from groupforms.lattice import LatticeBudgetError
-from groupforms.permgroup import Budgets, FiniteGroup, GroupError, _as_subgroup, prime_divisors
+from groupforms.permgroup import (
+    Budgets,
+    FiniteGroup,
+    GroupError,
+    SubgroupRef,
+    _as_subgroup,
+    _gather,
+    prime_divisors,
+)
+from groupforms.subnormal import is_f_subnormal
 
 
 def test_primary_cyclic_subgroups():
@@ -399,6 +410,71 @@ def test_lemma1_decides_each_quotient_and_meet_once(monkeypatch, small_groups, F
         seen.clear()
         assert structure.check_lemma1(g, F) == []
     assert all(counted.values()), counted
+
+
+@pytest.mark.parametrize("F", [ABELIAN, NILPOTENT, SUPERSOLUBLE], ids=lambda F: F.name)
+def test_lemma1_attributes_each_pushed_and_met_violation(monkeypatch, small_groups, F):
+    # is_f_subnormal answers False for chosen quotient images and meets of
+    # lemma 1(3) and (5), so their verdicts are shared through the keys:
+    # every (N, H) and (H, K) must still get the violation a plain double
+    # loop gives, one verdict per pair and no verdict shared
+    property_of = _lemma1_property_of_line()
+    code = structure.check_lemma1.__code__
+    real = structure.is_f_subnormal
+
+    def chosen(amb, members):
+        return (sum(_as_subgroup(amb).members) + sum(members)) % 3 == 0
+
+    def spy(G, H, formation):
+        caller = sys._getframe(1)
+        if caller.f_code is code and property_of(caller.f_lineno) in ("3", "5"):
+            if chosen(G, H.members):
+                return False
+        return real(G, H, formation)
+
+    def decide(amb, members):
+        return not chosen(amb, members) and is_f_subnormal(amb, SubgroupRef(amb.parent, members), F)
+
+    monkeypatch.setattr(structure, "is_f_subnormal", spy)
+    counted = {"1.3": 0, "1.5": 0}
+    for g in small_groups:
+        got = structure.check_lemma1(g, F)
+        assert got == lemma1_pushed_and_met_violations(g, F, decide), g.name
+        for v in got:
+            counted[v["lemma"]] += 1
+    assert all(n > 100 for n in counted.values()), counted
+
+
+def test_lemma1_bitsets_give_products_and_meets(catalog120):
+    # lemma 1(3) reads HN off the lowest bit of above(H) & above(N), and
+    # (5) keys H & K by the AND of member bitsets; both against the sets
+    # computed from the members, on the catalog <= 48
+    pairs = 0
+    for g in catalog120:
+        if g.order > 48:
+            continue
+        sets = lat.subgroup_sets(g)
+        above, mask = structure._bitsets(sets, g.order)
+        t = g._table
+        cosets = [_gather(sorted(N.members)) for N in lat.normal_subgroups(g)]
+        above_n = [above(N.members) for N in lat.normal_subgroups(g)]
+        reps = [H.members for H in structure.subgroup_class_reps(g)]
+        masks = {s: mask(s) for s in sets}
+        for s, m in masks.items():
+            assert [x for x in range(g.order) if m >> x & 1] == sorted(s)
+        for H in reps:
+            above_h = above(H)
+            assert [i for i in range(len(sets)) if above_h >> i & 1] == [
+                i for i, s in enumerate(sets) if H <= s
+            ]
+            for coset, up in zip(cosets, above_n):
+                both = above_h & up
+                product = frozenset(chain.from_iterable(coset(t[h]) for h in H))
+                assert sets[(both & -both).bit_length() - 1] == product
+                pairs += 1
+            for K in reps:
+                assert masks[H] & masks[K] == masks[H & K]
+    assert pairs == 198_309
 
 
 @pytest.mark.parametrize("F", [ABELIAN, NILPOTENT, NILPOTENT_DERIVED], ids=lambda F: F.name)
