@@ -295,16 +295,17 @@ def _split_args(body: str, expected: int) -> list[str]:
 # the curated catalog
 
 
-def _abelian_types(max_order: int, max_two_rank: int = 4) -> list[FiniteGroup]:
-    """All abelian isomorphism types up to max_order with bounded 2-rank.
+# The 2-rank cap keeps subgroup lattices at a size the exhaustive sweeps can
+# afford; E32 itself is included separately as the stress case.
+_MAX_TWO_RANK = 4
 
-    The 2-rank cap keeps subgroup lattices at a size the exhaustive sweeps
-    can afford; E32 itself is included separately as the stress case.
-    """
+
+def _abelian_types(max_order: int) -> list[FiniteGroup]:
+    """All abelian isomorphism types up to max_order of 2-rank at most ``_MAX_TWO_RANK``."""
     out = []
     for n in range(2, max_order + 1):
         for typ in _abelian_partitions(n):
-            if sum(1 for m in typ if m % 2 == 0) > max_two_rank:
+            if sum(1 for m in typ if m % 2 == 0) > _MAX_TWO_RANK:
                 continue
             out.append(abelian_type(typ))
     return out

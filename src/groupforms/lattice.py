@@ -22,6 +22,8 @@ An insoluble parent's normal subgroups are products of normal closures of
 element classes, since its list costs far more. The deadline is checked once
 per subgroup extended, per walk step, per orbit followed, and per
 minimal-overgroup or normal-subgroup list read off the parent's list.
+``interval`` and ``minimal_overgroups`` check their subgroup with
+``permgroup._check_contained``, as every (G, H) function does.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from typing import Collection, Iterable, Iterator, Optional
 from .permgroup import (
     FiniteGroup,
     GroupBudgetError,
-    GroupError,
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    _check_contained,
     _gather,
     check_deadline,
     current_budgets,
@@ -423,10 +425,8 @@ def _normal_subgroups_by_closures(sub: SubgroupRef) -> list[frozenset[int]]:
 
 def minimal_overgroups(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
     """All K <= G with H maximal in K, in canonical order."""
-    sub = _as_subgroup(G)
+    sub = _check_contained(G, H)
     top = sub.members
-    if not H.members <= top:
-        raise GroupError("H must be contained in G")
     return memo(sub.parent, "min_over", (H.members, top), _minimal_overgroups, sub.parent, H, top)
 
 
@@ -486,11 +486,8 @@ def _minimal(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
 
 def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
     """All subgroups L with H <= L <= G, in canonical order."""
-    sub = _as_subgroup(G)
-    parent = sub.parent
-    if not H.members <= sub.members:
-        raise GroupError("interval requires H <= G")
-    return memo(parent, "interval", (H.members, sub.members), _interval, sub, H)
+    sub = _check_contained(G, H)
+    return memo(sub.parent, "interval", (H.members, sub.members), _interval, sub, H)
 
 
 def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:

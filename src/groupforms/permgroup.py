@@ -12,6 +12,11 @@ The budgets of a run (``Budgets``) are put in force once, with
 and the products read the order limit, subgroup enumeration reads the lattice
 limit, and the long search loops call ``check_deadline``. Outside any
 ``in_force`` block the defaults apply and there is no deadline.
+
+Every function of the package that takes an ambient group and a subgroup H
+of it decides that H has the same parent and lies inside it in one place,
+``_check_contained``. The Fitting subgroup is recomputed on each call from
+the cached Sylow subgroups and cores.
 """
 
 from __future__ import annotations
@@ -587,6 +592,17 @@ def _as_subgroup(G: GroupLike) -> SubgroupRef:
     return G.as_subgroup() if isinstance(G, FiniteGroup) else G
 
 
+def _check_contained(G: GroupLike, H: SubgroupRef) -> SubgroupRef:
+    """The ambient subgroup of G, once H is known to be a subgroup of it:
+    the one containment check of every function that takes both."""
+    amb = _as_subgroup(G)
+    if H.parent is not amb.parent:
+        raise GroupError("H belongs to a different parent group")
+    if not H.members <= amb.members:
+        raise GroupError("H is not a subgroup of the ambient group")
+    return amb
+
+
 @dataclass(frozen=True)
 class GroupHom:
     """A surjective homomorphism witnessing a quotient G -> G/N.
@@ -618,11 +634,8 @@ class GroupHom:
 
 def normalizer(G: GroupLike, H: SubgroupRef) -> SubgroupRef:
     """N_G(H) = {g in G : H^g = H}."""
-    amb = _as_subgroup(G)
-    parent = amb.parent
-    if not H.members <= amb.members:
-        raise GroupError("H is not a subgroup of the ambient group")
-    return memo(parent, "normalizer", (amb.members, H.members), _normalizer, amb, H)
+    amb = _check_contained(G, H)
+    return memo(amb.parent, "normalizer", (amb.members, H.members), _normalizer, amb, H)
 
 
 def _normalizer(amb: SubgroupRef, H: SubgroupRef) -> SubgroupRef:
@@ -647,11 +660,8 @@ def _normalizer(amb: SubgroupRef, H: SubgroupRef) -> SubgroupRef:
 
 def core(B: GroupLike, A: SubgroupRef) -> SubgroupRef:
     """Core of A in B: the largest subgroup of A normal in B."""
-    amb = _as_subgroup(B)
-    parent = amb.parent
-    if not A.members <= amb.members:
-        raise GroupError("core requires A <= B")
-    return memo(parent, "core", (amb.members, A.members), _core, amb, A)
+    amb = _check_contained(B, A)
+    return memo(amb.parent, "core", (amb.members, A.members), _core, amb, A)
 
 
 def _core(amb: SubgroupRef, A: SubgroupRef) -> SubgroupRef:
@@ -825,10 +835,6 @@ def p_core(G: GroupLike, p: int) -> SubgroupRef:
 def fitting(G: GroupLike) -> SubgroupRef:
     """Fitting subgroup: the product of the p-cores, verified nilpotent."""
     sub = _as_subgroup(G)
-    return memo(sub.parent, "fitting", sub.members, _fitting, sub)
-
-
-def _fitting(sub: SubgroupRef) -> SubgroupRef:
     parent = sub.parent
     members = frozenset((parent.identity,))
     for p in sorted(prime_divisors(sub)):
@@ -846,11 +852,8 @@ def quotient(G: GroupLike, N: SubgroupRef) -> GroupHom:
     so quotients whose coset actions give the same permutations return one
     shared ``FiniteGroup`` (see ``GroupHom``).
     """
-    sub = _as_subgroup(G)
-    parent = sub.parent
-    if not N.members <= sub.members:
-        raise GroupError("kernel is not contained in the group")
-    return memo(parent, "quotient", (sub.members, N.members), _quotient, sub, N)
+    sub = _check_contained(G, N)
+    return memo(sub.parent, "quotient", (sub.members, N.members), _quotient, sub, N)
 
 
 def _quotient(sub: SubgroupRef, N: SubgroupRef) -> GroupHom:

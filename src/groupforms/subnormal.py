@@ -26,6 +26,10 @@ H is F-abnormal when no step K < L of [H, G] has L^F <= K. A walk up from H,
 one ``minimal_overgroups`` list per subgroup reached, returns False at the
 first such step, so only an F-abnormal H has all of [H, G] walked. The test
 oracle builds the interval and decides each step by quotient membership.
+F-abnormality and absolute F-subnormality keep no verdict of their own:
+each call recomputes them from the cached minimal overgroups, intervals,
+residuals and F-subnormality verdicts. Every predicate checks that H is a
+subgroup of G with ``permgroup._check_contained``, the one such check.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .permgroup import (
     GroupError,
     GroupLike,
     SubgroupRef,
-    _as_subgroup,
+    _check_contained,
     _gather,
     check_deadline,
     core,
@@ -69,17 +73,8 @@ class ChainWitness:
     steps: tuple[StepCertificate, ...]
 
 
-def _check_contained(amb: SubgroupRef, H: SubgroupRef) -> None:
-    if H.parent is not amb.parent:
-        raise GroupError("H belongs to a different parent group")
-    if not H.members <= amb.members:
-        raise GroupError("H is not a subgroup of the ambient group")
-
-
 def is_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
-    return _fsn(amb, H, F)
+    return _fsn(_check_contained(G, H), H, F)
 
 
 def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[ChainWitness]:
@@ -93,9 +88,9 @@ def f_subnormal_witness(G: GroupLike, H: SubgroupRef, F: Formation) -> Optional[
     when a True verdict has no such step above some K, as a formation
     wrongly flagged ``subgroup_closed`` can bring about.
     """
-    if not is_f_subnormal(G, H, F):
+    amb = _check_contained(G, H)
+    if not _fsn(amb, H, F):
         return None
-    amb = _as_subgroup(G)
     K = H
     chain = [K]
     while K.members != amb.members:
@@ -149,14 +144,9 @@ def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     first L with L^F <= K ends the walk with False, and each L not yet
     reached is walked from in turn.
     """
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
+    amb = _check_contained(G, H)
     if H.members == amb.members:
         return True  # vacuous quantification
-    return memo(amb.parent, "fabn", (amb.members, H.members, F), _f_abnormal, amb, H, F)
-
-
-def _f_abnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
     seen = {H.members}
     work = [H]
     while work:
@@ -173,21 +163,13 @@ def _f_abnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
 
 def is_absolutely_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     """Every subgroup containing H is F-subnormal in the ambient group."""
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
-    return memo(
-        amb.parent, "abs_fsn", (amb.members, H.members, F), _absolutely_f_subnormal, amb, H, F
-    )
-
-
-def _absolutely_f_subnormal(amb: SubgroupRef, H: SubgroupRef, F: Formation) -> bool:
+    amb = _check_contained(G, H)
     return all(is_f_subnormal(amb, L, F) for L in _lattice.interval(amb, H))
 
 
 def is_abnormal(G: GroupLike, H: SubgroupRef) -> bool:
     """x in <H, H^x> for every x; checked once per H-H double coset."""
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
+    amb = _check_contained(G, H)
     return memo(amb.parent, "abnormal", (amb.members, H.members), _abnormal, amb, H)
 
 
@@ -209,6 +191,4 @@ def _abnormal(amb: SubgroupRef, H: SubgroupRef) -> bool:
 
 
 def is_self_normalizing(G: GroupLike, H: SubgroupRef) -> bool:
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
-    return normalizer(amb, H).members == H.members
+    return normalizer(G, H).members == H.members

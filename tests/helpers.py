@@ -27,6 +27,7 @@ from groupforms.permgroup import (
     GroupLike,
     SubgroupRef,
     _as_subgroup,
+    _check_contained,
     _gather,
     check_deadline,
     core,
@@ -36,7 +37,7 @@ from groupforms.permgroup import (
     quotient,
 )
 from groupforms.structure import subgroup_class_reps
-from groupforms.subnormal import _check_contained, is_f_subnormal
+from groupforms.subnormal import is_f_subnormal
 
 
 CHECKER_STATEMENTS = {
@@ -110,8 +111,7 @@ def is_f_subnormal_via_residual(
     Edges are minimal-overgroup steps (K, L) with residual(F, L) <= K;
     H is F-subnormal iff the ambient group is reachable from H.
     """
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
+    amb = _check_contained(G, H)
     parent = amb.parent
     if H.members == amb.members:
         return True
@@ -151,8 +151,7 @@ def is_f_subnormal_via_quotients(
     ``quotient_in`` verdict is read.
     """
     member = raw_membership(F)
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
+    amb = _check_contained(G, H)
     if H.members == amb.members:
         return True
     seen = {H.members}
@@ -175,8 +174,7 @@ def is_f_subnormal_via_quotients(
 
 def is_subnormal(G: GroupLike, H: SubgroupRef) -> bool:
     """Classical subnormality (oracle helper): normal-closure descent reaches H."""
-    amb = _as_subgroup(G)
-    _check_contained(amb, H)
+    amb = _check_contained(G, H)
     parent = amb.parent
 
     current = amb

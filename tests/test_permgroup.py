@@ -18,7 +18,7 @@ from helpers import (
 )
 
 import groupforms
-from groupforms import catalog
+from groupforms import catalog, subnormal
 from groupforms import lattice as lat
 from groupforms.formations import ABELIAN, NILPOTENT, SUPERSOLUBLE
 from groupforms.structure import check_lemma_suite
@@ -306,6 +306,37 @@ def test_core_idempotent():
     assert core(g, c).members == c.members
 
 
+# every function that takes an ambient group G and a subgroup H, with H bound last
+G_H_ENTRY_POINTS = {
+    "normalizer": normalizer,
+    "core": core,
+    "quotient": quotient,
+    "interval": lat.interval,
+    "minimal_overgroups": lat.minimal_overgroups,
+    "is_f_subnormal": lambda G, H: subnormal.is_f_subnormal(G, H, NILPOTENT),
+    "f_subnormal_witness": lambda G, H: subnormal.f_subnormal_witness(G, H, NILPOTENT),
+    "is_f_abnormal": lambda G, H: subnormal.is_f_abnormal(G, H, NILPOTENT),
+    "is_absolutely_f_subnormal": (
+        lambda G, H: subnormal.is_absolutely_f_subnormal(G, H, NILPOTENT)
+    ),
+    "is_abnormal": subnormal.is_abnormal,
+    "is_self_normalizing": subnormal.is_self_normalizing,
+}
+
+
+@pytest.mark.parametrize("name", list(G_H_ENTRY_POINTS))
+def test_every_g_h_entry_point_rejects_a_foreign_or_outside_h(name):
+    call = G_H_ENTRY_POINTS[name]
+    g, other = s4(), s3()
+    c3_of_s3 = subgroup_generated(other, [idx(other, "(1 2 3)")])
+    with pytest.raises(GroupError, match="H belongs to a different parent group"):
+        call(g, c3_of_s3)
+    a4_in_s4 = subgroup_generated(g, [idx(g, "(1 2 3)"), idx(g, "(1 2)(3 4)")])
+    c2 = subgroup_generated(g, [idx(g, "(1 2)")])
+    with pytest.raises(GroupError, match="H is not a subgroup of the ambient group"):
+        call(a4_in_s4, c2)
+
+
 # -- derived machinery --------------------------------------------------------
 
 def test_derived_abelian_trivial():
@@ -443,13 +474,25 @@ def test_memo_raising_compute_leaves_no_entry():
     assert "test-raise-keyless" not in g._op_cache
 
 
-def test_memo_has_one_layout(small_groups):
+# what the A, N and U lemma suites cache on groups and images, pinned so that
+# a new memo namespace is a deliberate change
+LEMMA_SUITE_NAMESPACES = {
+    "abnormal", "class_reps", "core", "derived", "formation_member", "fsn", "gens",
+    "image", "interval", "lattice_index", "min_over", "normalizer", "normals", "orders",
+    "quotient", "residual", "sub_sets", "sylow",
+}
+
+
+def test_memo_has_one_layout():
     # every cached fact is one dict entry per namespace, on every group and
-    # on every quotient image it holds
+    # on every quotient image it holds; the groups are built afresh, so that
+    # only the lemma suites fill their caches
+    groups = catalog.catalog_groups(24)
     for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE):
-        check_lemma_suite(small_groups, F)
+        check_lemma_suite(groups, F)
     seen: set[int] = set()
-    stack = list(small_groups)
+    namespaces: set[str] = set()
+    stack = list(groups)
     while stack:
         g = stack.pop()
         if id(g) in seen:
@@ -457,10 +500,11 @@ def test_memo_has_one_layout(small_groups):
         seen.add(id(g))
         for namespace, value in g._op_cache.items():
             assert isinstance(value, dict), (g, namespace)
-        assert not {"quotient_in", "whole", "self_sub"} & set(g._op_cache), g
+        namespaces |= set(g._op_cache)
         stack.extend(hom.image for hom in g._op_cache.get("quotient", {}).values())
         stack.extend(g._op_cache.get("image", {}).values())
-    assert len(seen) > len(small_groups)
+    assert len(seen) > len(groups)
+    assert namespaces == LEMMA_SUITE_NAMESPACES
 
 
 def test_only_memo_touches_the_op_cache():
