@@ -15,13 +15,15 @@ assembled in a fixed order regardless of worker parallelism.
 
 The ``--budget-*`` options form one ``permgroup.Budgets``, put in force for
 the whole run (for ``batch``, for each file): the deadline covers loading and
-checking, and each budget binds where the work happens.
+checking, and each budget binds where the work happens. A value that is not
+a budget, or a ``--jobs`` below 1, is a usage error (exit 2, no stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from contextlib import suppress
 from multiprocessing import Pool
@@ -53,6 +55,17 @@ CHECK_NAMES = ALL_CHECKS + ("example864", "all")
 
 # what a run reports as an operational error (exit 2) instead of raising
 _OPERATIONAL = (GroupError, GroupBudgetError, OSError)
+
+
+def _option(convert, valid, rule: str):
+    """An argparse type: the converted text if it converts and is ``valid``,
+    else a usage error saying what the value must be."""
+    def parse(text: str):
+        with suppress(ValueError):
+            if valid(convert(text)):
+                return convert(text)
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
 
 
 def _budgets(args: argparse.Namespace) -> Budgets:
@@ -212,16 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
         "for small permutation groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    at_least_one = _option(int, lambda n: n >= 1, "an integer of at least 1")
+    seconds = _option(float, lambda t: 0 < t < math.inf, "a finite number of seconds above 0")
 
     def add_size_budgets(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget-max-order", type=int, default=Budgets.max_order)
-        p.add_argument("--budget-lattice", type=int, default=Budgets.lattice)
+        p.add_argument("--budget-max-order", type=at_least_one, default=Budgets.max_order)
+        p.add_argument("--budget-lattice", type=at_least_one, default=Budgets.lattice)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--formation", default="N", choices=list(BUILT_IN))
         p.add_argument("--report", help="also write the JSON report to this path")
         add_size_budgets(p)
-        p.add_argument("--budget-time", type=float, default=None,
+        p.add_argument("--budget-time", type=seconds, default=None,
                        help="soft per-run time budget in seconds")
 
     p_analyze = sub.add_parser("analyze", help="run checks on a single group")
@@ -234,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="verify every .pgrp file in a directory")
     p_batch.add_argument("--dir", required=True)
     p_batch.add_argument("--check", default="lemmas", choices=CHECK_NAMES)
-    p_batch.add_argument("--jobs", type=int, default=1)
+    p_batch.add_argument("--jobs", type=at_least_one, default=1)
     add_common(p_batch)
     p_batch.set_defaults(func=cmd_batch)
 

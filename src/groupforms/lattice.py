@@ -16,12 +16,13 @@ and conjugation permutes the list's positions (``_IndexAction``): orbits are
 integer orbits, and the normal subgroups of a soluble parent's subgroups are
 the positions their generators fix. Above it, a proper subgroup is
 enumerated on its own, an interval is walked up by minimal overgroups
-(``_interval_by_bfs``), minimal overgroups take one join per double coset,
+(``_interval_by_walk``), minimal overgroups take one join per double coset,
 and orbits follow member sets (``_orbit``), as cyclic extension always does.
 An insoluble parent's normal subgroups are products of normal closures of
-element classes, since its list costs far more. The deadline is checked once
-per subgroup extended, per walk step, per orbit followed, and per
-minimal-overgroup or normal-subgroup list read off the parent's list.
+element classes, since its list costs far more. ``walk_up`` is the one walk
+up the lattice (intervals, products of class closures, F-abnormality). The
+deadline is checked once per subgroup extended or walked, per orbit followed,
+and per minimal-overgroup or normal-subgroup list read off the parent's list.
 ``interval`` and ``minimal_overgroups`` check their subgroup with
 ``permgroup._check_contained``, as every (G, H) function does.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional, TypeVar
 
 from .permgroup import (
     FiniteGroup,
@@ -47,6 +48,8 @@ from .permgroup import (
     prime_factorization,
 )
 
+T = TypeVar("T")  # what ``walk_up`` takes: member sets or SubgroupRefs
+
 
 class LatticeBudgetError(GroupBudgetError):
     """Full-lattice enumeration was requested beyond the configured budget."""
@@ -57,6 +60,21 @@ def canonical(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+def walk_up(H: T, overs: Callable[[T], Iterable[T]]) -> Iterator[T]:
+    """H, then each subgroup reached through ``overs``, once and depth first.
+    Lazy: a caller that stops early asks ``overs`` no more. Checks the
+    deadline once per subgroup it takes."""
+    seen, work = {H}, [H]
+    while work:
+        check_deadline()
+        K = work.pop()
+        yield K
+        for L in overs(K):
+            if L not in seen:
+                seen.add(L)
+                work.append(L)
+
+
 def subgroup_sets(G: GroupLike) -> list[frozenset[int]]:
     """All subgroups of the (sub)group as member sets, canonically sorted.
 
@@ -64,7 +82,7 @@ def subgroup_sets(G: GroupLike) -> list[frozenset[int]]:
     off the parent's list. Otherwise there are two routes, chosen by
     ``is_soluble``; both return the same list. A soluble group is enumerated
     by cyclic extension (``_cyclic_extension``), an insoluble one as the
-    interval [1, X] of iterated minimal overgroups (``_interval_by_bfs``),
+    interval [1, X] of iterated minimal overgroups (``_interval_by_walk``),
     which reaches perfect subgroups too.
     """
     sub = _as_subgroup(G)
@@ -101,7 +119,7 @@ def _enumerate(sub: SubgroupRef) -> list[frozenset[int]]:
     """The subgroups of ``sub`` from its own elements, not from a list."""
     if is_soluble(sub):
         return _cyclic_extension(sub)
-    return _interval_by_bfs(sub, frozenset((sub.parent.identity,)))
+    return _interval_by_walk(sub, frozenset((sub.parent.identity,)))
 
 
 def _cyclic_extension(sub: SubgroupRef) -> list[frozenset[int]]:
@@ -408,19 +426,12 @@ def _normal_subgroups_by_closures(sub: SubgroupRef) -> list[frozenset[int]]:
         parent.closure(orbit) for orbit in _point_orbits(sub.members - trivial, maps, parent.order)
     })
     spans = [(C, parent.greedy_generators(C)) for C in closures]
-    found = {trivial}
-    work = [trivial]
-    while work:
-        N = work.pop()
+
+    def products(N: frozenset[int]) -> Iterator[frozenset[int]]:
         coset = _gather(sorted(N))
-        for C, gens in spans:
-            if C <= N:
-                continue
-            bigger = parent.join(N, gens, coset)
-            if bigger not in found:
-                found.add(bigger)
-                work.append(bigger)
-    return canonical(found)
+        return (parent.join(N, gens, coset) for C, gens in spans if not C <= N)
+
+    return canonical(walk_up(trivial, products))
 
 
 def minimal_overgroups(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
@@ -493,32 +504,22 @@ def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
 def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
     whole = _parent_list(sub.parent)
     if whole is None:
-        sets = _interval_by_bfs(sub, H.members)
+        sets = _interval_by_walk(sub, H.members)
     else:
         h, top = H.members, sub.members
         sets = [s for s in whole if h <= s <= top]
     return [SubgroupRef(sub.parent, s) for s in sets]
 
 
-def _interval_by_bfs(sub: SubgroupRef, bottom: frozenset[int]) -> list[frozenset[int]]:
-    """[bottom, sub] by iterated minimal overgroups, each list taken by joins
-    (``_minimal_overgroups_by_joins``, cached in ``min_over``). It never
-    reads the parent's list, which the whole-group enumeration of an
-    insoluble group builds through it."""
-    parent = sub.parent
-    top = sub.members
-    found = {bottom}
-    work = [bottom]
-    while work:
-        check_deadline()
-        cur = work.pop()
-        ref = SubgroupRef(parent, cur)
-        key = (cur, top)
-        for over in memo(parent, "min_over", key, _minimal_overgroups_by_joins, parent, ref, top):
-            if over.members not in found:
-                found.add(over.members)
-                work.append(over.members)
-    return canonical(found)
+def _interval_by_walk(sub: SubgroupRef, bottom: frozenset[int]) -> list[frozenset[int]]:
+    """[bottom, sub] by ``walk_up`` through minimal overgroups, each list
+    taken by joins (``_minimal_overgroups_by_joins``, cached in
+    ``min_over``). It never reads the parent's list, which the whole-group
+    enumeration of an insoluble group builds through it."""
+    parent, top = sub.parent, sub.members
+    walk = walk_up(SubgroupRef(parent, bottom), lambda K: memo(
+        parent, "min_over", (K.members, top), _minimal_overgroups_by_joins, parent, K, top))
+    return canonical(K.members for K in walk)
 
 
 def is_maximal(K: SubgroupRef, M: SubgroupRef) -> bool:

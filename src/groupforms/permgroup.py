@@ -561,10 +561,6 @@ class SubgroupRef:
             return [identity_perm(self.parent.degree)]
         return [self.parent.elements[g] for g in gens]
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.order, self.sorted_members)
-
     def is_whole(self) -> bool:
         return self.order == self.parent.order
 
@@ -698,22 +694,18 @@ def normal_closure(G: GroupLike, seed: Iterable[int]) -> SubgroupRef:
         current = parent.join(current, extra)
 
 
-def commutator_subgroup(G: GroupLike, A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
-    """[A, B] inside the ambient group (normal closure of generator commutators)."""
-    amb = _as_subgroup(G)
-    parent = amb.parent
-    seeds = set()
+def commutator_subgroup(A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
+    """[A, B]: the normal closure in <A, B> of the generators' commutators."""
+    parent = A.parent
     a_gens = A.generators or (parent.identity,)
     b_gens = B.generators or (parent.identity,)
-    for a in a_gens:
-        for b in b_gens:
-            seeds.add(parent.commutator(a, b))
+    seeds = {parent.commutator(a, b) for a in a_gens for b in b_gens}
     return normal_closure(SubgroupRef(parent, parent.join(A.members, B.generators)), seeds)
 
 
 def derived_subgroup(G: GroupLike) -> SubgroupRef:
     sub = _as_subgroup(G)
-    return memo(sub.parent, "derived", sub.members, commutator_subgroup, sub, sub, sub)
+    return memo(sub.parent, "derived", sub.members, commutator_subgroup, sub, sub)
 
 
 def derived_series(G: GroupLike) -> list[SubgroupRef]:
@@ -731,7 +723,7 @@ def lower_central_series(G: GroupLike) -> list[SubgroupRef]:
     sub = _as_subgroup(G)
     series = [sub]
     while True:
-        nxt = commutator_subgroup(sub, sub, series[-1])
+        nxt = commutator_subgroup(sub, series[-1])
         if nxt.members == series[-1].members:
             break
         series.append(nxt)

@@ -44,9 +44,9 @@ _STATUS_ORDER = (PASS, FAIL, SKIP, ERROR)
 
 
 def dumps(payload: dict) -> str:
-    """The one JSON form of every CLI output: sorted keys, indent 2, and a
-    trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The one JSON form of every CLI output: sorted keys, indent 2, a
+    trailing newline, and ``ValueError`` on a NaN or infinity."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def envelope(kind: str, budgets: dict, formation: Optional[str]) -> dict:

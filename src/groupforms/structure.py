@@ -129,12 +129,12 @@ def carter_subgroups(G: GroupLike) -> list[SubgroupRef]:
     sub = _as_subgroup(G)
     parent = sub.parent
     sets = _lattice.subgroup_sets(sub)
-    out: list[SubgroupRef] = []
+    out: list[frozenset[int]] = []
     for rep, orbit in _lattice.conjugacy_orbits(parent, sets, sub.members):
         H = SubgroupRef(parent, rep)
         if is_nilpotent(H) and is_self_normalizing(sub, H):
-            out.extend(SubgroupRef(parent, s) for s in orbit)
-    return sorted(out, key=lambda r: r.sort_key)
+            out.extend(orbit)
+    return [SubgroupRef(parent, s) for s in _lattice.canonical(out)]
 
 
 def is_ef_group(G: GroupLike, F: Formation) -> bool:

@@ -22,14 +22,15 @@ with the residual-containment step form and with membership of the built
 step quotient, and classical subnormality) are test oracles in
 ``tests/helpers.py``.
 
-H is F-abnormal when no step K < L of [H, G] has L^F <= K. A walk up from H,
-one ``minimal_overgroups`` list per subgroup reached, returns False at the
-first such step, so only an F-abnormal H has all of [H, G] walked. The test
-oracle builds the interval and decides each step by quotient membership.
-F-abnormality and absolute F-subnormality keep no verdict of their own:
-each call recomputes them from the cached minimal overgroups, intervals,
-residuals and F-subnormality verdicts. Every predicate checks that H is a
-subgroup of G with ``permgroup._check_contained``, the one such check.
+H is F-abnormal when no step K < L of [H, G] has L^F <= K. ``walk_up`` from
+H, one ``minimal_overgroups`` list and deadline check per subgroup it takes,
+returns False at the first such step, so only an F-abnormal H has all of
+[H, G] walked. The test oracle builds the interval and decides each step by
+quotient membership. F-abnormality and absolute F-subnormality keep no
+verdict of their own: each call recomputes them from the cached minimal
+overgroups, intervals, residuals and F-subnormality verdicts. Every
+predicate checks that H is a subgroup of G with ``permgroup._check_contained``,
+the one such check.
 """
 
 from __future__ import annotations
@@ -140,25 +141,14 @@ def is_f_abnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
     """True iff every step K < L above H has quotient L/core_L(K) outside F,
     that is L^F is not contained in K.
 
-    Walks up from H: each K reached gives its minimal overgroups L, the
-    first L with L^F <= K ends the walk with False, and each L not yet
-    reached is walked from in turn.
+    ``lattice.walk_up`` from H through minimal overgroups: the first K
+    reached with a step L^F <= K ends the walk with False.
     """
     amb = _check_contained(G, H)
     if H.members == amb.members:
         return True  # vacuous quantification
-    seen = {H.members}
-    work = [H]
-    while work:
-        check_deadline()
-        K = work.pop()
-        if next(_steps_up(amb, K, F), None) is not None:
-            return False
-        for L in _lattice.minimal_overgroups(amb, K):
-            if L.members not in seen:
-                seen.add(L.members)
-                work.append(L)
-    return True
+    walk = _lattice.walk_up(H, lambda K: _lattice.minimal_overgroups(amb, K))
+    return all(next(_steps_up(amb, K, F), None) is None for K in walk)
 
 
 def is_absolutely_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> bool:
@@ -168,7 +158,7 @@ def is_absolutely_f_subnormal(G: GroupLike, H: SubgroupRef, F: Formation) -> boo
 
 
 def is_abnormal(G: GroupLike, H: SubgroupRef) -> bool:
-    """x in <H, H^x> for every x; checked once per H-H double coset."""
+    """x in <H, H^x> for every x; checked once per H-H double coset, as is the deadline."""
     amb = _check_contained(G, H)
     return memo(amb.parent, "abnormal", (amb.members, H.members), _abnormal, amb, H)
 
@@ -182,6 +172,7 @@ def _abnormal(amb: SubgroupRef, H: SubgroupRef) -> bool:
     for x in sorted(amb.members):
         if x in covered:
             continue
+        check_deadline()
         join = parent.join(H.members, [parent.conj(g, x) for g in h_gens], coset)
         if x not in join:
             return False

@@ -415,6 +415,38 @@ def test_lattice_rejects_options_it_cannot_honour(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--group", "S4", "--check", "theorem1", "--budget-time", "nan"],
+        ["analyze", "--group", "S4", "--check", "theorem1", "--budget-time", "inf"],
+        ["analyze", "--group", "S4", "--check", "theorem1", "--budget-time", "0"],
+        ["analyze", "--group", "S4", "--check", "theorem1", "--budget-time", "-1"],
+        ["analyze", "--group", "S4", "--check", "theorem1", "--budget-lattice", "-5"],
+        ["analyze", "--group", "S4", "--check", "theorem1", "--budget-max-order", "0"],
+        ["batch", "--dir", ".", "--jobs", "0"],
+        ["batch", "--dir", ".", "--jobs", "-3"],
+        ["batch", "--dir", ".", "--budget-lattice", "2.5"],
+        ["lattice", "--group", "S4", "--budget-lattice", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[-2:]),
+)
+def test_values_that_are_not_budgets_are_usage_errors(capsys, argv):
+    # every output is JSON, which has no NaN or infinity, and a count below
+    # 1 is no budget: argparse refuses them (exit 2) before anything runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be" in captured.err
+
+
+def test_reports_refuse_a_nan():
+    with pytest.raises(ValueError):
+        reports.dumps({"time": float("nan")})
+
+
 def test_lattice_budget_exceeded(capsys):
     code = main(["lattice", "--group", "example864", "--budget-lattice", "400"])
     assert code == EXIT_ERROR

@@ -36,7 +36,7 @@ from groupforms.permgroup import (
     sylow_subgroup,
 )
 from groupforms.lattice import LatticeBudgetError
-from groupforms.subnormal import is_f_subnormal
+from groupforms.subnormal import is_abnormal, is_f_abnormal, is_f_subnormal
 
 
 def _from_bottom(X):
@@ -200,10 +200,11 @@ def test_lattice_budget_binds_on_cached_lattice():
         lambda G: lat.normal_subgroups(G),
         lambda G: lat.orbit_reps_under(G, [frozenset((x,)) for x in G.whole()], G.whole()),
         lambda G: lat.class_reps(G),
+        lambda G: is_abnormal(G, sylow_subgroup(G, 3)),
     ],
     ids=[
         "subgroup_sets", "interval", "is_f_subnormal", "normal_subgroups", "orbit_reps_under",
-        "class_reps",
+        "class_reps", "is_abnormal",
     ],
 )
 def test_time_budget_binds_inside_searches(search):
@@ -229,6 +230,35 @@ def test_time_budget_binds_once_per_orbit_on_the_index_route(monkeypatch):
     monkeypatch.setattr(lat, "check_deadline", deadline)
     assert len(lat.class_reps(G)) == deadlines["_point_orbits"] == 11
     assert deadlines["_orbit"] == 0
+
+
+def _sylow2_normalizer(G):
+    return normalizer(G, sylow_subgroup(G, 2))
+
+
+@pytest.mark.parametrize(
+    "budget, walk, taken",
+    [
+        # above the lattice budget the interval is walked by joins, and the
+        # normal subgroups are the products of class closures
+        (10, lambda G: len(lat.interval(G, sylow_subgroup(G, 3))), 4),
+        (10, lambda G: len(lat.normal_subgroups(G)), 4),
+        # D8 is N-abnormal in S4, so the walk takes all of [D8, S4]
+        (400, lambda G: is_f_abnormal(G, _sylow2_normalizer(G), NILPOTENT)
+         and len(lat.interval(G, _sylow2_normalizer(G))), 2),
+    ],
+    ids=["interval", "normal_subgroups", "is_f_abnormal"],
+)
+def test_walk_up_checks_the_deadline_once_per_subgroup_taken(monkeypatch, budget, walk, taken):
+    G = catalog.symmetric(4)  # cold: nothing is cached yet
+    deadlines = Counter()
+
+    def deadline():
+        deadlines[sys._getframe(1).f_code.co_name] += 1
+
+    monkeypatch.setattr(lat, "check_deadline", deadline)
+    with Budgets(lattice=budget).in_force():
+        assert walk(G) == deadlines["walk_up"] == taken
 
 
 def test_normal_subgroups():
@@ -337,7 +367,7 @@ def test_interval_from_bottom_matches_all_subgroups(small_groups):
     # the minimal-overgroup walk from 1 against the enumeration; ``interval``
     # itself reads the list within the budget, so the walk is called directly
     for g in small_groups[:15]:
-        via_walk = set(lat._interval_by_bfs(g.as_subgroup(), frozenset((g.identity,))))
+        via_walk = set(lat._interval_by_walk(g.as_subgroup(), frozenset((g.identity,))))
         assert via_walk == set(lat.subgroup_sets(g))
 
 
@@ -440,7 +470,7 @@ def _assert_routes_agree(X, H):
     parent, top = X.parent, X.members
     if H.order < parent.order:  # the parent's own list is the enumeration
         assert lat._subgroup_sets(H) == lat._enumerate(H)
-    assert [L.members for L in lat._interval(X, H)] == lat._interval_by_bfs(X, H.members)
+    assert [L.members for L in lat._interval(X, H)] == lat._interval_by_walk(X, H.members)
     by_joins = parent._op_cache["min_over"][(H.members, top)]
     assert lat._minimal_overgroups(parent, H, top) == by_joins
 

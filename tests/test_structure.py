@@ -254,6 +254,27 @@ def test_lemma_suite_report_shape(small_groups):
     assert len(rep.checks) == 12
 
 
+def test_lemma_suite_reports_a_failing_lemma(monkeypatch):
+    # no catalog group violates a lemma, so a spy makes lemma 4 fail on S3
+    violations = [{"lemma": "4", "group": "S3", "maximals": 2}]
+    monkeypatch.setattr(structure, "check_lemma4", lambda G, F: violations)
+    rep = structure.check_lemma_suite([catalog.symmetric(3)], NILPOTENT, lemmas=("4", "5"))
+    failed = [c for c in rep.checks if c.status == reports.FAIL]
+    assert [(c.check, c.details, c.witnesses) for c in failed] == [
+        ("lemma4", {"group": "S3"}, violations)
+    ]
+    assert rep.summary() == {"pass": 1, "fail": 1, "skip": 0, "error": 0}
+
+
+def test_lemma5_skips_an_insoluble_group():
+    # N has every flag lemma 5 asks for, but lemma 5 is about soluble groups;
+    # the reason names the flags all the same (see docs/report_schema.md)
+    rep = structure.check_lemma_suite([catalog.alternating(5)], NILPOTENT, lemmas=("5",))
+    [entry] = rep.checks
+    assert (entry.check, entry.status) == ("lemma5", reports.SKIP)
+    assert entry.details == {"group": "A5", "reason": "hypothesis flags not satisfied"}
+
+
 def test_verify_paper_example_order_gate():
     with pytest.raises(GroupError):
         structure.verify_paper_example(catalog.symmetric(4))
