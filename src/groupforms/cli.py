@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from contextlib import suppress
 from multiprocessing import Pool
@@ -43,6 +42,8 @@ from .permgroup import (
     GroupError,
     check_deadline,
     current_budgets,
+    is_count,
+    is_seconds,
 )
 
 EXIT_OK = 0
@@ -225,8 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
         "for small permutation groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    at_least_one = _option(int, lambda n: n >= 1, "an integer of at least 1")
-    seconds = _option(float, lambda t: 0 < t < math.inf, "a finite number of seconds above 0")
+    # the rules of ``Budgets`` itself; a run from the command line also needs
+    # a time budget above 0, since one of 0 decides nothing
+    at_least_one = _option(int, is_count, "an integer of at least 1")
+    seconds = _option(
+        float, lambda t: is_seconds(t) and t > 0, "a finite number of seconds above 0"
+    )
 
     def add_size_budgets(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget-max-order", type=at_least_one, default=Budgets.max_order)

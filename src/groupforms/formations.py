@@ -15,8 +15,12 @@ predicate on the quotient image. It keeps no cache of its own: ``quotient``
 caches the image per (K, N) and ``Formation.contains`` the verdict per
 (image, F). The chain predicates test their steps by residual containment
 instead (``subnormal``), so only the residual postconditions and the chain
-witnesses build quotient images. U membership and U's residual walk chief
-series of a group's normal subgroups, so neither builds a subgroup lattice.
+witnesses build quotient images. A whole group's quotient by 1 is the group
+itself, so a group whose residual is 1 passes its postcondition by membership
+of the group, with no image built; every other quotient, K/1 for a proper K
+included, is realized by the right-coset action. U membership and U's
+residual walk chief series of a group's normal subgroups, so neither builds a
+subgroup lattice.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ the cached Sylow subgroups and cores.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import time
 from array import array
@@ -55,6 +56,13 @@ class Budgets:
     lattice: int = 400
     time: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for field, value in (("max_order", self.max_order), ("lattice", self.lattice)):
+            if not is_count(value):
+                raise GroupError(f"budget {field} must be an integer of at least 1, got {value!r}")
+        if self.time is not None and not is_seconds(self.time):
+            raise GroupError(f"budget time must be finite seconds of at least 0, got {self.time!r}")
+
     @contextmanager
     def in_force(self) -> Iterator[None]:
         """Make these the budgets of the enclosed code; the deadline starts now."""
@@ -64,6 +72,16 @@ class Budgets:
             yield
         finally:
             _IN_FORCE.reset(token)
+
+
+def is_count(n: object) -> bool:
+    """The rule of a count budget (and of the CLI's ``--jobs``): an integer of at least 1."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
+def is_seconds(t: object) -> bool:
+    """The rule of the time budget: a finite number of seconds, at least 0."""
+    return isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t < math.inf
 
 
 # (budgets, monotonic deadline or None); the budget is never part of a memo key
@@ -604,12 +622,15 @@ class GroupHom:
     """A surjective homomorphism witnessing a quotient G -> G/N.
 
     ``element_map`` sends parent element indices (of the source member set) to
-    element indices of ``image``; ``image`` is the permutation realization of
-    the right-coset action. Quotients of one parent whose coset actions give
-    the same permutations share one ``image`` object, and with it its cached
-    lattice, residuals and verdicts; each keeps its own ``kernel`` and
-    ``element_map``. A shared image's ``generators`` are those of the first
-    quotient that built it, so read them only as some generating set.
+    element indices of ``image``. A whole group's quotient by 1 has the group
+    itself as ``image`` and the identity as ``element_map``; every other
+    ``image`` is the permutation realization of the right-coset action, a
+    proper subgroup by 1 included. Quotients of one parent whose coset
+    actions give the same permutations share one ``image`` object, and with
+    it its cached lattice, residuals and verdicts; each keeps its own
+    ``kernel`` and ``element_map``. A shared image's ``generators`` are those
+    of the first quotient that built it, so read them only as some
+    generating set.
     """
 
     source: SubgroupRef
@@ -838,11 +859,13 @@ def fitting(G: GroupLike) -> SubgroupRef:
 
 
 def quotient(G: GroupLike, N: SubgroupRef) -> GroupHom:
-    """Quotient realized by the right-coset action; errors if N is not normal.
+    """The quotient G/N; errors if N is not normal.
 
-    Cached per (G, N). The image is cached on the parent by its element set,
-    so quotients whose coset actions give the same permutations return one
-    shared ``FiniteGroup`` (see ``GroupHom``).
+    Cached per (G, N). Its image is realized by the right-coset action,
+    except that a whole group's quotient by 1 needs no action: its
+    image is the group itself. Every other image is cached on the parent by
+    its element set, so quotients whose coset actions give the same
+    permutations return one shared ``FiniteGroup`` (see ``GroupHom``).
     """
     sub = _check_contained(G, N)
     return memo(sub.parent, "quotient", (sub.members, N.members), _quotient, sub, N)
@@ -850,6 +873,8 @@ def quotient(G: GroupLike, N: SubgroupRef) -> GroupHom:
 
 def _quotient(sub: SubgroupRef, N: SubgroupRef) -> GroupHom:
     parent = sub.parent
+    if N.order == 1 and sub.order == parent.order:
+        return GroupHom(sub, N, parent, {x: x for x in sub.members})
     gens = parent.greedy_generators(sub.members)
     for g in gens:
         if parent.conjugate_set(N.members, g) != N.members:

@@ -537,13 +537,14 @@ def check_lemma1(G: GroupLike, F: Formation) -> list[dict]:
                 )
     # (3) pushing to quotients: H maps to HN/N, and HN is the least set above
     # H and N; each verdict is decided once per (image, HN/N), since
-    # quotients with the same coset action share their image
+    # quotients with the same coset action share their image. At N = 1 the
+    # image of H is H itself, F-subnormal by choice, so (3) skips it as (2) does
     sets = _lattice.subgroup_sets(sub)
     above, mask = _bitsets(sets, parent.order)
     above_fsn = [above(H.members) for H in fsn_reps]
     pushed: dict[tuple[FiniteGroup, frozenset[int]], bool] = {}
     for N in normals:
-        if N.order == sub.order:
+        if N.order == 1 or N.order == sub.order:
             continue
         hom = quotient(sub, N)
         above_n = above(N.members)

@@ -17,7 +17,8 @@ The flag is trusted, so a formation wrongly flagged gets wrong verdicts.
 Without it the search recurses over the qualifying steps up from H. One
 verdict is memoised per (K, H, F). ``f_subnormal_witness`` walks up from H
 by the first step whose top is F-subnormal and certifies each step on its
-quotient image. The independent routes (bottom-up breadth-first searches
+quotient image: the group itself for a step to the whole group whose core is
+1, else the right-coset action on the step's top. The independent routes (bottom-up breadth-first searches
 with the residual-containment step form and with membership of the built
 step quotient, and classical subnormality) are test oracles in
 ``tests/helpers.py``.

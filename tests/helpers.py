@@ -8,6 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 from groupforms import lattice as lat
 from groupforms import reports
+from groupforms.catalog import cyclic
 from groupforms.formations import (
     NILPOTENT,
     SUPERSOLUBLE,
@@ -31,6 +32,7 @@ from groupforms.permgroup import (
     _gather,
     check_deadline,
     core,
+    direct_product,
     is_prime,
     normal_closure,
     normalizer,
@@ -326,8 +328,8 @@ def orbit_reps_by_conjugate_perms(
 
 def lemma1_pushed_and_met_violations(G: FiniteGroup, F: Formation, decide) -> list[dict]:
     """Lemma 1(3) and (5) as plain double loops, with ``decide(ambient,
-    members)`` for F-subnormality: every (N, H) maps H into G/N by
-    ``map_members`` and every (H, K) meets by set intersection, with no
+    members)`` for F-subnormality: every (N, H) with 1 < N < G maps H into
+    G/N by ``map_members`` and every (H, K) meets by set intersection, with no
     verdict shared between pairs. The entries are those of
     ``structure.check_lemma1``, in its order."""
     sub = G.as_subgroup()
@@ -335,7 +337,7 @@ def lemma1_pushed_and_met_violations(G: FiniteGroup, F: Formation, decide) -> li
     fsn = [H for H in subgroup_class_reps(sub) if is_f_subnormal(sub, H, F)]
     out = []
     for N in lat.normal_subgroups(sub):
-        if N.order == sub.order:
+        if N.order == 1 or N.order == sub.order:
             continue
         hom = quotient(sub, N)
         for H in fsn:
@@ -347,6 +349,19 @@ def lemma1_pushed_and_met_violations(G: FiniteGroup, F: Formation, decide) -> li
                 if not decide(SubgroupRef(G, K), H.members & K):
                     out.append({"lemma": "1.5", "group": label, "H": H.order, "K": len(K)})
     return out
+
+
+def regular_realization(G: FiniteGroup) -> tuple[FiniteGroup, list[int]]:
+    """G's right-regular realization R on |G| points, and the isomorphism
+    G -> R on element indices (``iso[x]`` is the image of x).
+
+    R is the coset image of G x 1, a proper subgroup of G x C2, by its
+    trivial subgroup; a whole group's quotient by 1 is the group itself."""
+    P = direct_product(G, cyclic(2))
+    fixed = (G.degree, G.degree + 1)  # the points of the C2 factor, fixed
+    lift = [P._index[g + fixed] for g in G.elements]
+    hom = quotient(SubgroupRef(P, frozenset(lift)), SubgroupRef(P, frozenset((P.identity,))))
+    return hom.image, [hom.element_map[x] for x in lift]
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,12 @@ def test_membership_trivial_group():
 
 
 def test_membership_invariant_under_quotient_realization():
-    # same abstract group, different degree
-    s3 = catalog.symmetric(3)
-    triv = SubgroupRef(s3, frozenset([s3.identity]))
-    realized = quotient(s3, triv).image
-    assert realized.degree != s3.degree
+    # same abstract group, different degree: the point stabiliser S3 < S4 by
+    # 1 is realized on its 6 right cosets of 1 (S3 by 1 would be S3 itself)
+    s3, s4 = catalog.symmetric(3), catalog.symmetric(4)
+    stabiliser = SubgroupRef(s4, frozenset(i for i, p in enumerate(s4.elements) if p[3] == 3))
+    realized = quotient(stabiliser, SubgroupRef(s4, frozenset([s4.identity]))).image
+    assert (realized.order, realized.degree, s3.degree) == (6, 6, 3)
     for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE):
         assert F.contains(realized) == F.contains(s3)
 

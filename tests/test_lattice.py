@@ -515,8 +515,9 @@ def test_time_budget_binds_in_the_edge_loop_of_all_subgroups(monkeypatch):
 
 
 def _reps_by_set_orbits(parent, sets, under):
-    # the route above the lattice budget: orbits of member sets
-    with Budgets(lattice=parent.order - 1).in_force():
+    # the route above the lattice budget: orbits of member sets. A budget is
+    # at least 1, so the trivial group, with its one subgroup, stays within it
+    with Budgets(lattice=max(parent.order - 1, 1)).in_force():
         return lat.orbit_reps_under(parent, sets, under)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from helpers import (
 )
 
 import groupforms
-from groupforms import catalog, subnormal
+from groupforms import catalog, permgroup, subnormal
 from groupforms import lattice as lat
 from groupforms.formations import ABELIAN, NILPOTENT, SUPERSOLUBLE
 from groupforms.structure import check_lemma_suite
@@ -30,6 +31,7 @@ from groupforms.permgroup import (
     SubgroupRef,
     _gather,
     _greedy_generators,
+    check_deadline,
     compose,
     core,
     derived_series,
@@ -231,6 +233,34 @@ def test_generate_budget_guard():
     # S7 has order 5040, far beyond the cap
     with Budgets(max_order=100).in_force(), pytest.raises(GroupBudgetError):
         generate([tuple(range(1, 7)) + (0,), (1, 0, 2, 3, 4, 5, 6)], 7)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"time": float("nan")},
+        {"time": float("inf")},
+        {"time": -1},
+        {"time": "5"},
+        {"lattice": -5},
+        {"lattice": 0},
+        {"lattice": 2.5},
+        {"lattice": True},
+        {"max_order": 0},
+        {"max_order": 2000.0},
+    ],
+    ids=repr,
+)
+def test_budgets_refuse_values_that_are_not_budgets(fields):
+    # a NaN deadline never trips and makes the report unwritable, and a
+    # count below 1 skips every all-subgroup lemma: refused when built
+    with pytest.raises(GroupError, match="budget"):
+        Budgets(**fields)
+
+
+def test_a_time_budget_of_0_binds():
+    with Budgets(time=0).in_force(), pytest.raises(GroupBudgetError, match="time budget"):
+        check_deadline()
 
 
 # -- subgroup_generated -------------------------------------------------------
@@ -505,6 +535,34 @@ def test_memo_has_one_layout():
         stack.extend(g._op_cache.get("image", {}).values())
     assert len(seen) > len(groups)
     assert namespaces == LEMMA_SUITE_NAMESPACES
+
+
+def test_lemma_suite_builds_no_image_of_a_whole_group_by_1(monkeypatch):
+    # counts are the stable signal: every image the A lemma suite builds on
+    # the catalog <= 24 is counted, so a change to image building is a
+    # deliberate re-pin. A whole group's quotient by 1 is the group itself
+    # and builds none; every other quotient builds its coset action's image
+    # unless one with the same permutations is cached
+    groups = catalog.catalog_groups(24)  # fresh groups: nothing is cached
+    real_quotient, real_from_table = permgroup._quotient, FiniteGroup.from_table
+    building = []  # whether each _quotient under way is a whole group's by 1
+    built = Counter()
+
+    def quotient_spy(sub, N):
+        building.append(sub.order == sub.parent.order and N.order == 1)
+        try:
+            return real_quotient(sub, N)
+        finally:
+            building.pop()
+
+    def from_table_spy(*args):
+        built["whole by 1" if building[-1] else "other"] += 1
+        return real_from_table(*args)
+
+    monkeypatch.setattr(permgroup, "_quotient", quotient_spy)
+    monkeypatch.setattr(FiniteGroup, "from_table", from_table_spy)
+    check_lemma_suite(groups, ABELIAN)
+    assert built == {"other": 285}
 
 
 def test_only_memo_touches_the_op_cache():

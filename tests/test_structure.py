@@ -177,6 +177,20 @@ def test_corollary2_examples():
     assert passes_deciding_all(v)  # all three false for F20
 
 
+@pytest.mark.parametrize(
+    "F, decided", [(NILPOTENT, (51, 111)), (SUPERSOLUBLE, (4, 17))], ids=["N", "U"]
+)
+def test_corollaries_pass_on_every_catalog_group_they_decide(catalog120, F, decided):
+    # N and U carry every flag the corollaries assume; on the catalog <= 120
+    # each corollary decides (does not skip) the pinned number of groups,
+    # decides every one of its statements on each, and passes on each
+    for check, want in zip((structure.check_corollary1, structure.check_corollary2), decided):
+        verdicts = [check(g, F) for g in catalog120]
+        got = [v for v in verdicts if v.to_check_result().status != reports.SKIP]
+        assert [v.group for v in got if not passes_deciding_all(v)] == [], check.__name__
+        assert len(got) == want, check.__name__
+
+
 def test_corollary1_passes_only_when_both_statements_hold(monkeypatch):
     # no catalog group makes both statements false, so on S3 (Carter order 2)
     # the order-2 subgroups are made non-abnormal and the trivial subgroup

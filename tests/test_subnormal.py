@@ -11,6 +11,7 @@ from helpers import (
     is_subnormal,
     oracle_f_abnormal,
     oracle_f_subnormal,
+    regular_realization,
     subgroup_refs,
 )
 
@@ -24,7 +25,8 @@ from groupforms.formations import (
     SUPERSOLUBLE,
     residual,
 )
-from groupforms.permgroup import SubgroupRef, sylow_subgroup
+from groupforms.permgroup import SubgroupRef, quotient, sylow_subgroup
+from groupforms.structure import subgroup_class_reps
 from groupforms.subnormal import (
     f_subnormal_witness,
     is_abnormal,
@@ -257,6 +259,35 @@ def test_sylow_normalizers_abnormal(small_groups):
         for p in prime_divisors(g):
             n = normalizer(g, sylow_subgroup(g, p))
             assert is_abnormal(g, n), (g.name, p)
+
+
+def test_verdicts_are_invariant_under_the_regular_realization(catalog120):
+    # the same abstract group on another point set: a whole group's quotient
+    # by 1 is the group itself with the identity map, so nothing else
+    # compares G with a second realization of it. R is the right-regular
+    # one, the image of a proper subgroup isomorphic to G by its trivial
+    # subgroup, which keeps its coset action
+    for g in catalog120:
+        hom = quotient(g, SubgroupRef(g, frozenset((g.identity,))))
+        assert hom.image is g and all(x == y for x, y in hom.element_map.items()), g.name
+        assert sorted(hom.element_map) == list(range(g.order))
+    checked = 0
+    for g in catalog.catalog_groups(24):  # fresh groups: no cache is shared
+        R, iso = regular_realization(g)
+        assert (R.order, R.degree) == (g.order, g.order) and R is not g, g.name
+        for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE):
+            assert F.contains(R) == F.contains(g), (g.name, F.name)
+            for H in subgroup_class_reps(g):
+                H_R = SubgroupRef(R, frozenset(iso[x] for x in H.members))
+                assert residual(F, H_R).members == {iso[x] for x in residual(F, H).members}
+                assert is_f_subnormal(R, H_R, F) == is_f_subnormal(g, H, F), (g.name, H.order)
+                assert is_f_abnormal(R, H_R, F) == is_f_abnormal(g, H, F), (g.name, H.order)
+                checked += 1
+        for K in subgroup_class_reps(g):  # a proper subgroup by 1: its coset action
+            if K.order < g.order:
+                image = quotient(K, SubgroupRef(g, frozenset((g.identity,)))).image
+                assert (image.order, image.degree) == (K.order, K.order) and image is not g
+    assert checked == 1623
 
 
 def test_witness_chains_match_verdicts(catalog120):
