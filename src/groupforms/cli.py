@@ -202,13 +202,17 @@ def cmd_lattice(args: argparse.Namespace) -> int:
             group = _load_group(args.group)
             if cache_path and cache_path.exists():
                 with suppress(_groupfile.CacheMismatchError):
-                    loaded = _groupfile.cache_load(cache_path, group)  # seeds the memo
-            lat = _lattice.all_subgroups(group)  # checks the budget on a cache hit too
-            if cache_path and lat is not loaded:
-                _groupfile.cache_save(lat, cache_path)
+                    loaded = _groupfile.cache_load(cache_path, group)
+            if loaded is None:
+                lat = _lattice.all_subgroups(group)
+                if cache_path:
+                    _groupfile.cache_save(lat, cache_path)
+            else:
+                _lattice.check_lattice_size(group)  # the budget binds on a cache hit too
+                lat = loaded
         except _OPERATIONAL as exc:
             return _error(exc)
-    source = "cache" if lat is loaded else "computed"
+    source = "computed" if loaded is None else "cache"
     return _emit(_reports.dumps({
         "group": group.name,
         "order": group.order,

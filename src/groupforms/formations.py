@@ -225,10 +225,11 @@ def quotient_in(F: Formation, K: SubgroupRef, N: SubgroupRef) -> bool:
 def residual(F: Formation, G: GroupLike) -> SubgroupRef:
     """Smallest normal subgroup with quotient in F (``_residual``), cached per (G, F)."""
     sub = _as_subgroup(G)
-    return memo(sub.parent, "residual", (sub.members, F), _residual, F, sub)
+    members = memo(sub.parent, "residual", (sub.members, F), _residual, F, sub)
+    return SubgroupRef(sub.parent, members)
 
 
-def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
+def _residual(F: Formation, sub: SubgroupRef) -> frozenset[int]:
     """F's closed form, checked by ``quotient_in`` on the image G/R.
 
     It rejects a closed form that returns too small a subgroup, and a
@@ -242,4 +243,4 @@ def _residual(F: Formation, sub: SubgroupRef) -> SubgroupRef:
         raise FormationVerificationError(
             f"{F.name}: the closed-form residual does not have its quotient in the class"
         )
-    return R
+    return R.members

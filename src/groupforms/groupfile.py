@@ -24,7 +24,6 @@ from .permgroup import (
     FiniteGroup,
     GroupError,
     SubgroupRef,
-    memo,
     perm_from_cycle_text,
     perm_to_cycle_text,
 )
@@ -180,12 +179,10 @@ def cache_load(path: Union[str, Path], G: FiniteGroup) -> _lattice.SubgroupLatti
         raise CacheMismatchError(f"malformed cache payload: {exc!r}") from None
     if any(len(e) != 2 for e in edges):
         raise CacheMismatchError("cache edge is not a pair")
-    lat = _lattice.SubgroupLattice(
+    return _lattice.SubgroupLattice(
         parent=G,
         top=top,
         nodes=tuple(SubgroupRef(G, frozenset(m)) for m in members),
         edges=tuple(edges),
         conjugacy_classes=tuple(classes),
     )
-    memo(G, "lattice", lat.top, lambda: lat)
-    return lat

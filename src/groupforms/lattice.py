@@ -5,9 +5,12 @@ All subgroups of a group come from cyclic extension when it is soluble and
 from the interval [1, X] of minimal overgroups otherwise, in the order of
 ``canonical``. ``subgroup_sets``, ``class_reps`` (cached per group and acting
 subgroup) and ``all_subgroups`` refuse a (sub)group above the lattice budget
-in force (``permgroup.Budgets``), even when cached; no other module reads
-that budget. ``is_maximal`` is the one maximality test, and the full lattice
-(``all_subgroups``) serves only the ``lattice`` command and its cache.
+in force (``permgroup.Budgets``), even when cached, through
+``check_lattice_size``; no other module reads that budget. ``is_maximal`` is the
+one maximality test, and the full lattice (``all_subgroups``) serves only the
+``lattice`` command and its cache; it is built on each call, not cached.
+What is cached is member sets; ``minimal_overgroups``, ``interval`` and
+``normal_subgroups`` wrap them in ``SubgroupRef``s on each call.
 
 One route rule serves what is read off a group's subgroups. Within the
 lattice budget, a proper subgroup's subgroups, intervals and minimal
@@ -86,15 +89,17 @@ def subgroup_sets(G: GroupLike) -> list[frozenset[int]]:
     which reaches perfect subgroups too.
     """
     sub = _as_subgroup(G)
-    _check_lattice_size(sub)
+    check_lattice_size(sub)
     return memo(sub.parent, "sub_sets", sub.members, _subgroup_sets, sub)
 
 
-def _check_lattice_size(sub: SubgroupRef) -> None:
-    budget = current_budgets().lattice
-    if sub.order > budget:
+def check_lattice_size(G: GroupLike) -> None:
+    """Raise ``LatticeBudgetError`` when the (sub)group is above the lattice
+    budget in force, for a cached or loaded result too."""
+    order, budget = _as_subgroup(G).order, current_budgets().lattice
+    if order > budget:
         raise LatticeBudgetError(
-            f"subgroup enumeration for order {sub.order} exceeds lattice budget {budget}"
+            f"subgroup enumeration for order {order} exceeds lattice budget {budget}"
         )
 
 
@@ -210,16 +215,13 @@ class SubgroupLattice:
 
 
 def all_subgroups(G: GroupLike) -> SubgroupLattice:
+    """The full lattice, built on each call from the cached subgroup list and
+    minimal overgroups; a lattice refers to its group, so no group caches one."""
     sub = _as_subgroup(G)
-    _check_lattice_size(sub)  # a cached or loaded lattice binds too
-    return memo(sub.parent, "lattice", sub.members, _all_subgroups, sub)
-
-
-def _all_subgroups(sub: SubgroupRef) -> SubgroupLattice:
     parent = sub.parent
-    sets = subgroup_sets(sub)
-    nodes = tuple(SubgroupRef(parent, s) for s in sets)
-    by_members = {ref.members: i for i, ref in enumerate(nodes)}
+    sets = subgroup_sets(sub)  # checks the lattice budget
+    nodes = tuple(_refs(parent, sets))
+    by_members = {s: i for i, s in enumerate(sets)}
     edges: list[tuple[int, int]] = []
     for i, ref in enumerate(nodes):
         for over in minimal_overgroups(sub, ref):
@@ -377,7 +379,7 @@ def class_reps(G: GroupLike, under: Optional[frozenset[int]] = None) -> list[fro
     again. The lattice budget binds on a cached result too.
     """
     sub = _as_subgroup(G)
-    _check_lattice_size(sub)
+    check_lattice_size(sub)
     acting = sub.members if under is None else under
     return memo(sub.parent, "class_reps", (sub.members, acting), _class_reps, sub, acting)
 
@@ -394,21 +396,24 @@ def normal_subgroups(G: GroupLike) -> list[SubgroupRef]:
     (``_normal_subgroups_by_closures``), since an insoluble parent's list
     costs far more than its normal subgroups."""
     sub = _as_subgroup(G)
-    return memo(sub.parent, "normals", sub.members, _normal_subgroups, sub)
+    return _refs(sub.parent, memo(sub.parent, "normals", sub.members, _normal_subgroups, sub))
 
 
-def _normal_subgroups(sub: SubgroupRef) -> list[SubgroupRef]:
+def _refs(parent: FiniteGroup, sets: Iterable[frozenset[int]]) -> list[SubgroupRef]:
+    """Cached member sets as the ``SubgroupRef``s a public function returns."""
+    return [SubgroupRef(parent, s) for s in sets]
+
+
+def _normal_subgroups(sub: SubgroupRef) -> list[frozenset[int]]:
     """Checks the deadline once per call on the list route."""
     parent = sub.parent
     action = _index_action(parent) if is_soluble(parent) else None
-    if action is not None:
-        check_deadline()
-        perms = [action.perm(g) for g in parent.greedy_generators(sub.members)]
-        positions = map(action.index.__getitem__, subgroup_sets(sub))
-        sets = [action.sets[i] for i in positions if all(p[i] == i for p in perms)]
-    else:
-        sets = _normal_subgroups_by_closures(sub)
-    return [SubgroupRef(parent, s) for s in sets]
+    if action is None:
+        return _normal_subgroups_by_closures(sub)
+    check_deadline()
+    perms = [action.perm(g) for g in parent.greedy_generators(sub.members)]
+    positions = map(action.index.__getitem__, subgroup_sets(sub))
+    return [action.sets[i] for i in positions if all(p[i] == i for p in perms)]
 
 
 def _normal_subgroups_by_closures(sub: SubgroupRef) -> list[frozenset[int]]:
@@ -437,36 +442,36 @@ def _normal_subgroups_by_closures(sub: SubgroupRef) -> list[frozenset[int]]:
 def minimal_overgroups(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
     """All K <= G with H maximal in K, in canonical order."""
     sub = _check_contained(G, H)
-    top = sub.members
-    return memo(sub.parent, "min_over", (H.members, top), _minimal_overgroups, sub.parent, H, top)
+    parent, top = sub.parent, sub.members
+    return _refs(parent, memo(
+        parent, "min_over", (H.members, top), _minimal_overgroups, parent, H, top))
 
 
 def _minimal_overgroups(
     parent: FiniteGroup, H: SubgroupRef, top: frozenset[int]
-) -> list[SubgroupRef]:
+) -> list[frozenset[int]]:
     """The minimal sets s with H < s <= top of the parent's list; checks the
     deadline once per call."""
+    h = H.members
     whole = _parent_list(parent)
     if whole is None:
-        return _minimal_overgroups_by_joins(parent, H, top)
+        return _minimal_overgroups_by_joins(parent, h, top)
     check_deadline()
-    h = H.members
-    return [SubgroupRef(parent, s) for s in _minimal(s for s in whole if h < s <= top)]
+    return _minimal(s for s in whole if h < s <= top)
 
 
 def _minimal_overgroups_by_joins(
-    parent: FiniteGroup, H: SubgroupRef, top: frozenset[int]
-) -> list[SubgroupRef]:
+    parent: FiniteGroup, h: frozenset[int], top: frozenset[int]
+) -> list[frozenset[int]]:
     """Minimal elements of {<H, g> : g in top outside H}. <H, hxh'> = <H, x>
     = <H, g> for h, h' in H and every generator x = g^i of <g>, so after the
     join for g every left coset of H in those double cosets HxH is covered,
     and no join is made twice. Covered elements form whole double cosets."""
     candidates: dict[frozenset[int], None] = {}
-    h = H.members
     covered: set[int] = set(h)
     t = parent._table
     orders = parent.element_orders()
-    coset = _gather(H.sorted_members)
+    coset = _gather(sorted(h))
     for g in sorted(top):
         if g in covered:
             continue
@@ -481,7 +486,7 @@ def _minimal_overgroups_by_joins(
                     if y not in covered:
                         covered.update(coset(t[y]))  # the left coset yH
             x = t[x][g]
-    return [SubgroupRef(parent, s) for s in _minimal(canonical(candidates))]
+    return _minimal(canonical(candidates))
 
 
 def _minimal(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
@@ -498,17 +503,16 @@ def _minimal(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
 def interval(G: GroupLike, H: SubgroupRef) -> list[SubgroupRef]:
     """All subgroups L with H <= L <= G, in canonical order."""
     sub = _check_contained(G, H)
-    return memo(sub.parent, "interval", (H.members, sub.members), _interval, sub, H)
+    return _refs(sub.parent, memo(
+        sub.parent, "interval", (H.members, sub.members), _interval, sub, H))
 
 
-def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[SubgroupRef]:
+def _interval(sub: SubgroupRef, H: SubgroupRef) -> list[frozenset[int]]:
     whole = _parent_list(sub.parent)
     if whole is None:
-        sets = _interval_by_walk(sub, H.members)
-    else:
-        h, top = H.members, sub.members
-        sets = [s for s in whole if h <= s <= top]
-    return [SubgroupRef(sub.parent, s) for s in sets]
+        return _interval_by_walk(sub, H.members)
+    h, top = H.members, sub.members
+    return [s for s in whole if h <= s <= top]
 
 
 def _interval_by_walk(sub: SubgroupRef, bottom: frozenset[int]) -> list[frozenset[int]]:
@@ -517,9 +521,8 @@ def _interval_by_walk(sub: SubgroupRef, bottom: frozenset[int]) -> list[frozense
     ``min_over``). It never reads the parent's list, which the whole-group
     enumeration of an insoluble group builds through it."""
     parent, top = sub.parent, sub.members
-    walk = walk_up(SubgroupRef(parent, bottom), lambda K: memo(
-        parent, "min_over", (K.members, top), _minimal_overgroups_by_joins, parent, K, top))
-    return canonical(K.members for K in walk)
+    return canonical(walk_up(bottom, lambda k: memo(
+        parent, "min_over", (k, top), _minimal_overgroups_by_joins, parent, k, top)))
 
 
 def is_maximal(K: SubgroupRef, M: SubgroupRef) -> bool:

@@ -30,7 +30,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import (
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union,
+)
 
 T = TypeVar("T")
 
@@ -244,11 +246,12 @@ class FiniteGroup:
     image tuples, which makes every set-valued result downstream
     deterministic. ``generator_perms`` must generate ``elements``: unless a
     table is passed in, ``_build_table`` fills it along their Cayley graph
-    and raises ``GroupError`` otherwise. The whole member set and the
-    whole-group ``SubgroupRef`` are built once, with the group.
-    ``_op_cache`` holds idempotent lazy results (lattices, residuals,
-    normalizers, ...), one dict per namespace; every read and write goes
-    through ``memo``. Concurrent duplicate computation is harmless by design.
+    and raises ``GroupError`` otherwise. The whole member set is built once,
+    with the group; the whole-group ``SubgroupRef`` of ``as_subgroup`` is
+    built on each call. ``_op_cache`` holds idempotent lazy results (subgroup
+    lists, residuals, normalizers, ...), one dict per namespace; every read
+    and write goes through ``memo``. Concurrent duplicate computation is
+    harmless by design.
     """
 
     __slots__ = (
@@ -262,8 +265,8 @@ class FiniteGroup:
         "_inv",
         "_identity",
         "_whole",
-        "_whole_ref",
         "_op_cache",
+        "__weakref__",
     )
 
     def __init__(
@@ -294,7 +297,6 @@ class FiniteGroup:
         e = self._identity
         self._inv = array("i", [row.index(e) for row in self._table])
         self._whole = frozenset(range(self.order))
-        self._whole_ref = SubgroupRef(self, self._whole)
         self._op_cache: dict = {}
 
     def _build_table(self) -> list[array]:
@@ -446,7 +448,7 @@ class FiniteGroup:
         return frozenset(t[t[gi][x]][g] for x in members)
 
     def as_subgroup(self) -> "SubgroupRef":
-        return self._whole_ref
+        return SubgroupRef(self, self._whole)
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -522,6 +524,12 @@ def memo(group: FiniteGroup, namespace: str, key, compute: Callable, *args):
     compute that raises stores nothing, not even the namespace. A miss means
     an absent key, so ``False`` and ``None`` results are cached too, and
     ``None`` is a key like any other.
+
+    Cached values are plain data that never refer to their group: member
+    sets, lists and tuples of them, verdicts, tables, and quotient images,
+    which are groups of their own. Public functions wrap member sets in
+    ``SubgroupRef``s on the way out. So a group and all it caches form no
+    reference cycle, and dropping the group frees them at once.
     """
     cache = group._op_cache.get(namespace)
     if cache is not None:
@@ -627,10 +635,12 @@ class GroupHom:
     ``image`` is the permutation realization of the right-coset action, a
     proper subgroup by 1 included. Quotients of one parent whose coset
     actions give the same permutations share one ``image`` object, and with
-    it its cached lattice, residuals and verdicts; each keeps its own
+    it its cached subgroups, residuals and verdicts; each keeps its own
     ``kernel`` and ``element_map``. A shared image's ``generators`` are those
     of the first quotient that built it, so read them only as some
-    generating set.
+    generating set. ``quotient`` builds a new ``GroupHom`` on each call,
+    from the caller's own source and kernel; only its image and element map
+    are cached.
     """
 
     source: SubgroupRef
@@ -652,10 +662,11 @@ class GroupHom:
 def normalizer(G: GroupLike, H: SubgroupRef) -> SubgroupRef:
     """N_G(H) = {g in G : H^g = H}."""
     amb = _check_contained(G, H)
-    return memo(amb.parent, "normalizer", (amb.members, H.members), _normalizer, amb, H)
+    key = (amb.members, H.members)
+    return SubgroupRef(amb.parent, memo(amb.parent, "normalizer", key, _normalizer, amb, H))
 
 
-def _normalizer(amb: SubgroupRef, H: SubgroupRef) -> SubgroupRef:
+def _normalizer(amb: SubgroupRef, H: SubgroupRef) -> frozenset[int]:
     parent = amb.parent
     gens = H.generators
     mem = H.members
@@ -672,16 +683,17 @@ def _normalizer(amb: SubgroupRef, H: SubgroupRef) -> SubgroupRef:
                 break
         if ok:
             out.add(g)
-    return SubgroupRef(parent, frozenset(out))
+    return frozenset(out)
 
 
 def core(B: GroupLike, A: SubgroupRef) -> SubgroupRef:
     """Core of A in B: the largest subgroup of A normal in B."""
     amb = _check_contained(B, A)
-    return memo(amb.parent, "core", (amb.members, A.members), _core, amb, A)
+    key = (amb.members, A.members)
+    return SubgroupRef(amb.parent, memo(amb.parent, "core", key, _core, amb, A))
 
 
-def _core(amb: SubgroupRef, A: SubgroupRef) -> SubgroupRef:
+def _core(amb: SubgroupRef, A: SubgroupRef) -> frozenset[int]:
     parent = amb.parent
     gens = parent.greedy_generators(amb.members)
     current = A.members
@@ -694,7 +706,7 @@ def _core(amb: SubgroupRef, A: SubgroupRef) -> SubgroupRef:
                 current = current & conj
                 changed = True
     # the fixpoint is closed and B-invariant, hence exactly the core
-    return SubgroupRef(parent, current)
+    return current
 
 
 def normal_closure(G: GroupLike, seed: Iterable[int]) -> SubgroupRef:
@@ -726,7 +738,11 @@ def commutator_subgroup(A: SubgroupRef, B: SubgroupRef) -> SubgroupRef:
 
 def derived_subgroup(G: GroupLike) -> SubgroupRef:
     sub = _as_subgroup(G)
-    return memo(sub.parent, "derived", sub.members, commutator_subgroup, sub, sub)
+    return SubgroupRef(sub.parent, memo(sub.parent, "derived", sub.members, _derived, sub))
+
+
+def _derived(sub: SubgroupRef) -> frozenset[int]:
+    return commutator_subgroup(sub, sub).members
 
 
 def derived_series(G: GroupLike) -> list[SubgroupRef]:
@@ -814,10 +830,10 @@ def sylow_subgroup(G: GroupLike, p: int) -> SubgroupRef:
     n = sub.order
     if n % p != 0:
         raise GroupError(f"{p} does not divide the group order {n}")
-    return memo(parent, "sylow", (sub.members, p), _sylow_subgroup, sub, p)
+    return SubgroupRef(parent, memo(parent, "sylow", (sub.members, p), _sylow_subgroup, sub, p))
 
 
-def _sylow_subgroup(sub: SubgroupRef, p: int) -> SubgroupRef:
+def _sylow_subgroup(sub: SubgroupRef, p: int) -> frozenset[int]:
     parent = sub.parent
     target = p_part(sub.order, p)
     orders = parent.element_orders()
@@ -834,7 +850,7 @@ def _sylow_subgroup(sub: SubgroupRef, p: int) -> SubgroupRef:
         if grow is None:
             raise GroupError("Sylow growth stalled (inconsistent group data)")
         current = parent.join(current, [grow])
-    return SubgroupRef(parent, current)
+    return current
 
 
 def p_core(G: GroupLike, p: int) -> SubgroupRef:
@@ -858,23 +874,35 @@ def fitting(G: GroupLike) -> SubgroupRef:
     return result
 
 
+class QuotientImage(NamedTuple):
+    """What ``quotient`` caches per (G, N): the image and the element map."""
+
+    image: FiniteGroup
+    element_map: dict[int, int]
+
+
 def quotient(G: GroupLike, N: SubgroupRef) -> GroupHom:
     """The quotient G/N; errors if N is not normal.
 
-    Cached per (G, N). Its image is realized by the right-coset action,
-    except that a whole group's quotient by 1 needs no action: its
-    image is the group itself. Every other image is cached on the parent by
-    its element set, so quotients whose coset actions give the same
-    permutations return one shared ``FiniteGroup`` (see ``GroupHom``).
+    The ``GroupHom`` is built on each call from G and N. Its image is
+    realized by the right-coset action, with image and element map cached
+    per (G, N), except that a whole group's quotient by 1 needs no action:
+    its image is the group itself, and it is built on each call and never
+    cached, since a group must not cache itself. Every other image is cached
+    on the parent by its element set, so quotients whose coset actions give
+    the same permutations return one shared ``FiniteGroup`` (see
+    ``GroupHom``).
     """
     sub = _check_contained(G, N)
-    return memo(sub.parent, "quotient", (sub.members, N.members), _quotient, sub, N)
-
-
-def _quotient(sub: SubgroupRef, N: SubgroupRef) -> GroupHom:
     parent = sub.parent
     if N.order == 1 and sub.order == parent.order:
         return GroupHom(sub, N, parent, {x: x for x in sub.members})
+    q = memo(parent, "quotient", (sub.members, N.members), _quotient, sub, N)
+    return GroupHom(sub, N, q.image, q.element_map)
+
+
+def _quotient(sub: SubgroupRef, N: SubgroupRef) -> QuotientImage:
+    parent = sub.parent
     gens = parent.greedy_generators(sub.members)
     for g in gens:
         if parent.conjugate_set(N.members, g) != N.members:
@@ -899,7 +927,7 @@ def _quotient(sub: SubgroupRef, N: SubgroupRef) -> GroupHom:
         parent, "image", tuple(sorted(perms)), FiniteGroup.from_table, perms, qtable, gen_perms, None
     )
     emap = {x: image._index[perms[r]] for x, r in coset_of.items()}
-    return GroupHom(source=sub, kernel=N, image=image, element_map=emap)
+    return QuotientImage(image, emap)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,17 @@ def oracle_f_abnormal(G: FiniteGroup, H: SubgroupRef, F: Formation) -> bool:
     return True
 
 
+def oracle_is_ef_group(G: FiniteGroup, F: Formation) -> bool:
+    """E_F by its definition: G outside F (by ``raw_membership``) with every
+    non-trivial subgroup, not one per class, F-subnormal or F-abnormal by the
+    step-quotient oracles above."""
+    return not raw_membership(F)(G.as_subgroup()) and all(
+        oracle_f_subnormal(G, H, F) or oracle_f_abnormal(G, H, F)
+        for H in subgroup_refs(G)
+        if H.order > 1
+    )
+
+
 def residual_by_scan(F: Formation, G: GroupLike) -> SubgroupRef:
     """Generic residual oracle, uncached: the intersection of every normal
     subgroup N whose quotient satisfies ``raw_membership(F)``.

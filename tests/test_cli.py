@@ -236,6 +236,20 @@ def test_analyze_example864_with_lattice_budget_1000(capsys):
     assert details["hypothesis"] == "empirical only: formation not flagged superradical"
 
 
+def test_analyze_example864_at_budget_1000_by_both_routes(monkeypatch, capsys):
+    # at budget 1000 g864's verdicts read its one subgroup list; with the
+    # list withheld they come from cyclic extension per subgroup, walks,
+    # joins and normal closures. Both routes give the same report bytes
+    from groupforms import lattice
+
+    argv = ["analyze", "--group", "example864", "--check", "all", "--formation", "N",
+            "--budget-lattice", "1000"]
+    by_list = run_cli(capsys, *argv)
+    monkeypatch.setattr(lattice, "_parent_list", lambda parent: None)
+    assert run_cli(capsys, *argv) == by_list
+    assert by_list[0] == EXIT_OK
+
+
 def test_analyze_example864_corollary2_skips_only_c2(capsys):
     # above the default lattice budget only the E_F quantifier (C2) is
     # skipped, as theorems 1 and 2 skip theirs; C1 and C3 are still decided

@@ -470,7 +470,7 @@ def _assert_routes_agree(X, H):
     parent, top = X.parent, X.members
     if H.order < parent.order:  # the parent's own list is the enumeration
         assert lat._subgroup_sets(H) == lat._enumerate(H)
-    assert [L.members for L in lat._interval(X, H)] == lat._interval_by_walk(X, H.members)
+    assert lat._interval(X, H) == lat._interval_by_walk(X, H.members)
     by_joins = parent._op_cache["min_over"][(H.members, top)]
     assert lat._minimal_overgroups(parent, H, top) == by_joins
 

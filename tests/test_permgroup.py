@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import json
+import weakref
 from collections import Counter
 from pathlib import Path
+from types import FunctionType, ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -19,15 +23,23 @@ from helpers import (
 )
 
 import groupforms
-from groupforms import catalog, permgroup, subnormal
+from groupforms import catalog, cli, permgroup, structure, subnormal
 from groupforms import lattice as lat
-from groupforms.formations import ABELIAN, NILPOTENT, SUPERSOLUBLE
+from groupforms.formations import (
+    ABELIAN,
+    NILPOTENT,
+    NILPOTENT_DERIVED,
+    SOLUBLE,
+    SUPERSOLUBLE,
+    Formation,
+)
 from groupforms.structure import check_lemma_suite
 from groupforms.permgroup import (
     Budgets,
     FiniteGroup,
     GroupBudgetError,
     GroupError,
+    GroupHom,
     SubgroupRef,
     _gather,
     _greedy_generators,
@@ -513,28 +525,91 @@ LEMMA_SUITE_NAMESPACES = {
 }
 
 
-def test_memo_has_one_layout():
-    # every cached fact is one dict entry per namespace, on every group and
-    # on every quotient image it holds; the groups are built afresh, so that
-    # only the lemma suites fill their caches
-    groups = catalog.catalog_groups(24)
-    for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE):
-        check_lemma_suite(groups, F)
-    seen: set[int] = set()
-    namespaces: set[str] = set()
+def _images(groups: list[FiniteGroup]) -> list[FiniteGroup]:
+    """The groups and every quotient image cached on them or on their images."""
+    seen: dict[int, FiniteGroup] = {}
     stack = list(groups)
     while stack:
         g = stack.pop()
-        if id(g) in seen:
+        if id(g) not in seen:
+            seen[id(g)] = g
+            stack.extend(q.image for q in g._op_cache.get("quotient", {}).values())
+            stack.extend(g._op_cache.get("image", {}).values())
+    return list(seen.values())
+
+
+def _cached_objects(g: FiniteGroup):
+    """Every object reachable from g's cache without entering another group,
+    a formation, a class or code."""
+    seen: set[int] = set()
+    stack = [g._op_cache]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (type, ModuleType, FunctionType, Formation)):
             continue
-        seen.add(id(g))
+        seen.add(id(x))
+        yield x
+        if not isinstance(x, FiniteGroup):
+            stack.extend(r for r in gc.get_referents(x) if gc.is_tracked(r))
+
+
+def test_memo_has_one_layout():
+    # every cached fact is one dict entry per namespace, on every group and
+    # on every quotient image it holds, and it is plain data: nothing a group
+    # caches refers back to a group, so dropping one frees it at once. The
+    # groups are built afresh, so that only the lemma suites fill their caches
+    groups = catalog.catalog_groups(24)
+    for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE):
+        check_lemma_suite(groups, F)
+    namespaces: set[str] = set()
+    every = _images(groups)
+    for g in every:
         for namespace, value in g._op_cache.items():
             assert isinstance(value, dict), (g, namespace)
         namespaces |= set(g._op_cache)
-        stack.extend(hom.image for hom in g._op_cache.get("quotient", {}).values())
-        stack.extend(g._op_cache.get("image", {}).values())
-    assert len(seen) > len(groups)
+        for x in _cached_objects(g):
+            assert x is not g, g
+            assert not isinstance(x, (SubgroupRef, GroupHom, lat.SubgroupLattice)), (g, x)
+    assert len(every) > len(groups)
     assert namespaces == LEMMA_SUITE_NAMESPACES
+
+
+def test_a_dropped_group_is_freed_without_the_cycle_collector(tmp_path, monkeypatch, capsys):
+    # with the collector off, reference counting alone must free each group,
+    # its caches and every quotient image it built once the caller drops it
+    built: list[weakref.ref] = []
+    real_load = cli._load_group
+
+    def load(spec):
+        G = real_load(spec)
+        built.append(weakref.ref(G))
+        return G
+
+    monkeypatch.setattr(cli, "_load_group", load)
+    checks = ("check_theorem1", "check_theorem2", "check_corollary1", "check_corollary2")
+    gc.collect()
+    gc.disable()
+    try:
+        groups = catalog.catalog_groups(24)  # fresh groups: nothing is cached
+        for F in (ABELIAN, NILPOTENT, SUPERSOLUBLE, NILPOTENT_DERIVED, SOLUBLE):
+            check_lemma_suite(groups, F)
+            for G in groups:
+                for check in checks:
+                    getattr(structure, check)(G, F)
+        groups.append(catalog.load_example864())
+        structure.verify_paper_example(groups[-1])
+        every = _images(groups)
+        assert len(every) > len(groups)
+        built += [weakref.ref(g) for g in every]
+        del groups, every, G
+        cache = str(tmp_path / "s4.lattice.json")
+        for source in ("computed", "cache"):
+            assert cli.main(["lattice", "--group", "S4", "--cache", cache]) == cli.EXIT_OK
+            assert json.loads(capsys.readouterr().out)["source"] == source
+        alive = [ref() for ref in built if ref() is not None]
+        assert alive == []
+    finally:
+        gc.enable()
 
 
 def test_lemma_suite_builds_no_image_of_a_whole_group_by_1(monkeypatch):

@@ -17,6 +17,7 @@ from helpers import (
     is_schmidt,
     lemma1_pushed_and_met_violations,
     maximal_subgroups,
+    oracle_is_ef_group,
     passes_deciding_all,
     residual_by_scan,
 )
@@ -189,6 +190,20 @@ def test_corollaries_pass_on_every_catalog_group_they_decide(catalog120, F, deci
         got = [v for v in verdicts if v.to_check_result().status != reports.SKIP]
         assert [v.group for v in got if not passes_deciding_all(v)] == [], check.__name__
         assert len(got) == want, check.__name__
+
+
+@pytest.mark.parametrize(
+    "F, count",
+    [(NILPOTENT, 51), (SUPERSOLUBLE, 4), (NILPOTENT_DERIVED, 1), (ABELIAN, 65)],
+    ids=["N", "U", "NA", "A"],
+)
+def test_ef_groups_match_the_definition_over_the_catalog(catalog120, F, count):
+    # is_ef_group decides one subgroup per conjugacy class by the production
+    # predicates; the oracle takes every non-trivial subgroup and decides each
+    # by step quotients. They agree on every catalog group <= 120
+    got = [g.name for g in catalog120 if structure.is_ef_group(g, F)]
+    assert [g.name for g in catalog120 if oracle_is_ef_group(g, F)] == got
+    assert len(got) == count
 
 
 def test_corollary1_passes_only_when_both_statements_hold(monkeypatch):
