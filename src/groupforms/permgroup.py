@@ -1,9 +1,9 @@
 """Permutation-group arithmetic on fully enumerated small groups.
 
-Elements are permutations stored as image tuples (0-based). Every group
-carries its complete, canonically ordered element list plus integer
-multiplication/inverse tables, so all later subgroup predicates are exact
-integer work. Deliberately no stabilizer chains: the target scale
+Elements are permutations, read as image tuples (0-based) and stored packed
+in arrays (see ``FiniteGroup``). Every group carries its complete,
+canonically ordered element list plus integer multiplication/inverse tables,
+so all later subgroup predicates are exact integer work. Deliberately no stabilizer chains: the target scale
 (order <= ~1000, default cap 2000) makes full enumeration the simplest thing
 that is always right.
 
@@ -21,6 +21,7 @@ the cached Sylow subgroups and cores.
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import math
 import re
@@ -239,6 +240,60 @@ def p_part(n: int, p: int) -> int:
 # groups
 
 
+def _typecode(n: int) -> str:
+    """The narrowest unsigned ``array`` typecode that holds every value in range(n)."""
+    return "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "I"
+
+
+def _sort_order(perms: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """The positions of ``perms`` in sorted order, and the rank of each position."""
+    by_rank = sorted(range(len(perms)), key=perms.__getitem__)
+    rank = [0] * len(perms)
+    for r, i in enumerate(by_rank):
+        rank[i] = r
+    return by_rank, rank
+
+
+class Elements(collections.abc.Sequence):
+    """A group's elements as image tuples, read from its packed points: item i
+    is ``points[i * degree:(i + 1) * degree]``. Read-only; each read builds
+    a new tuple."""
+
+    __slots__ = ("_points", "_degree", "_order")
+
+    def __init__(self, points: array, degree: int, order: int):
+        self._points = points
+        self._degree = degree
+        self._order = order
+
+    def __len__(self) -> int:
+        return self._order
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i = range(self._order)[i]  # negative i counts from the end; IndexError past either end
+        d = self._degree
+        return tuple(self._points[i * d : i * d + d])
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        if not self._degree:
+            return iter([()] * self._order)
+        # d references to one iterator: zip cuts the points into tuples in C
+        return zip(*[iter(self._points)] * self._degree)
+
+
+def _pack(perms: Sequence[tuple[int, ...]], degree: int) -> array:
+    """All points of ``perms``, one after another, in the narrowest array."""
+    code = _typecode(degree)
+    if code == "B":
+        points = array(code, b"".join(map(bytes, perms)))
+    else:
+        points = array(code)
+        points.fromlist(list(itertools.chain.from_iterable(perms)))
+    if len(points) != len(perms) * degree:
+        raise GroupError(f"an element is not of degree {degree}")
+    return points
+
+
 class FiniteGroup:
     """A fully enumerated permutation group.
 
@@ -252,6 +307,16 @@ class FiniteGroup:
     lists, residuals, normalizers, ...), one dict per namespace; every read
     and write goes through ``memo``. Concurrent duplicate computation is
     harmless by design.
+
+    Storage is packed. ``_points`` holds the order x degree point images of
+    all elements in one flat array, and ``elements`` is a read-only
+    ``Elements`` view that cuts it into tuples. The table rows and ``_inv``
+    are arrays too. Each array takes the narrowest unsigned typecode that
+    holds its values (``_typecode``): ``B`` up to 256, ``H`` up to 65,536,
+    else ``I``, of the degree for the points and of the order for the table.
+    The permutation -> index dict that the constructor needs for the
+    identity, the generators and ``_build_table`` is dropped once they are
+    found; ``quotient`` finds an image's indices by rank instead.
     """
 
     __slots__ = (
@@ -260,7 +325,7 @@ class FiniteGroup:
         "order",
         "generators",
         "name",
-        "_index",
+        "_points",
         "_table",
         "_inv",
         "_identity",
@@ -272,59 +337,61 @@ class FiniteGroup:
     def __init__(
         self,
         degree: int,
-        elements: Sequence[tuple[int, ...]],
+        elements: Iterable[tuple[int, ...]],
         generator_perms: Sequence[tuple[int, ...]],
         name: Optional[str] = None,
         _table: Optional[list[array]] = None,
     ):
+        perms = list(elements)
         self.degree = degree
-        self.elements = tuple(elements)
-        self.order = len(self.elements)
+        self.order = len(perms)
         self.name = name
-        self._index = {p: i for i, p in enumerate(self.elements)}
+        self._points = _pack(perms, degree)
+        self.elements = Elements(self._points, degree, self.order)
+        index = {p: i for i, p in enumerate(perms)}
         ident = identity_perm(degree)
-        if ident not in self._index:
+        if ident not in index:
             raise GroupError("element set does not contain the identity")
-        self._identity = self._index[ident]
+        self._identity = index[ident]
         gen_idx = []
         for g in generator_perms:
-            idx = self._index.get(tuple(g))
+            idx = index.get(tuple(g))
             if idx is None:
                 raise GroupError("generator outside element set")
             gen_idx.append(idx)
         self.generators = tuple(gen_idx)
-        self._table = self._build_table() if _table is None else _table
+        self._table = self._build_table(perms, index) if _table is None else _table
         e = self._identity
-        self._inv = array("i", [row.index(e) for row in self._table])
+        self._inv = array(_typecode(self.order), [row.index(e) for row in self._table])
         self._whole = frozenset(range(self.order))
         self._op_cache: dict = {}
 
-    def _build_table(self) -> list[array]:
+    def _build_table(self, perms: list[tuple[int, ...]], index: dict) -> list[array]:
         """The multiplication table, filled along the Cayley graph of the generators.
 
-        Only the generator rows are looked up element by element. For a = p*g,
+        Only the generator rows are looked up element by element, in
+        ``index``, the position of each of ``perms``. For a = p*g,
         ``table[a][b] = table[p][table[g][b]]``, so row a is row p gathered at
         the positions of row g: one C-level ``itemgetter`` call per row. A
         breadth-first walk from the identity fills the rest; a row it leaves
         empty means the generators do not generate the element set.
         """
-        index = self._index
-        elems = self.elements
         e = self._identity
+        code = _typecode(self.order)
         steps = [
-            (g, _gather([index[compose(elems[g], q)] for q in elems]))
+            (g, _gather([index[compose(perms[g], q)] for q in perms]))
             for g in dict.fromkeys(self.generators)
             if g != e
         ]
         table: list[Optional[array]] = [None] * self.order
-        table[e] = array("i", range(self.order))
+        table[e] = array(code, range(self.order))
         reached = [e]
         for p in reached:  # breadth first: the loop also visits what it appends
             row = table[p]
             for g, gather in steps:
                 a = row[g]
                 if table[a] is None:
-                    table[a] = array("i", gather(row))
+                    table[a] = array(code, gather(row))
                     reached.append(a)
         if len(reached) < self.order:
             raise GroupError("generators do not generate the element set")
@@ -501,15 +568,12 @@ class FiniteGroup:
         name: Optional[str] = None,
     ) -> "FiniteGroup":
         """Internal fast path: canonicalize a precomputed (perms, table) pair."""
-        order = len(perms)
-        sort_idx = sorted(range(order), key=perms.__getitem__)
-        new_of_old = [0] * order
-        for new, old in enumerate(sort_idx):
-            new_of_old[old] = new
+        sort_idx, new_of_old = _sort_order(perms)
         sorted_perms = [perms[old] for old in sort_idx]
         renumber = new_of_old.__getitem__
         in_new_order = _gather(sort_idx)
-        new_table = [array("i", map(renumber, in_new_order(table[old_i]))) for old_i in sort_idx]
+        code = _typecode(len(perms))
+        new_table = [array(code, map(renumber, in_new_order(table[old_i]))) for old_i in sort_idx]
         degree = len(sorted_perms[0])
         return cls(degree, sorted_perms, generator_perms, name=name, _table=new_table)
 
@@ -633,14 +697,15 @@ class GroupHom:
     element indices of ``image``. A whole group's quotient by 1 has the group
     itself as ``image`` and the identity as ``element_map``; every other
     ``image`` is the permutation realization of the right-coset action, a
-    proper subgroup by 1 included. Quotients of one parent whose coset
-    actions give the same permutations share one ``image`` object, and with
-    it its cached subgroups, residuals and verdicts; each keeps its own
-    ``kernel`` and ``element_map``. A shared image's ``generators`` are those
-    of the first quotient that built it, so read them only as some
-    generating set. ``quotient`` builds a new ``GroupHom`` on each call,
-    from the caller's own source and kernel; only its image and element map
-    are cached.
+    proper subgroup by 1 included, and maps x to the rank of its coset's
+    permutation among the sorted coset permutations, which are the image's
+    elements. Quotients of one parent whose coset actions give the same
+    permutations share one ``image`` object, and with it its cached
+    subgroups, residuals and verdicts; each keeps its own ``kernel`` and
+    ``element_map``. A shared image's ``generators`` are those of the first
+    quotient that built it, so read them only as some generating set.
+    ``quotient`` builds a new ``GroupHom`` on each call, from the caller's
+    own source and kernel; only its image and element map are cached.
     """
 
     source: SubgroupRef
@@ -891,7 +956,9 @@ def quotient(G: GroupLike, N: SubgroupRef) -> GroupHom:
     cached, since a group must not cache itself. Every other image is cached
     on the parent by its element set, so quotients whose coset actions give
     the same permutations return one shared ``FiniteGroup`` (see
-    ``GroupHom``).
+    ``GroupHom``). That element set, sorted, is the memo key and the image's
+    ``elements``, so the element map sends x to the rank of its coset's
+    permutation in it; no permutation lookup is needed.
     """
     sub = _check_contained(G, N)
     parent = sub.parent
@@ -923,10 +990,11 @@ def _quotient(sub: SubgroupRef, N: SubgroupRef) -> QuotientImage:
     qtable = [tuple(map(coset, at_reps(t[r]))) for r in reps]
     perms = list(zip(*qtable))
     gen_perms = [perms[coset_of[g]] for g in gens] or [identity_perm(q)]
-    image = memo(
-        parent, "image", tuple(sorted(perms)), FiniteGroup.from_table, perms, qtable, gen_perms, None
-    )
-    emap = {x: image._index[perms[r]] for x, r in coset_of.items()}
+    # the image's elements are the memo key, so perms[r] has index rank[r]
+    by_rank, rank = _sort_order(perms)
+    key = tuple(map(perms.__getitem__, by_rank))
+    image = memo(parent, "image", key, FiniteGroup.from_table, perms, qtable, gen_perms, None)
+    emap = {x: rank[r] for x, r in coset_of.items()}
     return QuotientImage(image, emap)
 
 

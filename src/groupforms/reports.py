@@ -26,7 +26,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .permgroup import FiniteGroup, SubgroupRef, perm_to_cycle_text
@@ -87,7 +87,12 @@ class CheckResult:
     witnesses: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "check": self.check,
+            "status": self.status,
+            "details": self.details,
+            "witnesses": self.witnesses,
+        }
 
 
 @dataclass

@@ -68,11 +68,17 @@ def invert(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def element_indices(G: FiniteGroup) -> dict[tuple[int, ...], int]:
+    """The index of each of G's elements, keyed by its image tuple: the
+    lookup that groups build while they are constructed and do not keep."""
+    return {p: i for i, p in enumerate(G.elements)}
+
+
 def table_by_compose(G: FiniteGroup) -> tuple[list[array], array]:
     """The multiplication table and inverses by n^2 lookups of composed tuples,
     with the inverse found by scanning each row for the identity."""
-    index = G._index
-    elems = G.elements
+    index = element_indices(G)
+    elems = list(G.elements)
     table = [array("i", (index[tuple(q[x] for x in p)] for q in elems)) for p in elems]
     inv = array("i", [-1]) * G.order
     for a, row in enumerate(table):
@@ -370,7 +376,8 @@ def regular_realization(G: FiniteGroup) -> tuple[FiniteGroup, list[int]]:
     trivial subgroup; a whole group's quotient by 1 is the group itself."""
     P = direct_product(G, cyclic(2))
     fixed = (G.degree, G.degree + 1)  # the points of the C2 factor, fixed
-    lift = [P._index[g + fixed] for g in G.elements]
+    index = element_indices(P)
+    lift = [index[g + fixed] for g in G.elements]
     hom = quotient(SubgroupRef(P, frozenset(lift)), SubgroupRef(P, frozenset((P.identity,))))
     return hom.image, [hom.element_map[x] for x in lift]
 

@@ -98,9 +98,9 @@ def test_criterion_1b_paper_example_sylow2_proper_subgroups(g864):
         f"{check.details['not_subnormal']} of {check.details['proper_subgroups']} proper "
         "subgroups of the Sylow 2-subgroup are not NA-subnormal. The README reads this as a "
         "defect in the source material's worked example rather than in the checker: "
-        "tests/test_example864_tabulation.py tabulates the 60 involutive actions that swap "
-        "the S3 blocks and finds 12 of 105 not NA-subnormal in each of the 36 groups that "
-        "match the example's other invariants."
+        "tests/test_example864_tabulation.py shows that the extensions of K = S3 x S3 x A4 "
+        "by C2 that swap the S3 blocks are two groups, that the one matching the example's "
+        "other invariants is the shipped group, and that 12 of its 105 are not NA-subnormal."
     )
 
 

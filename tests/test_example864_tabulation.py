@@ -1,30 +1,39 @@
-"""Criterion 1b's tabulation: the worked example's claim over every involutive
-action that swaps the two S3 blocks.
+"""Criterion 1b's tabulation: the worked example's claim over every extension
+of K by C2 that swaps the two S3 blocks.
 
 K = S3 x S3 x A4 is the group of the first six generators of
 ``data/g864.pgrp``, on the points 1-3, 4-6 and 7-10. N = (S3 wr C2) x S4 acts
 on the same ten points and normalizes K. Aut(S3 x S3) = S3 wr C2 and
-Aut(A4) = S4, so Aut(K) has order 72 * 24 = 1,728; N acts on K faithfully,
-so conjugation by N gives every automorphism of K. A split extension
-K : <t> whose involution t swaps the S3 blocks is therefore <K, sigma> for
-an involution sigma of N that swaps them: sigma = (a, a^-1)*swap x s with a
-in S3 and s in S4, s^2 = 1, which gives 6 * 10 = 60 groups of order 864.
+Aut(A4) = S4, so Aut(K) has order 72 * 24 = 1,728.
+``test_n_gives_every_automorphism_of_k`` shows that no element of N but 1
+centralizes K (so Z(K) = 1) and that conjugation by N gives all 1,728
+automorphisms of K: N is Aut(K), with K as its inner automorphisms.
 
-36 of them match the example's four invariants (derived subgroup 216,
-nilpotent residual 108, Fitting subgroup 36, self-normalizing Sylow
-2-subgroup of order 32): those whose s is a transposition, as in the shipped
-group. In every one of the 36, 12 of the 105 proper subgroups of the Sylow
-2-subgroup are not NA-subnormal. So the example's claim that all of them are
-holds for no group that matches its other invariants, and criterion 1b's
-failure is read as a defect of the worked example, not of the checker. The
-scope is the split extensions K : C2 that swap the S3 blocks, which is how
-the example builds its group.
+Take any group E with K normal in E, |E : K| = 2, whose action swaps the S3
+blocks. C_E(K) meets K in Z(K) = 1, so it has order 1 or 2. If it has order
+2, E = K x C_E(K) acts on K by inner automorphisms, which swap no blocks.
+So C_E(K) = 1, and conjugation embeds E in Aut(K) = N with K going onto K:
+E is K u sigma K for a block-swapping sigma of N. Whether the extension
+splits or not, it is one of the groups <K, sigma>.
+
+The 60 involutions sigma of N that swap the blocks are (a, a^-1)*swap x s
+with a in S3 and s in S4, s^2 = 1, and they fall into two cosets of K: the
+36 whose s is a transposition and the 24 whose s is not. So there are two
+such groups of order 864. The first matches the example's four invariants
+(derived subgroup 216, nilpotent residual 108, Fitting subgroup 36,
+self-normalizing Sylow 2-subgroup of order 32) and is the shipped group
+itself; 12 of the 105 proper subgroups of its Sylow 2-subgroup are not
+NA-subnormal. The second has derived subgroup 72 and a Sylow 2-subgroup
+that is not self-normalizing. So the example's claim that all of those
+subgroups are NA-subnormal holds for no group that matches its other
+invariants, and criterion 1b's failure is read as a defect of the worked
+example, not of the checker.
 """
 
 from __future__ import annotations
 
 import pytest
-from helpers import invert
+from helpers import element_indices, invert
 
 from groupforms import lattice as lat
 from groupforms.formations import NILPOTENT, NILPOTENT_DERIVED, residual
@@ -55,10 +64,11 @@ def test_n_gives_every_automorphism_of_k(k_and_n):
     K, k_gens, N = k_and_n
     assert (K.order, N.order) == (432, 1728)
     # N normalizes K, and no element of N but 1 centralizes it
+    in_k = element_indices(K)
     images = set()
     for n in N.elements:
         conj = tuple(compose(compose(invert(n), k), n) for k in k_gens)
-        assert all(c in K._index for c in conj)
+        assert all(c in in_k for c in conj)
         images.add(conj)
     centralizer = [n for n in N.elements if all(compose(n, k) == compose(k, n) for k in k_gens)]
     assert centralizer == [identity_perm(10)]
@@ -66,27 +76,41 @@ def test_n_gives_every_automorphism_of_k(k_and_n):
 
 
 def test_no_matching_action_makes_every_proper_sylow2_subgroup_na_subnormal(k_and_n, g864):
-    _, k_gens, N = k_and_n
+    K, k_gens, N = k_and_n
     # the involutions that move the first S3 block (points 1-3) onto the second
     sigmas = [n for n in N.elements if compose(n, n) == identity_perm(10) and n[0] in (3, 4, 5)]
     assert len(sigmas) == 60
     assert g864.elements[g864.generators[6]] in sigmas
-    matches, others = [], set()
+    # sigma and tau lie in one coset of K when sigma^-1 tau = sigma tau is in K
+    in_k = element_indices(K)
+    cosets: list[list[tuple[int, ...]]] = []
     for sigma in sigmas:
-        G = FiniteGroup.from_generators(k_gens + [sigma], 10)
+        coset = next((c for c in cosets if compose(c[0], sigma) in in_k), None)
+        if coset is None:
+            cosets.append([sigma])
+        else:
+            coset.append(sigma)
+    assert sorted(map(len, cosets)) == [24, 36]
+    found = {}
+    for coset in cosets:
+        # sigma normalizes K and squares to 1, so <K, sigma> = K u sigma K
+        G = FiniteGroup.from_generators(k_gens + [coset[0]], 10)
         assert G.order == 864
-        derived = derived_subgroup(G).order
         P = sylow_subgroup(G, 2)
-        invariants = (derived, residual(NILPOTENT, G).order, fitting(G).order, P.order,
-                      is_self_normalizing(G, P))
-        if invariants != (216, 108, 36, 32, True):
-            others.add((derived, invariants[4]))
-            continue
+        invariants = (derived_subgroup(G).order, residual(NILPOTENT, G).order,
+                      fitting(G).order, P.order, is_self_normalizing(G, P))
         proper = [s for s in lat.subgroup_sets(P) if len(s) < P.order]
         not_sn = sum(not is_f_subnormal(G, SubgroupRef(G, s), NILPOTENT_DERIVED) for s in proper)
-        moved = [x for x in range(6, 10) if sigma[x] != x]
-        matches.append((len(moved), len(proper), not_sn))
-    # the matches are exactly the sigmas whose S4 part is a transposition
-    assert len(matches) == 36
-    assert set(matches) == {(2, 105, 12)}
-    assert others == {(72, False)}
+        # how many of the points 7-10 the S4 part of each sigma moves
+        moved = {sum(sigma[x] != x for x in range(6, 10)) for sigma in coset}
+        found[len(coset)] = (G, invariants, len(proper), not_sn, moved)
+    # the sigmas whose S4 part is a transposition give the one match: g864 itself
+    G, invariants, proper, not_sn, moved = found[36]
+    assert invariants == (216, 108, 36, 32, True)
+    assert (proper, not_sn, moved) == (105, 12, {2})
+    assert tuple(G.elements) == tuple(g864.elements)
+    # the others give a group with derived subgroup 72 and a Sylow 2-subgroup
+    # that is not self-normalizing
+    G, invariants, proper, not_sn, moved = found[24]
+    assert (invariants[0], invariants[4]) == (72, False)
+    assert (proper, not_sn, moved) == (157, 28, {0, 4})

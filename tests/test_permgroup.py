@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import weakref
 from collections import Counter
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    element_indices,
     frattini,
     generate,
     greedy_generators_from_scratch,
@@ -23,7 +25,7 @@ from helpers import (
 )
 
 import groupforms
-from groupforms import catalog, cli, permgroup, structure, subnormal
+from groupforms import catalog, cli, groupfile, permgroup, structure, subnormal
 from groupforms import lattice as lat
 from groupforms.formations import (
     ABELIAN,
@@ -81,7 +83,7 @@ def a4():
 
 
 def idx(G, text):
-    return G._index[perm_from_cycle_text(text, G.degree)]
+    return element_indices(G)[perm_from_cycle_text(text, G.degree)]
 
 
 # -- raw permutations ---------------------------------------------------------
@@ -216,6 +218,58 @@ def test_non_generating_generators_raise():
         FiniteGroup(3, elements, [(1, 2, 0)])
     with pytest.raises(GroupError):
         FiniteGroup(3, elements, [])
+
+
+# -- packed storage -----------------------------------------------------------
+
+def _closure_by_compose(gens, degree):
+    """The sorted image tuples that the generators close to, by plain tuples."""
+    elems = {identity_perm(degree)}
+    work = list(elems)
+    for p in work:  # the loop also visits what it appends
+        for g in gens:
+            q = compose(p, g)
+            if q not in elems:
+                elems.add(q)
+                work.append(q)
+    return sorted(elems)
+
+
+def test_catalog_groups_are_packed_in_bytes(catalog120):
+    for G in catalog120:
+        gens = [G.elements[g] for g in G.generators]
+        perms = _closure_by_compose(gens, G.degree)
+        assert [G.elements[i] for i in range(G.order)] == perms, G.name
+        assert list(G.elements) == perms and G.elements[-1] == perms[-1], G.name
+        assert G._points.itemsize == G._inv.itemsize == 1, G.name
+        assert {row.itemsize for row in G._table} == {1}, G.name
+        assert not hasattr(G, "_index"), G.name
+
+
+def test_group_above_256_points_and_elements_packs_in_two_bytes():
+    cycle = tuple(range(1, 300)) + (0,)
+    G = FiniteGroup.from_generators([cycle], 300, name="C300")
+    perms = _closure_by_compose([cycle], 300)
+    assert G.order == len(perms) == 300
+    assert G._points.typecode == G._inv.typecode == "H"
+    assert {row.typecode for row in G._table} == {"H"}
+    assert list(G.elements) == perms
+    assert G.elements[G.identity] == identity_perm(300)
+    for x in range(G.order):
+        assert G.mul(x, G._inv[x]) == G.identity
+        assert G.elements[G._inv[x]] == invert(G.elements[x])
+    text = groupfile.emit_group_text(G)
+    again = groupfile.parse_group_text(text)
+    assert groupfile.emit_group_text(again) == text and list(again.elements) == perms
+    h = hashlib.sha256(b"degree=300;order=300;")
+    for p in perms:
+        h.update(",".join(map(str, p)).encode() + b"|")
+    assert groupfile.group_checksum(G) == groupfile.group_checksum(again) == h.hexdigest()
+
+
+def test_elements_of_another_degree_raise():
+    with pytest.raises(GroupError, match="not of degree 3"):
+        FiniteGroup(3, [(0, 1, 2), (1, 0)], [])
 
 
 # -- generate -----------------------------------------------------------------
